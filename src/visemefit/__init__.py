@@ -59,6 +59,7 @@ from .observations import (
     ObservationDir,
     RawObservation,
     parse_landmarks,
+    read_landmarks,
     serialize_landmarks,
 )
 from .procedural import (
@@ -87,7 +88,6 @@ from .timeline import (
     parse_viseme_map,
     read_alignment,
     read_viseme_map,
-    sample_frames,
     serialize_timeline,
     viseme_of,
 )

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
+from .records import read_text, split_records
 
 _SLERP_MIN_ANGLE = 1e-6
+_POSE_FIELDS = ("qx", "qy", "qz", "qw", "tx", "ty", "tz", "sx", "sy", "sz")
 
 
 def slerp(q0, q1, t: float) -> np.ndarray:
@@ -132,25 +134,19 @@ def parse_bone_assets(text: str, source: str = "<bones>") -> BonePoseAssets:
     rows: dict[str, dict[str, tuple]] = {}
     bones: list[str] = []
     labels: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        cols = line.split(",")
+    for line in split_records(text, source).body:
+        cols = line.text.split(",")
         if cols[0] == "bone":  # header
             continue
         if len(cols) != 12:
-            raise DataError(f"{source}:{lineno}: expected 12 columns, got {len(cols)}")
+            raise line.error(f"expected 12 columns, got {len(cols)}")
         bone, label = cols[0].strip(), cols[1].strip()
-        try:
-            nums = tuple(float(c) for c in cols[2:])
-        except ValueError:
-            raise DataError(f"{source}:{lineno}: non-numeric pose component")
+        nums = tuple(line.numbers(cols[2:], _POSE_FIELDS))
         if bone not in rows:
             rows[bone] = {}
             bones.append(bone)
         if label in rows[bone]:
-            raise DataError(f"{source}:{lineno}: duplicate pose {label!r} for bone {bone!r}")
+            raise line.error(f"duplicate pose {label!r} for bone {bone!r}")
         rows[bone][label] = nums
         if label != "rest" and label not in labels:
             labels.append(label)
@@ -174,11 +170,7 @@ def parse_bone_assets(text: str, source: str = "<bones>") -> BonePoseAssets:
 
 
 def read_bone_assets(path) -> BonePoseAssets:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_bone_assets(fh.read(), source=str(path))
-    except OSError as exc:
-        raise DataError(f"cannot read bone assets {path}: {exc}")
+    return parse_bone_assets(read_text(path, "bone assets"), source=str(path))
 
 
 def serialize_blended_poses(assets: BonePoseAssets, curve) -> str:
@@ -189,7 +181,7 @@ def serialize_blended_poses(assets: BonePoseAssets, curve) -> str:
     except ValueError:
         missing = [lab for lab in assets.labels if lab not in curve.labels]
         raise DataError(f"curve is missing viseme columns {missing}")
-    lines = ["frame,bone,qx,qy,qz,qw,tx,ty,tz,sx,sy,sz"]
+    lines = ["frame,bone," + ",".join(_POSE_FIELDS)]
     for j in range(curve.frame_count):
         pose = blend_bone_pose(assets, curve.weights[j, cols])
         for i, bone in enumerate(assets.bones):

@@ -30,7 +30,7 @@ from .evaluation import (
 )
 from .fitting import FitConfig, fit_clip, read_fit_config, read_poses, write_poses
 from .mesh import write_obj
-from .observations import ObservationDir, parse_landmarks
+from .observations import ObservationDir, read_landmarks
 from .procedural import generate_procedural, read_rules
 from .rig import bake_mesh_sequence, load_rig_manifest
 from .timeline import read_alignment, read_viseme_map
@@ -156,12 +156,7 @@ def _cmd_eval(args) -> int:
     # keypoint metric
     if not (args.obs and args.poses):
         raise UsageError("eval --metric keypoint needs --obs and --poses")
-    lm_path = os.path.join(args.obs, "landmarks.csv")
-    try:
-        with open(lm_path, "r", encoding="utf-8") as fh:
-            observations = parse_landmarks(fh.read(), source=lm_path)
-    except OSError as exc:
-        raise DataError(f"cannot read landmarks {lm_path}: {exc}")
+    observations = read_landmarks(os.path.join(args.obs, "landmarks.csv"))
     poses = read_poses(args.poses)
     subset = rig.mouth_landmark_ids if args.mouth_only else None
     series = keypoint_error(rig, curve, poses, observations, subset=subset)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .records import read_text, split_records
 
 
 @dataclass(frozen=True)
@@ -21,8 +22,8 @@ class Curve:
     weights: np.ndarray  # (frames, V)
 
     def __post_init__(self):
-        if not self.fps > 0:
-            raise DataError(f"curve fps must be positive, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise DataError(f"curve fps must be positive and finite, got {self.fps}")
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
         if w.ndim != 2:
             raise DataError(f"curve weights must be 2-D, got shape {w.shape}")
@@ -51,58 +52,33 @@ def serialize_curve(curve: Curve) -> str:
 
 
 def parse_curve(text: str, source: str = "<curve>") -> Curve:
-    fps = None
-    labels = None
-    rows = []
-    expect_frame = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("fps="):
-                try:
-                    fps = float(body[len("fps="):])
-                except ValueError:
-                    raise DataError(f"{source}:{lineno}: bad fps comment")
-            continue
-        if labels is None:
-            cols = line.split(",")
-            if not cols or cols[0] != "frame":
-                raise DataError(f"{source}:{lineno}: header must start with 'frame'")
-            labels = tuple(cols[1:])
-            if not labels:
-                raise DataError(f"{source}:{lineno}: header lists no visemes")
-            continue
-        cols = line.split(",")
-        if len(cols) != len(labels) + 1:
-            raise DataError(
-                f"{source}:{lineno}: expected {len(labels) + 1} columns, got {len(cols)}"
-            )
-        try:
-            frame = int(cols[0])
-            values = [float(s) for s in cols[1:]]
-        except ValueError:
-            raise DataError(f"{source}:{lineno}: non-numeric cell")
-        if frame != expect_frame:
-            raise DataError(f"{source}:{lineno}: frame {frame} out of order")
-        expect_frame += 1
-        rows.append(values)
+    records = split_records(text, source)
+    fps = records.header_number("fps")
     if fps is None:
         raise DataError(f"{source}: missing '# fps=' comment")
-    if labels is None:
+    if not records.body:
         raise DataError(f"{source}: missing header row")
+    header, *lines = records.body
+    cols = header.text.split(",")
+    if cols[0] != "frame":
+        raise header.error("header must start with 'frame'")
+    labels = tuple(cols[1:])
+    if not labels:
+        raise header.error("header lists no visemes")
+    rows = []
+    for line in lines:
+        cols = line.text.split(",")
+        if len(cols) != len(labels) + 1:
+            raise line.error(f"expected {len(labels) + 1} columns, got {len(cols)}")
+        if line.integer(cols[0], "frame") != len(rows):
+            raise line.error(f"frame {cols[0]} out of order")
+        rows.append(line.numbers(cols[1:], labels))
     weights = np.array(rows, dtype=np.float64).reshape(len(rows), len(labels))
     return Curve(fps=fps, labels=labels, weights=weights)
 
 
 def read_curve(path) -> Curve:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_curve(fh.read(), source=str(path))
-    except OSError as exc:
-        raise DataError(f"cannot read curve {path}: {exc}")
+    return parse_curve(read_text(path, "curve"), source=str(path))
 
 
 def write_curve(curve: Curve, path) -> None:
@@ -117,8 +93,8 @@ def resample_curve(curve: Curve, fps_out: float) -> Curve:
     Output length preserves the clip span: ceil(n * fps_out / fps_in), with a
     tiny slack so integer rate ratios stay exact.
     """
-    if not fps_out > 0:
-        raise DataError(f"target fps must be positive, got {fps_out}")
+    if not 0 < fps_out < math.inf:
+        raise DataError(f"target fps must be positive and finite, got {fps_out}")
     n = curve.frame_count
     if n == 0:
         return Curve(fps=fps_out, labels=curve.labels, weights=np.zeros((0, len(curve.labels))))

@@ -6,8 +6,8 @@ class VisemefitError(Exception):
 
 
 class DataError(VisemefitError):
-    """Malformed or inconsistent input data: parse failures, topology
-    mismatches, unmapped phonemes, bad configuration."""
+    """Malformed or inconsistent input data: parse failures, non-finite
+    values, topology mismatches, unmapped phonemes, bad configuration."""
 
 
 class NumericError(VisemefitError):

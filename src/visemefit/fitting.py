@@ -24,6 +24,7 @@ from .guidance import GuidanceSets, guidance_sets
 from .losses import FrameProblem, _resolve_landmarks
 from .observations import RawObservation
 from .procedural import EnvelopeRules, generate_procedural
+from .records import read_text, split_records
 from .rig import Rig, blend_vertices
 from .timeline import PhonemeVisemeMap, Timeline
 
@@ -91,28 +92,16 @@ _INT_KEYS = {"m", "n", "radius", "iters", "decay_every"}
 def parse_fit_config(text: str, source: str = "<config>") -> FitConfig:
     known = {f.name for f in fields(FitConfig)}
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataError(f"{source}:{lineno}: expected key=value")
-        key, value = (s.strip() for s in line.split("=", 1))
+    for line in split_records(text, source).body:
+        key, value = line.key_value()
         if key not in known:
-            raise DataError(f"{source}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = int(value) if key in _INT_KEYS else float(value)
-        except ValueError:
-            raise DataError(f"{source}:{lineno}: non-numeric value for {key!r}")
+            raise line.error(f"unknown config key {key!r}")
+        values[key] = line.integer(value, key) if key in _INT_KEYS else line.number(value, key)
     return FitConfig(**values)
 
 
 def read_fit_config(path) -> FitConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_fit_config(fh.read(), source=str(path))
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}")
+    return parse_fit_config(read_text(path, "config"), source=str(path))
 
 
 def serialize_fit_config(cfg: FitConfig) -> str:
@@ -280,6 +269,9 @@ def _build_problem(rig, cfg, sets_j, obs, flow_targets, neighbor_weights):
     )
 
 
+_POSE_COLUMNS = ("qx", "qy", "qz", "qw", "tx", "ty", "tz")
+
+
 def serialize_poses(poses) -> str:
     """Poses as CSV with shared intrinsics in header comments.
 
@@ -292,7 +284,7 @@ def serialize_poses(poses) -> str:
             if p.intrinsics != (f, cx, cy):
                 raise DataError("poses in one clip must share camera intrinsics")
         lines += [f"# focal={f!r}", f"# cx={cx!r}", f"# cy={cy!r}"]
-    lines.append("frame,qx,qy,qz,qw,tx,ty,tz")
+    lines.append("frame," + ",".join(_POSE_COLUMNS))
     for j, p in enumerate(poses):
         nums = list(p.rotation) + list(p.translation)
         lines.append(f"{j}," + ",".join(repr(float(v)) for v in nums))
@@ -300,35 +292,20 @@ def serialize_poses(poses) -> str:
 
 
 def parse_poses(text: str, source: str = "<poses>") -> list[Pose]:
-    intr = {"focal": 1200.0, "cx": 0.0, "cy": 0.0}
-    rows: list[tuple[float, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            for key in intr:
-                if body.startswith(key + "="):
-                    try:
-                        intr[key] = float(body[len(key) + 1 :])
-                    except ValueError:
-                        raise DataError(f"{source}:{lineno}: bad {key} comment")
-            continue
-        cols = line.split(",")
+    records = split_records(text, source)
+    rows: list[list[float]] = []
+    for line in records.body:
+        cols = line.text.split(",")
         if cols[0] == "frame":
             continue
         if len(cols) != 8:
-            raise DataError(f"{source}:{lineno}: expected 8 columns, got {len(cols)}")
-        try:
-            frame = int(cols[0])
-            nums = tuple(float(c) for c in cols[1:])
-        except ValueError:
-            raise DataError(f"{source}:{lineno}: non-numeric cell")
-        if frame != len(rows):
-            raise DataError(f"{source}:{lineno}: frames must be consecutive from 0")
-        rows.append(nums)
-    intrinsics = (intr["focal"], intr["cx"], intr["cy"])
+            raise line.error(f"expected 8 columns, got {len(cols)}")
+        if line.integer(cols[0], "frame") != len(rows):
+            raise line.error("frames must be consecutive from 0")
+        rows.append(line.numbers(cols[1:], _POSE_COLUMNS))
+    intrinsics = tuple(records.header_number(key) for key in ("focal", "cx", "cy"))
+    if rows and None in intrinsics:
+        raise DataError(f"{source}: needs '# focal=', '# cx=' and '# cy=' comments")
     return [
         Pose(rotation=np.array(r[0:4]), translation=np.array(r[4:7]), intrinsics=intrinsics)
         for r in rows
@@ -342,8 +319,4 @@ def write_poses(poses, path) -> None:
 
 
 def read_poses(path) -> list[Pose]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_poses(fh.read(), source=str(path))
-    except OSError as exc:
-        raise DataError(f"cannot read poses {path}: {exc}")
+    return parse_poses(read_text(path, "poses"), source=str(path))

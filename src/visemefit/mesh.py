@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .records import read_text, split_records
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,9 @@ class Mesh:
         return len(self.vertices)
 
 
+_VERTEX_FIELDS = ("x", "y", "z", "r", "g", "b")
+
+
 def _fmt(x: float) -> str:
     # repr of a Python float is the shortest string that round-trips exactly
     return repr(float(x))
@@ -62,37 +66,26 @@ def parse_obj(text: str, source: str = "<obj>") -> Mesh:
     vertices = []
     colors = []
     triangles = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tok = line.split()
+    for line in split_records(text, source).body:
+        tok = line.text.split()
         if tok[0] == "v":
             if len(tok) not in (4, 7):
-                raise DataError(
-                    f"{source}:{lineno}: vertex needs 3 or 6 numbers, got {len(tok) - 1}"
-                )
-            try:
-                nums = [float(s) for s in tok[1:]]
-            except ValueError:
-                raise DataError(f"{source}:{lineno}: non-numeric vertex component")
+                raise line.error(f"vertex needs 3 or 6 numbers, got {len(tok) - 1}")
+            nums = line.numbers(tok[1:], _VERTEX_FIELDS[: len(tok) - 1])
             vertices.append(nums[:3])
             if len(nums) == 6:
                 colors.append(nums[3:])
             elif colors:
-                raise DataError(f"{source}:{lineno}: some vertices have colors, this one does not")
+                raise line.error("some vertices have colors, this one does not")
         elif tok[0] == "f":
             if len(tok) != 4:
-                raise DataError(f"{source}:{lineno}: faces must be triangles")
-            try:
-                idx = [int(s) for s in tok[1:]]
-            except ValueError:
-                raise DataError(f"{source}:{lineno}: face indices must be plain integers")
+                raise line.error("faces must be triangles")
+            idx = [line.integer(s, "face index") for s in tok[1:]]
             if min(idx) < 1:
-                raise DataError(f"{source}:{lineno}: face indices are 1-based")
+                raise line.error("face indices are 1-based")
             triangles.append([i - 1 for i in idx])
         else:
-            raise DataError(f"{source}:{lineno}: unsupported directive {tok[0]!r}")
+            raise line.error(f"unsupported directive {tok[0]!r}")
     if colors and len(colors) != len(vertices):
         raise DataError(f"{source}: {len(colors)} colored of {len(vertices)} vertices")
     if not vertices:
@@ -105,12 +98,7 @@ def parse_obj(text: str, source: str = "<obj>") -> Mesh:
 
 
 def read_obj(path) -> Mesh:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read mesh {path}: {exc}")
-    return parse_obj(text, source=str(path))
+    return parse_obj(read_text(path, "mesh", encoding="ascii"), source=str(path))
 
 
 def serialize_obj(mesh: Mesh) -> str:

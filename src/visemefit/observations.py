@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DataError
 from .flow import read_flow_pair
 from .images import read_ppm
+from .records import read_text, split_records
 
 
 @dataclass
@@ -68,26 +69,20 @@ def parse_landmarks(text: str, source: str = "<landmarks>") -> dict[int, RawObse
     """Landmark CSV to {frame: RawObservation} (images and flow left unset)."""
     per_frame: dict[int, list[tuple[int, float, float, float]]] = {}
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        cols = line.split(",")
+    for line in split_records(text, source).body:
+        cols = line.text.split(",")
         if not saw_header and cols[0] == "frame":
             saw_header = True
             continue
         if len(cols) != 5:
-            raise DataError(f"{source}:{lineno}: expected 5 columns, got {len(cols)}")
-        try:
-            frame = int(cols[0])
-            lid = int(cols[1])
-            x, y, beta = float(cols[2]), float(cols[3]), float(cols[4])
-        except ValueError:
-            raise DataError(f"{source}:{lineno}: non-numeric cell")
+            raise line.error(f"expected 5 columns, got {len(cols)}")
+        frame = line.integer(cols[0], "frame")
+        lid = line.integer(cols[1], "landmark_id")
+        x, y, beta = line.numbers(cols[2:], ("x", "y", "beta"))
         if frame < 0:
-            raise DataError(f"{source}:{lineno}: negative frame index")
+            raise line.error("negative frame index")
         if beta <= 0:
-            raise DataError(f"{source}:{lineno}: beta must be positive")
+            raise line.error("beta must be positive")
         per_frame.setdefault(frame, []).append((lid, x, y, beta))
     out: dict[int, RawObservation] = {}
     for frame, rows in per_frame.items():
@@ -97,6 +92,10 @@ def parse_landmarks(text: str, source: str = "<landmarks>") -> dict[int, RawObse
             landmark_betas=np.array([r[3] for r in rows]),
         )
     return out
+
+
+def read_landmarks(path) -> dict[int, RawObservation]:
+    return parse_landmarks(read_text(path, "landmarks"), source=str(path))
 
 
 def serialize_landmarks(frames: dict[int, RawObservation]) -> str:
@@ -130,8 +129,7 @@ class ObservationDir:
         lm_path = os.path.join(self.path, "landmarks.csv")
         self._landmarks: dict[int, RawObservation] = {}
         if os.path.exists(lm_path):
-            with open(lm_path, "r", encoding="utf-8") as fh:
-                self._landmarks = parse_landmarks(fh.read(), source=lm_path)
+            self._landmarks = read_landmarks(lm_path)
         n = max(self._landmarks, default=-1) + 1
         for name in os.listdir(self.path):
             stem, ext = os.path.splitext(name)

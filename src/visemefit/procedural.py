@@ -13,6 +13,7 @@ import numpy as np
 
 from .curves import Curve
 from .errors import DataError
+from .records import read_text, split_records
 from .rig import DEFAULT_CLOSURE_LABELS
 from .timeline import PhonemeVisemeMap, Timeline, frame_count, viseme_of
 
@@ -135,17 +136,9 @@ def parse_rules(text: str, source: str = "<rules>") -> EnvelopeRules:
     any number of apex.<LABEL>=<float> overrides."""
     base = {}
     overrides: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataError(f"{source}:{lineno}: expected key=value")
-        key, value = (s.strip() for s in line.split("=", 1))
-        try:
-            num = float(value)
-        except ValueError:
-            raise DataError(f"{source}:{lineno}: non-numeric value for {key!r}")
+    for line in split_records(text, source).body:
+        key, value = line.key_value()
+        num = line.number(value, key)
         if key in ("onset_frac", "offset_frac"):
             base[key] = num
         elif key == "min_onset_ms":
@@ -155,18 +148,14 @@ def parse_rules(text: str, source: str = "<rules>") -> EnvelopeRules:
         elif key.startswith("apex."):
             label = key[len("apex."):]
             if not label:
-                raise DataError(f"{source}:{lineno}: empty apex label")
+                raise line.error("empty apex label")
             if not 0 < num <= 1.0:
-                raise DataError(f"{source}:{lineno}: apex must be in (0, 1]")
+                raise line.error("apex must be in (0, 1]")
             overrides[label] = num
         else:
-            raise DataError(f"{source}:{lineno}: unknown rules key {key!r}")
+            raise line.error(f"unknown rules key {key!r}")
     return EnvelopeRules(base=EnvelopeRule(**base), apex_overrides=overrides or None)
 
 
 def read_rules(path) -> EnvelopeRules:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_rules(fh.read(), source=str(path))
-    except OSError as exc:
-        raise DataError(f"cannot read rules {path}: {exc}")
+    return parse_rules(read_text(path, "rules"), source=str(path))

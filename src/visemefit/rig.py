@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DataError
 from .mesh import Mesh, read_obj
+from .records import read_text, split_records
 
 # Only the bilabial-closure shape gets a full-amplitude default apex; see
 # procedural.default_rules.
@@ -143,14 +144,11 @@ def load_rig(
     )
 
 
-def _parse_pair(value: str, key: str, lineno: int) -> tuple[int, int]:
+def _parse_pair(line, key: str, value: str) -> tuple[int, int]:
     parts = value.split(",")
     if len(parts) != 2:
-        raise DataError(f"manifest:{lineno}: {key} needs two comma-separated vertex indices")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise DataError(f"manifest:{lineno}: {key} indices must be integers")
+        raise line.error(f"{key} needs two comma-separated vertex indices")
+    return line.integer(parts[0], key), line.integer(parts[1], key)
 
 
 def load_rig_manifest(path) -> Rig:
@@ -162,11 +160,7 @@ def load_rig_manifest(path) -> Rig:
     ``mouth=<id,id,...>`` list of landmark ids. Mesh paths are relative to the
     manifest's directory.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read rig manifest {path}: {exc}")
+    records = split_records(read_text(path, "rig manifest"), str(path))
     base = os.path.dirname(os.path.abspath(path))
 
     neutral_path = None
@@ -175,41 +169,27 @@ def load_rig_manifest(path) -> Rig:
     bindings: dict[int, int] = {}
     lip_h = lip_v = None
     mouth_ids: list[int] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
+    for line in records.body:
+        key, value = line.key_value()
         if key == "neutral":
             neutral_path = os.path.join(base, value)
         elif key.startswith("viseme."):
             label = key[len("viseme."):]
             if not label:
-                raise DataError(f"{path}:{lineno}: empty viseme label")
+                raise line.error("empty viseme label")
             labels.append(label)
             viseme_paths.append(os.path.join(base, value))
         elif key == "lip_horizontal":
-            lip_h = _parse_pair(value, key, lineno)
+            lip_h = _parse_pair(line, key, value)
         elif key == "lip_vertical":
-            lip_v = _parse_pair(value, key, lineno)
+            lip_v = _parse_pair(line, key, value)
         elif key == "mouth":
             if value:
-                try:
-                    mouth_ids = [int(s) for s in value.split(",")]
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: mouth ids must be integers")
+                mouth_ids = [line.integer(s, key) for s in value.split(",")]
         elif key.startswith("L"):
-            try:
-                lid = int(key[1:])
-                bindings[lid] = int(value)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad landmark binding {line!r}")
+            bindings[line.integer(key[1:], "landmark id")] = line.integer(value, key)
         else:
-            raise DataError(f"{path}:{lineno}: unknown manifest key {key!r}")
+            raise line.error(f"unknown manifest key {key!r}")
     if neutral_path is None:
         raise DataError(f"{path}: manifest has no neutral entry")
     if not viseme_paths:

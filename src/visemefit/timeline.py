@@ -8,10 +8,10 @@ timeline past the last segment (trailing silence).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import DataError
+from .records import read_text, split_records
 
 
 @dataclass(frozen=True)
@@ -52,34 +52,18 @@ class Timeline:
 
 
 def parse_alignment(text: str, source: str = "<alignment>") -> Timeline:
+    records = split_records(text, source)
     segments = []
-    duration = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("duration="):
-                try:
-                    duration = float(body[len("duration="):])
-                except ValueError:
-                    raise DataError(f"{source}:{lineno}: bad duration comment")
-            continue
-        parts = line.split("\t")
+    for line in records.body:
+        parts = line.text.split("\t")
         if len(parts) != 3:
-            raise DataError(
-                f"{source}:{lineno}: expected phoneme<TAB>start<TAB>end, got {len(parts)} fields"
-            )
+            raise line.error(f"expected phoneme<TAB>start<TAB>end, got {len(parts)} fields")
         tok = parts[0].strip()
         if not tok:
-            raise DataError(f"{source}:{lineno}: empty phoneme token")
-        try:
-            start, end = float(parts[1]), float(parts[2])
-        except ValueError:
-            raise DataError(f"{source}:{lineno}: non-numeric timestamp")
+            raise line.error("empty phoneme token")
+        start, end = line.numbers(parts[1:], ("start", "end"))
         if end <= start:
-            raise DataError(f"{source}:{lineno}: end {end} <= start {start}")
+            raise line.error(f"end {end} <= start {start}")
         segments.append(PhonemeSegment(tok, start, end))
     segments.sort(key=lambda s: s.start)
     for a, b in zip(segments, segments[1:]):
@@ -87,6 +71,7 @@ def parse_alignment(text: str, source: str = "<alignment>") -> Timeline:
             raise DataError(
                 f"{source}: segments {a.phoneme!r} and {b.phoneme!r} overlap at {b.start}"
             )
+    duration = records.header_number("duration")
     if duration is None:
         duration = segments[-1].end if segments else 0.0
     return Timeline(tuple(segments), duration)
@@ -100,11 +85,7 @@ def serialize_timeline(t: Timeline) -> str:
 
 
 def read_alignment(path) -> Timeline:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_alignment(fh.read(), source=str(path))
-    except OSError as exc:
-        raise DataError(f"cannot read alignment {path}: {exc}")
+    return parse_alignment(read_text(path, "alignment"), source=str(path))
 
 
 @dataclass(frozen=True)
@@ -133,19 +114,14 @@ def parse_viseme_map(text: str, labels=None, source: str = "<map>") -> PhonemeVi
     """
     raw_entries: list[tuple[str, str]] = []
     silence: set[str] = set()
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataError(f"{source}:{lineno}: expected key=value")
-        key, value = (s.strip() for s in line.split("=", 1))
+    for line in split_records(text, source).body:
+        key, value = line.key_value()
         if key == "silence":
             silence.update(tok.strip() for tok in value.split(",") if tok.strip())
         elif key:
             raw_entries.append((key, value))
         else:
-            raise DataError(f"{source}:{lineno}: empty phoneme token")
+            raise line.error("empty phoneme token")
     if labels is None:
         ordered: list[str] = []
         for _, label in raw_entries:
@@ -164,11 +140,7 @@ def parse_viseme_map(text: str, labels=None, source: str = "<map>") -> PhonemeVi
 
 
 def read_viseme_map(path, labels=None) -> PhonemeVisemeMap:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_viseme_map(fh.read(), labels=labels, source=str(path))
-    except OSError as exc:
-        raise DataError(f"cannot read viseme map {path}: {exc}")
+    return parse_viseme_map(read_text(path, "viseme map"), labels=labels, source=str(path))
 
 
 def viseme_of(phoneme: str, vmap: PhonemeVisemeMap) -> int | None:
@@ -181,29 +153,9 @@ def viseme_of(phoneme: str, vmap: PhonemeVisemeMap) -> int | None:
 
 
 def frame_count(duration: float, fps: float) -> int:
-    if fps <= 0:
-        raise DataError(f"fps must be positive, got {fps}")
-    return max(0, math.ceil(duration * fps))
-
-
-def sample_frames(timeline: Timeline, fps: float, vmap: PhonemeVisemeMap | None = None):
-    """Per-frame phoneme tokens sampled at frame centers (j + 0.5) / fps.
-
-    A frame gets the segment containing its center time (start inclusive, end
-    exclusive), else None for silence. With a map given, every sampled token is
-    validated against it up front.
-    """
-    n = frame_count(timeline.duration, fps)
-    starts = [s.start for s in timeline.segments]
-    out: list[str | None] = []
-    for j in range(n):
-        t = (j + 0.5) / fps
-        k = bisect_right(starts, t) - 1
-        if k >= 0 and t < timeline.segments[k].end:
-            tok = timeline.segments[k].phoneme
-            if vmap is not None:
-                viseme_of(tok, vmap)  # raises on unmapped tokens
-            out.append(tok)
-        else:
-            out.append(None)
-    return out
+    if not 0 < fps < math.inf:
+        raise DataError(f"fps must be positive and finite, got {fps}")
+    frames = duration * fps
+    if not math.isfinite(frames):
+        raise DataError(f"{duration} s at {fps} fps is not a finite frame count")
+    return max(0, math.ceil(frames))

@@ -20,6 +20,16 @@ jaw,MBP,0,0,0.2588,0.9659,0,-0.2,0,1,1,1
 """
 
 
+POSES_CSV = """# focal=1200.0
+# cx=512.0
+# cy=512.0
+frame,qx,qy,qz,qw,tx,ty,tz
+0,0,0,0,1,0,0,2
+"""
+
+LANDMARKS_HEADER = "frame,landmark_id,x,y,beta\n"
+
+
 @pytest.fixture(scope="module")
 def scene_dir(tmp_path_factory):
     """Small landmark-only scene plus a fast fit config, built once via CLI."""
@@ -255,3 +265,122 @@ def test_atomic_write_cleans_up_on_failure(tmp_path):
             raise RuntimeError("boom")
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def _probe_argv(command, s, fps):
+    rig, curve = s / "rig" / "rig.txt", s / "gt.csv"
+    argv = {
+        "gen-proc": ["gen-proc", "--align", s / "align.tsv", "--map", s / "map.txt",
+                     "--rig", rig, "--rules", s / "rules.txt", "--fps", fps,
+                     "--out", s / "proc.csv"],
+        "fit": ["fit", "--rig", rig, "--align", s / "align.tsv", "--map", s / "map.txt",
+                "--obs", s / "obs", "--config", s / "config.txt", "--fps", fps,
+                "--out", s / "fit"],
+        "bake": ["bake", "--rig", rig, "--curve", curve, "--out", s / "baked"],
+        "bones": ["bones", "--bones", s / "bones.csv", "--curve", curve,
+                  "--out", s / "blended.csv"],
+        "resample": ["resample", "--curve", curve, "--fps", fps, "--out", s / "r.csv"],
+        "eval": ["eval", "--metric", "keypoint", "--curve", curve, "--rig", rig,
+                 "--obs", s / "obs", "--poses", s / "poses.csv", "--out", s / "metrics"],
+        "synth": ["synth", "--seed", "1", "--frames", "3", "--ambiguous", "--fps", fps,
+                  "--out", s / "synth"],
+    }[command]
+    return [str(a) for a in argv]
+
+
+# (command, file written into a copy of the scene, its content, text the error
+# must name). One non-finite field and one malformed line per text format.
+BAD_INPUTS = [
+    pytest.param("fit", "config.txt", "lr0=nan\n", "lr0", id="config-lr0-nan"),
+    pytest.param("fit", "config.txt", "w1=nan\n", "w1", id="config-w1-nan"),
+    pytest.param("fit", "config.txt", "focal=inf\n", "focal", id="config-focal-inf"),
+    pytest.param("fit", "config.txt", "cx=nan\n", "cx", id="config-cx-nan"),
+    pytest.param("fit", "config.txt", "w1 0.5\n", "key=value", id="config-no-equals"),
+    pytest.param("gen-proc", "rules.txt", "min_onset_ms=inf\n", "min_onset_ms",
+                 id="rules-min-onset-inf"),
+    pytest.param("gen-proc", "rules.txt", "onset_frac\n", "key=value", id="rules-no-equals"),
+    pytest.param("bake", "rig/rig.txt", "neutral=neutral.obj\nL0=inf\n", "L0",
+                 id="manifest-binding-inf"),
+    pytest.param("bake", "rig/rig.txt", "neutral=neutral.obj\njusttext\n", "key=value",
+                 id="manifest-no-equals"),
+    pytest.param("bake", "rig/neutral.obj", "v 0 0 nan\n", "z", id="obj-vertex-nan"),
+    pytest.param("bake", "rig/neutral.obj", "v 0 0\n", "vertex", id="obj-short-vertex"),
+    pytest.param("bake", "rig/neutral.obj", "# caf\u00e9\nv 0 0 0\n", "ascii",
+                 id="obj-not-ascii"),
+    pytest.param("gen-proc", "map.txt", "m=MBP\n=SSS\n", "empty phoneme", id="map-empty-token"),
+    pytest.param("gen-proc", "map.txt", "m=MBP\njusttext\n", "key=value", id="map-no-equals"),
+    pytest.param("gen-proc", "align.tsv", "# duration=nan\nm\t0.0\t0.5\n", "duration",
+                 id="alignment-duration-nan"),
+    pytest.param("gen-proc", "align.tsv", "# duration=inf\nm\t0.0\t0.5\n", "duration",
+                 id="alignment-duration-inf"),
+    pytest.param("gen-proc", "align.tsv", "m\t0.0\tinf\n", "end", id="alignment-end-inf"),
+    pytest.param("gen-proc", "align.tsv", "m\t0.0\n", "fields", id="alignment-short-row"),
+    pytest.param("resample", "gt.csv", "# fps=inf\nframe,MBP\n0,0.5\n", "fps",
+                 id="curve-fps-inf"),
+    pytest.param("resample", "gt.csv", "# fps=30\nframe,MBP\n0,nan\n", "MBP",
+                 id="curve-weight-nan"),
+    pytest.param("resample", "gt.csv", "# fps=30\nframe,MBP\n0,0.5,0.5\n", "columns",
+                 id="curve-extra-column"),
+    pytest.param("resample", "gt.csv", b"# fps=30\nframe,MBP\n0,\xff\n", "utf-8",
+                 id="curve-not-utf8"),
+    pytest.param("eval", "poses.csv", POSES_CSV.replace("# cx=512.0", "# cx=nan"), "cx",
+                 id="poses-cx-nan"),
+    pytest.param("eval", "poses.csv", POSES_CSV.replace("# cy=512.0\n", ""), "# cy=",
+                 id="poses-missing-cy"),
+    pytest.param("eval", "poses.csv", POSES_CSV + "1,0,0\n", "columns", id="poses-short-row"),
+    pytest.param("fit", "obs/landmarks.csv", LANDMARKS_HEADER + "0,0,nan,1.0,1.0\n", "x",
+                 id="landmarks-x-nan"),
+    pytest.param("eval", "obs/landmarks.csv", LANDMARKS_HEADER + "0,0,1.0,1.0,inf\n", "beta",
+                 id="landmarks-beta-inf"),
+    pytest.param("eval", "obs/landmarks.csv", LANDMARKS_HEADER + "0,0,1.0\n", "columns",
+                 id="landmarks-short-row"),
+    pytest.param("bones", "bones.csv", BONES_CSV.replace("0,-0.2,0,1,1,1", "0,-0.2,0,1,1,inf"),
+                 "sz", id="bones-scale-inf"),
+    pytest.param("bones", "bones.csv", BONES_CSV + "jaw,SSS,0,0\n", "columns",
+                 id="bones-short-row"),
+]
+
+
+def _run_probe(scene_dir, tmp_path, capsys, command, fps="30", name=None, content=None):
+    s = tmp_path / "s"
+    shutil.copytree(scene_dir / "scene", s)
+    (s / "rules.txt").write_text("onset_frac=0.3\n", encoding="utf-8")
+    (s / "bones.csv").write_text(BONES_CSV, encoding="utf-8")
+    (s / "poses.csv").write_text(POSES_CSV, encoding="utf-8")
+    if isinstance(content, bytes):
+        (s / name).write_bytes(content)
+    elif name is not None:
+        (s / name).write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    code = main(_probe_argv(command, s, fps))
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 2, err
+    assert len(errors) == 1, err
+    assert "Traceback" not in err
+    return errors[0], s
+
+
+@pytest.mark.parametrize("command, name, content, names", BAD_INPUTS)
+def test_bad_text_input_exits_2_with_one_line(scene_dir, tmp_path, capsys,
+                                              command, name, content, names):
+    error, s = _run_probe(scene_dir, tmp_path, capsys, command, name=name, content=content)
+    assert str(s / name) in error
+    assert names in error
+
+
+@pytest.mark.parametrize(
+    "command, fps, name, content",
+    [
+        ("gen-proc", "inf", None, None),
+        ("fit", "inf", None, None),
+        ("synth", "inf", None, None),
+        ("resample", "inf", None, None),
+        ("resample", "nan", None, None),
+        # a finite alignment end whose frame count overflows at 30 fps
+        ("gen-proc", "30", "align.tsv", "m\t0.0\t1e308\n"),
+    ],
+)
+def test_non_finite_frame_count_exits_2(scene_dir, tmp_path, capsys, command, fps, name, content):
+    error, _ = _run_probe(scene_dir, tmp_path, capsys, command, fps, name, content)
+    assert "fps" in error

@@ -122,6 +122,10 @@ def test_poses_parse_errors():
     # out-of-order frames after a valid row
     with pytest.raises(DataError):
         parse_poses(header + "0,0,0,0,1,0,0,0\n2,0,0,0,1,0,0,0\n")
+    # rows without all three intrinsics comments; an empty file needs none
+    with pytest.raises(DataError):
+        parse_poses("# focal=1200.0\n# cx=512.0\n" + header + "0,0,0,0,1,0,0,0\n")
+    assert parse_poses(serialize_poses([])) == []
 
 
 def _clip_inputs(rng):
