@@ -25,13 +25,17 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    """One in-place Adam update; returns the updated parameter vector."""
+    """One Adam update of state (in place); returns the updated parameters as
+    a new array, leaving params unchanged."""
     g = np.asarray(grad, dtype=np.float64)
     if not np.isfinite(g).all():
         raise NumericError("non-finite gradient in optimizer step")
     state.step += 1
-    state.m = BETA1 * state.m + (1.0 - BETA1) * g
-    state.v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    # in place, with the rounding of m = BETA1 * m + (1 - BETA1) * g
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * g
+    state.v *= BETA2
+    state.v += (1.0 - BETA2) * g * g
     m_hat = state.m / (1.0 - BETA1 ** state.step)
     v_hat = state.v / (1.0 - BETA2 ** state.step)
     return params - lr * m_hat / (np.sqrt(v_hat) + EPS)

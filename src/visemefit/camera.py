@@ -42,11 +42,15 @@ def quat_rotation_jacobians(q) -> np.ndarray:
     normalization chain separately.
     """
     x, y, z, w = q
-    dx = np.array([[0, 2 * y, 2 * z], [2 * y, -4 * x, -2 * w], [2 * z, 2 * w, -4 * x]], dtype=np.float64)
-    dy = np.array([[-4 * y, 2 * x, 2 * w], [2 * x, 0, 2 * z], [-2 * w, 2 * z, -4 * y]], dtype=np.float64)
-    dz = np.array([[-4 * z, -2 * w, 2 * x], [2 * w, -4 * z, 2 * y], [2 * x, 2 * y, 0]], dtype=np.float64)
-    dw = np.array([[0, -2 * z, 2 * y], [2 * z, 0, -2 * x], [-2 * y, 2 * x, 0]], dtype=np.float64)
-    return np.stack([dx, dy, dz, dw])
+    return np.array(
+        [
+            [[0, 2 * y, 2 * z], [2 * y, -4 * x, -2 * w], [2 * z, 2 * w, -4 * x]],
+            [[-4 * y, 2 * x, 2 * w], [2 * x, 0, 2 * z], [-2 * w, 2 * z, -4 * y]],
+            [[-4 * z, -2 * w, 2 * x], [2 * w, -4 * z, 2 * y], [2 * x, 2 * y, 0]],
+            [[0, -2 * z, 2 * y], [2 * z, 0, -2 * x], [-2 * y, 2 * x, 0]],
+        ],
+        dtype=np.float64,
+    )
 
 
 @dataclass(frozen=True)

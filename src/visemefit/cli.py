@@ -59,7 +59,7 @@ def _is_clip_dir(path: str) -> bool:
 def _fit_one(rig, align_path, obs_path, cfg, vmap, rules, fps, out_dir):
     timeline = read_alignment(align_path)
     observations = ObservationDir(obs_path)
-    result = fit_clip(rig, timeline, observations, cfg, vmap, rules=rules, fps=fps)
+    result = fit_clip(rig, timeline, observations, cfg, vmap, rules=rules, fps=fps, clip=obs_path)
     os.makedirs(out_dir, exist_ok=True)
     write_curve(result.curve, os.path.join(out_dir, "curve.csv"))
     write_poses(result.poses, os.path.join(out_dir, "poses.csv"))

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DataError
 from .records import read_text, split_records
+from .timeline import checked_frame_count
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,12 @@ def resample_curve(curve: Curve, fps_out: float) -> Curve:
         return Curve(fps=fps_out, labels=curve.labels, weights=np.zeros((0, len(curve.labels))))
     if fps_out == curve.fps:
         return Curve(fps=fps_out, labels=curve.labels, weights=curve.weights.copy())
-    n_out = max(1, math.ceil(n * fps_out / curve.fps - 1e-9))
+    n_out = max(
+        1,
+        checked_frame_count(
+            n * fps_out / curve.fps - 1e-9, f"{n} frames at {curve.fps} fps resampled to {fps_out} fps"
+        ),
+    )
     t_in = np.arange(n) / curve.fps
     t_out = np.arange(n_out) / fps_out
     out = np.empty((n_out, len(curve.labels)))

@@ -11,6 +11,7 @@ and the flow term off. Weights are clipped to [0, 1] once, at the very end.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -97,7 +98,10 @@ def parse_fit_config(text: str, source: str = "<config>") -> FitConfig:
         if key not in known:
             raise line.error(f"unknown config key {key!r}")
         values[key] = line.integer(value, key) if key in _INT_KEYS else line.number(value, key)
-    return FitConfig(**values)
+    try:
+        return FitConfig(**values)
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from None
 
 
 def read_fit_config(path) -> FitConfig:
@@ -131,8 +135,11 @@ def _optimize_frame(problem: FrameProblem, w0, q0, t0, cfg: FitConfig, frame: in
     scale[nv:] = cfg.pose_step_scale
     internal = _pack(w0, q0, t0) / scale
     state = AdamState.zeros(len(internal))
+    params = np.empty_like(internal)
     for i in range(cfg.iters):
-        params = internal * scale
+        # evaluate keeps no reference to w, q or t, so one buffer serves
+        # every iteration
+        np.multiply(internal, scale, out=params)
         w = params[:nv]
         q = params[nv : nv + 4]
         t = params[nv + 4 :]
@@ -140,15 +147,16 @@ def _optimize_frame(problem: FrameProblem, w0, q0, t0, cfg: FitConfig, frame: in
             _, gw, gq, gt = problem.evaluate(w, q, t)
         except NumericError as exc:
             raise NumericError(f"frame {frame}: {exc}") from exc
-        grad = _pack(gw, gq, gt) * scale
+        grad = _pack(gw, gq, gt)
+        grad *= scale
         lr = learning_rate(i, cfg.lr0, cfg.decay_every, cfg.decay_factor)
         try:
             internal = adam_step(state, internal, grad, lr)
         except NumericError as exc:
             raise NumericError(f"frame {frame}: {exc}") from exc
         qseg = internal[nv : nv + 4] * cfg.pose_step_scale
-        norm = float(np.sqrt(qseg @ qseg))
-        if norm == 0.0 or not np.isfinite(norm):
+        norm = math.sqrt(qseg @ qseg)
+        if norm == 0.0 or not math.isfinite(norm):
             raise NumericError(f"frame {frame}: quaternion collapsed to zero")
         internal[nv : nv + 4] = qseg / (norm * cfg.pose_step_scale)
     params = internal * scale
@@ -163,12 +171,14 @@ def fit_clip(
     vmap: PhonemeVisemeMap,
     rules: EnvelopeRules | None = None,
     fps: float = 30.0,
+    clip: str = "<clip>",
 ) -> FitResult:
     """Fit viseme weights and rigid pose to every frame of a clip.
 
     observations is indexable per frame (a list of RawObservation or an
     ObservationDir); its length fixes the frame count. The procedural guide
     curve is generated from the timeline and zero-padded to that length.
+    clip names the clip (its observation directory) in warnings.
     """
     n_frames = len(observations)
     labels = vmap.labels
@@ -192,7 +202,7 @@ def fit_clip(
     weights = np.zeros((n_frames, rig.viseme_count))
     quats = np.zeros((n_frames, 4))
     trans = np.zeros((n_frames, 3))
-    missing_flow = 0
+    missing_flow: list[int] = []
     missing_rgb = 0
 
     # forward sweep
@@ -207,7 +217,7 @@ def fit_clip(
             if vidx.size:
                 flow_targets = (vidx, prev_proj[vidx] + disp)
         elif j > 0 and obs.flow is None:
-            missing_flow += 1
+            missing_flow.append(j)
         if obs.image is not None and rig.neutral.colors is None:
             missing_rgb += 1
         problem = _build_problem(
@@ -220,9 +230,15 @@ def fit_clip(
         prev_w, prev_q, prev_t = w, q, t
 
     if missing_flow:
-        log.warning("flow missing for %d of %d frame pairs; flow term skipped there", missing_flow, n_frames - 1)
+        log.warning(
+            "%s: flow missing for %d of %d frame pairs, first at frame %d; flow term skipped there",
+            clip, len(missing_flow), n_frames - 1, missing_flow[0],
+        )
     if missing_rgb:
-        log.warning("rig has no vertex colors; photometric term skipped")
+        log.warning(
+            "%s: rig has no vertex colors; photometric term skipped (%d frames have images)",
+            clip, missing_rgb,
+        )
 
     # backward sweep: seed from the forward pass, temporal term looks ahead
     next_w = None

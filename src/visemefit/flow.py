@@ -2,8 +2,10 @@
 
 A flow file stores the forward and backward displacement grids for one frame
 pair (previous -> current): the magic ``FLO1``, little-endian uint32 width and
-height, then two H*W*2 float32 blocks (x and y displacement, row-major),
-forward first. Grid coordinates are image pixel coordinates.
+height, then two H*W*2 little-endian float32 blocks (x and y displacement,
+row-major), forward first. Grid coordinates are image pixel coordinates.
+read_flow_pair returns views over a memory map of the file; screening samples
+them in place, so a grid is never converted whole.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import struct
 import numpy as np
 
 from .errors import DataError
-from .images import bilinear_sample, in_bounds
+from .images import bilinear_sample, in_bounds, map_file
 
 MAGIC = b"FLO1"
 
@@ -37,11 +39,9 @@ def write_flow_pair(forward: np.ndarray, backward: np.ndarray, path) -> None:
 
 
 def read_flow_pair(path) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read flow {path}: {exc}")
+    """Forward and backward grids as read-only (H, W, 2) float32 views of the
+    file (see images.map_file)."""
+    blob = map_file(path, "flow")
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: bad flow magic {blob[:4]!r}")
     if len(blob) < 12:
@@ -52,9 +52,9 @@ def read_flow_pair(path) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(
             f"{path}: expected {12 + 2 * block} bytes for {w}x{h} grids, got {len(blob)}"
         )
-    fwd = np.frombuffer(blob[12 : 12 + block], dtype="<f4").reshape(h, w, 2)
-    bwd = np.frombuffer(blob[12 + block :], dtype="<f4").reshape(h, w, 2)
-    return fwd.astype(np.float64), bwd.astype(np.float64)
+    fwd = np.frombuffer(blob, dtype="<f4", count=h * w * 2, offset=12).reshape(h, w, 2)
+    bwd = np.frombuffer(blob, dtype="<f4", count=h * w * 2, offset=12 + block).reshape(h, w, 2)
+    return fwd, bwd
 
 
 def screen_flow(
@@ -71,8 +71,8 @@ def screen_flow(
     ``|u + backward(p + u)| < tau``. Returns (indices into prev_points,
     displacements u) for the survivors.
     """
-    fwd = np.asarray(forward, dtype=np.float64)
-    bwd = np.asarray(backward, dtype=np.float64)
+    fwd = np.asarray(forward)
+    bwd = np.asarray(backward)
     if fwd.shape != bwd.shape or fwd.ndim != 3 or fwd.shape[2] != 2:
         raise DataError("flow grids must share an (H, W, 2) shape")
     if tau <= 0:

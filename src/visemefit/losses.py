@@ -10,10 +10,12 @@ chain through normalization (tangent to the unit sphere at unit norm).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import images
 from .camera import Pose, quat_rotation_jacobians, quat_to_matrix
 from .errors import DataError, NumericError
 from .guidance import GuidanceSets
@@ -84,7 +86,7 @@ def loss_rgb(pose: Pose, weights, rig: Rig, image: np.ndarray) -> float:
     vertices and the rig's per-vertex colors, over vertices landing in-image."""
     if rig.neutral.colors is None:
         raise DataError("photometric loss needs per-vertex colors on the rig")
-    img = np.asarray(image, dtype=np.float64)
+    img = np.asarray(image)  # a uint8 frame stays uint8; see bilinear_sample
     if img.ndim != 3 or img.shape[2] != 3:
         raise DataError(f"image must be (H, W, 3), got {img.shape}")
     from .camera import project
@@ -213,25 +215,34 @@ class FrameProblem:
         self.n_verts = rig.neutral.vertex_count
         self.n_visemes = rig.viseme_count
 
-        if landmarks is not None:
+        # Targets are stored as contiguous columns and the per-term gradient
+        # coefficients are fixed here, so evaluate() only gathers and scales.
+        # An empty landmark or flow set contributes nothing.
+        self.lm_vidx = None
+        if landmarks is not None and len(landmarks[0]):
             vidx, targets, betas = landmarks
+            targets = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
             self.lm_vidx = np.asarray(vidx, dtype=np.int64)
-            self.lm_targets = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
+            self.lm_tx = targets[:, 0].copy()
+            self.lm_ty = targets[:, 1].copy()
             self.lm_betas = np.asarray(betas, dtype=np.float64)
+            self.lm_coef = (self.w1 * 2.0 / len(self.lm_vidx)) * self.lm_betas
             self.lm_unique = len(np.unique(self.lm_vidx)) == len(self.lm_vidx)
-        else:
-            self.lm_vidx = None
 
+        # kept as given (a uint8 frame stays uint8): bilinear_sample converts
+        # only the cells it reads
         self.image = None
         if image is not None and self.colors is not None:
-            self.image = np.asarray(image, dtype=np.float64)
+            self.image = np.asarray(image)
 
-        if flow_targets is not None:
+        self.fl_vidx = None
+        if flow_targets is not None and len(flow_targets[0]):
             vidx, targets = flow_targets
+            targets = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
             self.fl_vidx = np.asarray(vidx, dtype=np.int64)
-            self.fl_targets = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
-        else:
-            self.fl_vidx = None
+            self.fl_tx = targets[:, 0].copy()
+            self.fl_ty = targets[:, 1].copy()
+            self.fl_coef = self.w5 * 2.0 / len(self.fl_vidx)
 
         if guidance is not None:
             self.sup_idx = np.array(sorted(guidance.suppress), dtype=np.int64)
@@ -239,12 +250,17 @@ class FrameProblem:
         else:
             self.sup_idx = np.zeros(0, dtype=np.int64)
             self.act_idx = np.zeros(0, dtype=np.int64)
+        if self.sup_idx.size:
+            self.sup_coef = self.w3 * 2.0 / len(self.sup_idx)
+        if self.act_idx.size:
+            self.act_coef = -self.w4 * 2.0 / len(self.act_idx)
 
         self.neighbor = (
             np.asarray(neighbor_weights, dtype=np.float64)
             if neighbor_weights is not None
             else None
         )
+        self.nb_coef = self.w6 * 2.0 / self.n_visemes
 
     @classmethod
     def from_observation(
@@ -290,17 +306,21 @@ class FrameProblem:
 
         q need not be unit; it is normalized on entry and the reported
         gradient is the exact derivative through that normalization.
-        """
-        from .images import bilinear_sample
 
+        Every reduction keeps the rounding of the plain formulas: a mean is
+        written sum / count (as numpy computes it), never a multiply by a
+        precomputed reciprocal.
+        """
         n = self.n_verts
+        w = np.asarray(w, dtype=np.float64)
         q = np.asarray(q, dtype=np.float64)
-        q_norm = float(np.sqrt(q @ q))
-        if q_norm == 0.0 or not np.isfinite(q_norm):
+        q_norm = math.sqrt(q @ q)
+        if q_norm == 0.0 or not math.isfinite(q_norm):
             raise NumericError("degenerate quaternion during evaluation")
         qn = q / q_norm
-        s = self.b0 + (np.asarray(w, dtype=np.float64) @ self.d2).reshape(n, 3)
-        rot = quat_to_matrix(qn)
+        q_unit = qn.tolist()
+        s = self.b0 + (w @ self.d2).reshape(n, 3)
+        rot = quat_to_matrix(q_unit)
         x = s @ rot.T + np.asarray(t, dtype=np.float64)
         z = x[:, 2]
         if z.min() <= 0.0:
@@ -312,18 +332,18 @@ class FrameProblem:
         py = f * x[:, 1] * inv_z + cy
 
         val = 0.0
-        dpx = np.zeros(n)
-        dpy = np.zeros(n)
-        gw = np.zeros(self.n_visemes)
+        if want_grad:
+            dpx = np.zeros(n)
+            dpy = np.zeros(n)
+            gw = np.zeros(self.n_visemes)
 
         if self.lm_vidx is not None:
             vi = self.lm_vidx
-            rx = px[vi] - self.lm_targets[:, 0]
-            ry = py[vi] - self.lm_targets[:, 1]
-            nl = len(vi)
-            val += self.w1 * float((self.lm_betas * (rx * rx + ry * ry)).sum() / nl)
+            rx = px[vi] - self.lm_tx
+            ry = py[vi] - self.lm_ty
+            val += self.w1 * float((self.lm_betas * (rx * rx + ry * ry)).sum() / len(vi))
             if want_grad:
-                c = (self.w1 * 2.0 / nl) * self.lm_betas
+                c = self.lm_coef
                 if self.lm_unique:
                     dpx[vi] += c * rx
                     dpy[vi] += c * ry
@@ -339,9 +359,9 @@ class FrameProblem:
                 raise NumericError("all vertices project outside the image")
             pts = np.stack([px[fidx], py[fidx]], axis=1)
             if want_grad:
-                vals, gx, gy = bilinear_sample(self.image, pts, with_grad=True)
+                vals, gx, gy = images.bilinear_sample(self.image, pts, with_grad=True)
             else:
-                vals = bilinear_sample(self.image, pts)
+                vals = images.bilinear_sample(self.image, pts)
             rr = vals - self.colors[fidx]
             nf = fidx.size
             val += self.w2 * float((rr * rr).sum() / nf)
@@ -350,47 +370,44 @@ class FrameProblem:
                 dpx[fidx] += c * (rr * gx).sum(axis=1)
                 dpy[fidx] += c * (rr * gy).sum(axis=1)
 
-        if self.fl_vidx is not None and self.fl_vidx.size:
+        if self.fl_vidx is not None:
             vi = self.fl_vidx
-            rx = px[vi] - self.fl_targets[:, 0]
-            ry = py[vi] - self.fl_targets[:, 1]
-            k = len(vi)
-            val += self.w5 * float((rx * rx + ry * ry).sum() / k)
+            rx = px[vi] - self.fl_tx
+            ry = py[vi] - self.fl_ty
+            val += self.w5 * float((rx * rx + ry * ry).sum() / len(vi))
             if want_grad:
-                c = self.w5 * 2.0 / k
-                dpx[vi] += c * rx
-                dpy[vi] += c * ry
+                dpx[vi] += self.fl_coef * rx
+                dpy[vi] += self.fl_coef * ry
 
-        w = np.asarray(w, dtype=np.float64)
         if self.sup_idx.size:
             ws = w[self.sup_idx]
-            val += self.w3 * float((ws * ws).mean())
+            val += self.w3 * float((ws * ws).sum() / len(ws))
             if want_grad:
-                gw[self.sup_idx] += (self.w3 * 2.0 / len(ws)) * ws
+                gw[self.sup_idx] += self.sup_coef * ws
         if self.act_idx.size:
             wa = w[self.act_idx]
-            val += -self.w4 * float((wa * wa).mean())
+            val += -self.w4 * float((wa * wa).sum() / len(wa))
             if want_grad:
-                gw[self.act_idx] += (-self.w4 * 2.0 / len(wa)) * wa
+                gw[self.act_idx] += self.act_coef * wa
         if self.neighbor is not None:
             d = w - self.neighbor
-            val += self.w6 * float((d * d).mean())
+            val += self.w6 * float((d * d).sum() / len(d))
             if want_grad:
-                gw += (self.w6 * 2.0 / len(w)) * d
+                gw += self.nb_coef * d
         upper = w > 1.0
         if upper.any():
             e = w[upper] - 1.0
-            val += self.w7 * float((e * e).mean())
+            val += self.w7 * float((e * e).sum() / len(e))
             if want_grad:
-                gw[upper] += (self.w7 * 2.0 / int(upper.sum())) * e
+                gw[upper] += (self.w7 * 2.0 / len(e)) * e
         lower = w < 0.0
         if lower.any():
             e = w[lower]
-            val += self.w7 * float((e * e).mean())
+            val += self.w7 * float((e * e).sum() / len(e))
             if want_grad:
-                gw[lower] += (self.w7 * 2.0 / int(lower.sum())) * e
+                gw[lower] += (self.w7 * 2.0 / len(e)) * e
 
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise NumericError("non-finite objective value")
         if not want_grad:
             return val, None, None, None
@@ -404,8 +421,9 @@ class FrameProblem:
         dldx[:, 2] = -(a * x[:, 0] + b * x[:, 1]) * inv_z
         gt = dldx.sum(axis=0)
         gw += self.d2 @ (dldx @ rot).ravel()
-        drdq = quat_rotation_jacobians(qn)
-        gq_unit = np.array([(dldx * (s @ drdq[i].T)).sum() for i in range(4)])
+        drdq = quat_rotation_jacobians(q_unit)
+        # sum over vertices of dldx * (s @ drdq[i].T), for all four i at once
+        gq_unit = (dldx * (s @ drdq.transpose(0, 2, 1))).reshape(4, -1).sum(axis=1)
         gq = (gq_unit - qn * float(qn @ gq_unit)) / q_norm
         return val, gw, gq, gt
 

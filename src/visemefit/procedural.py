@@ -154,7 +154,11 @@ def parse_rules(text: str, source: str = "<rules>") -> EnvelopeRules:
             overrides[label] = num
         else:
             raise line.error(f"unknown rules key {key!r}")
-    return EnvelopeRules(base=EnvelopeRule(**base), apex_overrides=overrides or None)
+    try:
+        base_rule = EnvelopeRule(**base)
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from None
+    return EnvelopeRules(base=base_rule, apex_overrides=overrides or None)
 
 
 def read_rules(path) -> EnvelopeRules:

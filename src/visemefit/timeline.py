@@ -152,10 +152,23 @@ def viseme_of(phoneme: str, vmap: PhonemeVisemeMap) -> int | None:
     raise DataError(f"phoneme {phoneme!r} is not in the viseme map")
 
 
+# The most frames any curve may hold: a bound on memory (a 16-viseme curve
+# of this length is 128 MB) and well past any speech clip (over 9 hours at
+# 30 fps).
+MAX_FRAMES = 1_000_000
+
+
+def checked_frame_count(frames: float, what: str) -> int:
+    """ceil(frames) as a frame count, at least 0. DataError names ``what``
+    when frames is not finite or exceeds MAX_FRAMES."""
+    if not math.isfinite(frames):
+        raise DataError(f"{what} is not a finite frame count")
+    if frames > MAX_FRAMES:
+        raise DataError(f"{what} is {frames:.6g} frames, over the limit of {MAX_FRAMES}")
+    return max(0, math.ceil(frames))
+
+
 def frame_count(duration: float, fps: float) -> int:
     if not 0 < fps < math.inf:
         raise DataError(f"fps must be positive and finite, got {fps}")
-    frames = duration * fps
-    if not math.isfinite(frames):
-        raise DataError(f"{duration} s at {fps} fps is not a finite frame count")
-    return max(0, math.ceil(frames))
+    return checked_frame_count(duration * fps, f"{duration} s at {fps} fps")

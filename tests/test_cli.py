@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import os
 import shutil
 from pathlib import Path
@@ -9,7 +10,9 @@ import pytest
 from visemefit.atomicio import atomic_path
 from visemefit.cli import main
 from visemefit.curves import parse_curve, read_curve, serialize_curve
+from visemefit.flow import write_flow_pair
 from visemefit.fitting import parse_fit_config, serialize_fit_config
+from visemefit.observations import frame_flow_name, read_landmarks
 from visemefit.procedural import generate_procedural
 from visemefit.rig import load_rig_manifest
 from visemefit.timeline import read_alignment, read_viseme_map
@@ -240,6 +243,37 @@ def test_fit_directory_of_clips(scene_dir, tmp_path):
         assert single.read_bytes() != b""
 
 
+def test_fit_warnings_name_clip_and_frame(scene_dir, tmp_path, caplog):
+    scene = scene_dir / "scene"
+    clips = tmp_path / "clips"
+    for name in ("a", "b"):
+        clip = clips / name
+        clip.mkdir(parents=True)
+        shutil.copy(scene / "obs" / "landmarks.csv", clip / "landmarks.csv")
+        shutil.copy(scene / "align.tsv", clip / "align.tsv")
+    # clip b has flow for its first pair, so its first missing pair ends at frame 2
+    write_flow_pair(np.zeros((8, 8, 2)), np.zeros((8, 8, 2)), clips / "b" / frame_flow_name(1))
+    with caplog.at_level(logging.WARNING, logger="visemefit.fitting"):
+        code = main(
+            [
+                "fit",
+                "--rig", str(scene / "rig" / "rig.txt"),
+                "--map", str(scene / "map.txt"),
+                "--obs", str(clips),
+                "--config", str(scene_dir / "fast.cfg"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+    assert code == 0
+    pairs = len(read_landmarks(clips / "a" / "landmarks.csv")) - 1
+    assert sorted(r.getMessage() for r in caplog.records) == [
+        f"{clips / 'a'}: flow missing for {pairs} of {pairs} frame pairs, first at frame 1;"
+        " flow term skipped there",
+        f"{clips / 'b'}: flow missing for {pairs - 1} of {pairs} frame pairs, first at frame 2;"
+        " flow term skipped there",
+    ]
+
+
 def test_fit_empty_clip_directory_exits_2(scene_dir, tmp_path, capsys):
     scene = scene_dir / "scene"
     empty = tmp_path / "empty"
@@ -296,9 +330,12 @@ BAD_INPUTS = [
     pytest.param("fit", "config.txt", "focal=inf\n", "focal", id="config-focal-inf"),
     pytest.param("fit", "config.txt", "cx=nan\n", "cx", id="config-cx-nan"),
     pytest.param("fit", "config.txt", "w1 0.5\n", "key=value", id="config-no-equals"),
+    pytest.param("fit", "config.txt", "focal=-1\n", "focal", id="config-focal-negative"),
     pytest.param("gen-proc", "rules.txt", "min_onset_ms=inf\n", "min_onset_ms",
                  id="rules-min-onset-inf"),
     pytest.param("gen-proc", "rules.txt", "onset_frac\n", "key=value", id="rules-no-equals"),
+    pytest.param("gen-proc", "rules.txt", "onset_frac=0.9\n", "onset_frac",
+                 id="rules-onset-out-of-range"),
     pytest.param("bake", "rig/rig.txt", "neutral=neutral.obj\nL0=inf\n", "L0",
                  id="manifest-binding-inf"),
     pytest.param("bake", "rig/rig.txt", "neutral=neutral.obj\njusttext\n", "key=value",
@@ -379,6 +416,9 @@ def test_bad_text_input_exits_2_with_one_line(scene_dir, tmp_path, capsys,
         ("resample", "nan", None, None),
         # a finite alignment end whose frame count overflows at 30 fps
         ("gen-proc", "30", "align.tsv", "m\t0.0\t1e308\n"),
+        # finite rates whose frame counts overflow or pass the frame ceiling
+        ("resample", "1e308", None, None),
+        ("gen-proc", "1e7", None, None),
     ],
 )
 def test_non_finite_frame_count_exits_2(scene_dir, tmp_path, capsys, command, fps, name, content):

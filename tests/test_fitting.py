@@ -191,6 +191,18 @@ def test_fit_clip_rejects_label_mismatch(rng):
         fit_clip(rig, timeline, obs, cfg, other)
 
 
+def test_fit_clip_warnings_name_the_clip(rng, caplog):
+    rig, timeline, obs, cfg, vmap = _clip_inputs(rng)
+    bare = dataclasses.replace(rig, neutral=dataclasses.replace(rig.neutral, colors=None))
+    obs[3].image = np.zeros((64, 64, 3), dtype=np.uint8)
+    with caplog.at_level("WARNING", logger="visemefit.fitting"):
+        fit_clip(bare, timeline, obs, cfg, vmap, clip="talk01")
+    assert [r.getMessage() for r in caplog.records] == [
+        "talk01: flow missing for 5 of 5 frame pairs, first at frame 1; flow term skipped there",
+        "talk01: rig has no vertex colors; photometric term skipped (1 frames have images)",
+    ]
+
+
 def test_fit_clip_tolerates_missing_observations(rng, caplog):
     rig, timeline, obs, cfg, vmap = _clip_inputs(rng)
     # frames with no landmarks at all still get fitted (guidance + range only)

@@ -68,3 +68,41 @@ def test_screen_flow_validates_inputs():
         screen_flow(np.zeros((4, 4, 2)), np.zeros((5, 4, 2)), np.zeros((1, 2)), tau=1.0)
     with pytest.raises(DataError):
         screen_flow(np.zeros((4, 4, 2)), np.zeros((4, 4, 2)), np.zeros((1, 2)), tau=0.0)
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        b"",
+        b"FLO1" + (2).to_bytes(4, "little") + (3).to_bytes(4, "little") + bytes(95),
+        b"FLO1" + (2).to_bytes(4, "little") + (3).to_bytes(4, "little") + bytes(97),
+    ],
+    ids=["empty", "truncated", "oversized"],
+)
+def test_flow_file_rejects_bad_sizes(tmp_path, blob):
+    p = tmp_path / "bad.flo"
+    p.write_bytes(blob)
+    with pytest.raises(DataError):
+        read_flow_pair(p)
+
+
+def test_read_flow_pair_returns_float32_views(rng, tmp_path):
+    p = tmp_path / "f.flo"
+    write_flow_pair(rng.normal(0, 1, (3, 4, 2)), rng.normal(0, 1, (3, 4, 2)), p)
+    for grid in read_flow_pair(p):
+        assert grid.dtype == np.float32 and grid.shape == (3, 4, 2)
+        assert not grid.flags.writeable  # a view of the file, not a copy
+
+
+def test_screen_flow_on_float32_views_equals_float64_copies(rng, tmp_path):
+    fwd = rng.normal(0, 2, (16, 20, 2))
+    bwd = -fwd + rng.normal(0, 0.4, fwd.shape)
+    p = tmp_path / "f.flo"
+    write_flow_pair(fwd, bwd, p)
+    f32, b32 = read_flow_pair(p)
+    pts = rng.uniform(-2.0, 21.0, (400, 2))
+    idx, disp = screen_flow(f32, b32, pts, tau=0.5)
+    idx64, disp64 = screen_flow(f32.astype(np.float64), b32.astype(np.float64), pts, tau=0.5)
+    assert 0 < idx.size < len(pts)
+    np.testing.assert_array_equal(idx, idx64)
+    np.testing.assert_array_equal(disp, disp64)

@@ -37,7 +37,7 @@ def test_ppm_roundtrip_of_quantized_data(rng, tmp_path):
     img = np.round(rng.uniform(0, 1, (5, 7, 3)) * 255) / 255.0
     p = tmp_path / "x.ppm"
     write_ppm(img, p)
-    back = read_ppm(p)
+    back = read_ppm(p) / 255.0
     np.testing.assert_allclose(back, img, atol=1e-12)
 
 
@@ -45,7 +45,7 @@ def test_ppm_clips_out_of_range(tmp_path):
     img = np.array([[[1.5, -0.2, 0.5]]])
     p = tmp_path / "c.ppm"
     write_ppm(img, p)
-    back = read_ppm(p)
+    back = read_ppm(p) / 255.0
     np.testing.assert_allclose(back[0, 0], [1.0, 0.0, 0.5], atol=1e-2)
 
 
@@ -57,3 +57,81 @@ def test_read_ppm_rejects_garbage(tmp_path):
     p.write_bytes(b"P6\n2 2\n255\n\x00\x00\x00")  # truncated payload
     with pytest.raises(DataError):
         read_ppm(p)
+
+
+def test_read_ppm_is_a_uint8_view(rng, tmp_path):
+    img = rng.uniform(0, 1, (5, 7, 3))
+    p = tmp_path / "v.ppm"
+    write_ppm(img, p)
+    back = read_ppm(p)
+    assert back.dtype == np.uint8 and back.shape == (5, 7, 3)
+    assert not back.flags.writeable  # a view of the file, not a copy
+    np.testing.assert_array_equal(back, np.clip(np.rint(img * 255.0), 0, 255))
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        b"",
+        b"P6\n2 2\n",
+        b"P6\n2 2\n255\n" + bytes(13),
+        b"P6\n0 2\n255\n",
+    ],
+    ids=["empty", "truncated-header", "oversized", "zero-width"],
+)
+def test_read_ppm_rejects_bad_sizes(tmp_path, blob):
+    p = tmp_path / "bad.ppm"
+    p.write_bytes(blob)
+    with pytest.raises(DataError):
+        read_ppm(p)
+
+
+def _reference_bilinear(grid, points):
+    """The sampler written plainly: whole grid to float64 (uint8 scaled by
+    1/255), floor, and four separate corner reads."""
+    g = grid / 255.0 if grid.dtype == np.uint8 else grid.astype(np.float64)
+    h, w = g.shape[:2]
+    x0 = np.minimum(np.floor(points[:, 0]).astype(np.int64), w - 2) if w > 1 else np.zeros(len(points), np.int64)
+    y0 = np.minimum(np.floor(points[:, 1]).astype(np.int64), h - 2) if h > 1 else np.zeros(len(points), np.int64)
+    fx = (points[:, 0] - x0)[:, None]
+    fy = (points[:, 1] - y0)[:, None]
+    g00 = g[y0, x0]
+    g10 = g[y0, x0 + 1] if w > 1 else g00
+    g01 = g[y0 + 1, x0] if h > 1 else g00
+    g11 = g[y0 + 1, x0 + 1] if w > 1 and h > 1 else g00
+    top = g00 + (g10 - g00) * fx
+    bot = g01 + (g11 - g01) * fx
+    return top + (bot - top) * fy, (g10 - g00) * (1.0 - fy) + (g11 - g01) * fy, bot - top
+
+
+def _sample_points(rng, h, w):
+    inside = rng.uniform(0, 1, (300, 2)) * [w - 1, h - 1]
+    corners = np.array([[0.0, 0.0], [w - 1, 0.0], [0.0, h - 1], [w - 1, h - 1]], dtype=np.float64)
+    return np.concatenate([inside, corners, np.floor(inside[:20])])
+
+
+@pytest.mark.parametrize("shape", [(9, 11), (1, 5), (5, 1), (1, 1)])
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
+def test_bilinear_sample_equals_whole_grid_conversion(rng, shape, dtype):
+    # values and both gradients equal, bit for bit, those of the whole grid
+    # converted to float64 (a uint8 grid divided by 255.0) and sampled plainly
+    if dtype is np.uint8:
+        grid = rng.integers(0, 256, (*shape, 3), dtype=np.uint8)
+        converted = grid / 255.0
+    else:
+        grid = rng.normal(0.0, 3.0, (*shape, 2)).astype(dtype)
+        converted = grid.astype(np.float64)
+    pts = _sample_points(rng, *shape)
+    got = bilinear_sample(grid, pts, with_grad=True)
+    for a, b, c in zip(got, bilinear_sample(converted, pts, with_grad=True), _reference_bilinear(grid, pts)):
+        assert a.dtype == np.float64
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, c)
+    np.testing.assert_array_equal(bilinear_sample(grid, pts), got[0])
+
+
+def test_bilinear_sample_keeps_its_bounds_check():
+    grid = np.zeros((4, 4, 3), dtype=np.uint8)
+    for bad in ([-0.001, 1.0], [3.001, 1.0], [1.0, -0.5], [1.0, 3.5]):
+        with pytest.raises(DataError):
+            bilinear_sample(grid, np.array([bad]))

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from visemefit.camera import Pose, identity_pose, project
+from visemefit.camera import Pose, identity_pose, project, quat_rotation_jacobians
 from visemefit.errors import DataError, NumericError
 from visemefit.fitting import FitConfig
 from visemefit.guidance import GuidanceSets
@@ -256,3 +258,37 @@ def test_behind_camera_projection_raises(tiny_rig):
     )
     with pytest.raises(NumericError):
         loss_lmk(behind, w, tiny_rig, [(0, (1.0, 1.0), 1.0)])
+
+
+def test_uint8_frame_evaluates_like_its_float64_copy(rng):
+    # a frame read from a PPM stays uint8; value and all three gradients must
+    # equal, bit for bit, those of the whole frame divided by 255.0
+    rig, pose, w, obs, guidance, prev, nb = _full_setup(rng)
+    frame = rng.integers(0, 256, (64, 64, 3), dtype=np.uint8)
+    results = [
+        FrameProblem.from_observation(
+            rig, FitConfig().loss_weights, guidance, INTR,
+            dataclasses.replace(obs, image=image), prev_state=prev, neighbor_weights=nb,
+        ).evaluate(w, pose.rotation, pose.translation)
+        for image in (frame, frame / 255.0)
+    ]
+    (val, gw, gq, gt), (val64, gw64, gq64, gt64) = results
+    assert val == val64
+    assert loss_rgb(pose, w, rig, frame) == loss_rgb(pose, w, rig, frame / 255.0)
+    np.testing.assert_array_equal(gw, gw64)
+    np.testing.assert_array_equal(gq, gq64)
+    np.testing.assert_array_equal(gt, gt64)
+
+
+def test_quaternion_gradient_contraction_matches_loop(rng):
+    # evaluate contracts the four rotation jacobians in one product; the
+    # per-jacobian loop is the reference, and the rounding must not change
+    for _ in range(300):
+        n = int(rng.integers(1, 130))
+        dldx = rng.normal(0.0, 10.0, (n, 3))
+        s = rng.normal(0.0, 1.0, (n, 3))
+        q = rng.normal(0.0, 1.0, 4)
+        drdq = quat_rotation_jacobians((q / np.linalg.norm(q)).tolist())
+        loop = np.array([(dldx * (s @ drdq[i].T)).sum() for i in range(4)])
+        fused = (dldx * (s @ drdq.transpose(0, 2, 1))).reshape(4, -1).sum(axis=1)
+        np.testing.assert_array_equal(fused, loop)
