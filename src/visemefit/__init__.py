@@ -41,19 +41,7 @@ from .fitting import (
 from .flow import read_flow_pair, screen_flow, write_flow_pair
 from .guidance import GuidanceSets, guidance_sets, top_k
 from .images import bilinear_sample, in_bounds, read_ppm, write_ppm
-from .losses import (
-    FrameProblem,
-    FrameState,
-    grad_total,
-    loss_act,
-    loss_diff,
-    loss_flow,
-    loss_lmk,
-    loss_range,
-    loss_rgb,
-    loss_sup,
-    total_loss,
-)
+from .losses import FrameProblem
 from .mesh import Mesh, parse_obj, read_obj, serialize_obj, write_obj
 from .observations import (
     ObservationDir,

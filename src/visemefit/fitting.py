@@ -22,7 +22,7 @@ from .curves import Curve
 from .errors import DataError, NumericError
 from .flow import screen_flow
 from .guidance import GuidanceSets, guidance_sets
-from .losses import FrameProblem, _resolve_landmarks
+from .losses import FrameProblem
 from .observations import RawObservation
 from .procedural import EnvelopeRules, generate_procedural
 from .records import read_text, split_records
@@ -178,7 +178,8 @@ def fit_clip(
     observations is indexable per frame (a list of RawObservation or an
     ObservationDir); its length fixes the frame count. The procedural guide
     curve is generated from the timeline and zero-padded to that length.
-    clip names the clip (its observation directory) in warnings.
+    clip names the clip (its observation directory) in warnings and in a
+    NumericError.
     """
     n_frames = len(observations)
     labels = vmap.labels
@@ -205,51 +206,59 @@ def fit_clip(
     missing_flow: list[int] = []
     missing_rgb = 0
 
-    # forward sweep
-    prev_w = prev_q = prev_t = None
-    for j in range(n_frames):
-        obs: RawObservation = observations[j]
-        flow_targets = None
-        if j > 0 and obs.flow is not None:
-            prev_proj = _safe_project(rig, prev_w, prev_q, prev_t, cfg, j - 1)
-            fwd, bwd = obs.flow
-            vidx, disp = screen_flow(fwd, bwd, prev_proj, cfg.tau_flow)
-            if vidx.size:
-                flow_targets = (vidx, prev_proj[vidx] + disp)
-        elif j > 0 and obs.flow is None:
-            missing_flow.append(j)
-        if obs.image is not None and rig.neutral.colors is None:
-            missing_rgb += 1
-        problem = _build_problem(
-            rig, cfg, sets[j], obs, flow_targets, neighbor_weights=prev_w
-        )
-        q0 = prev_q if prev_q is not None else np.array([0.0, 0.0, 0.0, 1.0])
-        t0 = prev_t if prev_t is not None else np.zeros(3)
-        w, q, t = _optimize_frame(problem, guide[j].copy(), q0.copy(), t0.copy(), cfg, j)
-        weights[j], quats[j], trans[j] = w, q, t
-        prev_w, prev_q, prev_t = w, q, t
+    # a numeric failure names the clip as well as the frame
+    try:
+        # forward sweep
+        prev_w = prev_q = prev_t = None
+        for j in range(n_frames):
+            obs: RawObservation = observations[j]
+            flow_targets = None
+            if j > 0 and obs.flow is not None:
+                prev_proj = _safe_project(rig, prev_w, prev_q, prev_t, cfg, j - 1)
+                fwd, bwd = obs.flow
+                vidx, disp = screen_flow(fwd, bwd, prev_proj, cfg.tau_flow)
+                if vidx.size:
+                    flow_targets = (vidx, prev_proj[vidx] + disp)
+            elif j > 0 and obs.flow is None:
+                missing_flow.append(j)
+            if obs.image is not None and rig.neutral.colors is None:
+                missing_rgb += 1
+            problem = FrameProblem(
+                rig, cfg.loss_weights, sets[j], cfg.intrinsics, obs,
+                flow_targets=flow_targets, neighbor_weights=prev_w,
+            )
+            q0 = prev_q if prev_q is not None else np.array([0.0, 0.0, 0.0, 1.0])
+            t0 = prev_t if prev_t is not None else np.zeros(3)
+            w, q, t = _optimize_frame(problem, guide[j].copy(), q0.copy(), t0.copy(), cfg, j)
+            weights[j], quats[j], trans[j] = w, q, t
+            prev_w, prev_q, prev_t = w, q, t
 
-    if missing_flow:
-        log.warning(
-            "%s: flow missing for %d of %d frame pairs, first at frame %d; flow term skipped there",
-            clip, len(missing_flow), n_frames - 1, missing_flow[0],
-        )
-    if missing_rgb:
-        log.warning(
-            "%s: rig has no vertex colors; photometric term skipped (%d frames have images)",
-            clip, missing_rgb,
-        )
+        if missing_flow:
+            log.warning(
+                "%s: flow missing for %d of %d frame pairs, first at frame %d;"
+                " flow term skipped there",
+                clip, len(missing_flow), n_frames - 1, missing_flow[0],
+            )
+        if missing_rgb:
+            log.warning(
+                "%s: rig has no vertex colors; photometric term skipped (%d frames have images)",
+                clip, missing_rgb,
+            )
 
-    # backward sweep: seed from the forward pass, temporal term looks ahead
-    next_w = None
-    for j in range(n_frames - 1, -1, -1):
-        obs = observations[j]
-        problem = _build_problem(rig, cfg, sets[j], obs, None, neighbor_weights=next_w)
-        w, q, t = _optimize_frame(
-            problem, weights[j].copy(), quats[j].copy(), trans[j].copy(), cfg, j
-        )
-        weights[j], quats[j], trans[j] = w, q, t
-        next_w = w
+        # backward sweep: seed from the forward pass, temporal term looks ahead
+        next_w = None
+        for j in range(n_frames - 1, -1, -1):
+            obs = observations[j]
+            problem = FrameProblem(
+                rig, cfg.loss_weights, sets[j], cfg.intrinsics, obs, neighbor_weights=next_w
+            )
+            w, q, t = _optimize_frame(
+                problem, weights[j].copy(), quats[j].copy(), trans[j].copy(), cfg, j
+            )
+            weights[j], quats[j], trans[j] = w, q, t
+            next_w = w
+    except NumericError as exc:
+        raise NumericError(f"{clip}: {exc}") from exc
 
     np.clip(weights, 0.0, 1.0, out=weights)
     poses = [
@@ -265,24 +274,6 @@ def _safe_project(rig, w, q, t, cfg, frame):
         return project(blend_vertices(rig, w), pose)
     except NumericError as exc:
         raise NumericError(f"frame {frame}: {exc}") from exc
-
-
-def _build_problem(rig, cfg, sets_j, obs, flow_targets, neighbor_weights):
-    landmarks = None
-    if obs.landmark_ids is not None and len(obs.landmark_ids):
-        vidx, keep = _resolve_landmarks(rig, obs.landmark_ids, strict=False)
-        if keep.any():
-            landmarks = (vidx, obs.landmark_points[keep], obs.landmark_betas[keep])
-    return FrameProblem(
-        rig,
-        cfg.loss_weights,
-        sets_j,
-        cfg.intrinsics,
-        landmarks=landmarks,
-        image=obs.image,
-        flow_targets=flow_targets,
-        neighbor_weights=neighbor_weights,
-    )
 
 
 _POSE_COLUMNS = ("qx", "qy", "qz", "qw", "tx", "ty", "tz")

@@ -11,177 +11,15 @@ chain through normalization (tangent to the unit sphere at unit norm).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import images
-from .camera import Pose, quat_rotation_jacobians, quat_to_matrix
-from .errors import DataError, NumericError
+from .camera import quat_rotation_jacobians, quat_to_matrix
+from .errors import NumericError
 from .guidance import GuidanceSets
-from .observations import FrameObservation
-from .rig import Rig, blend_vertices, check_weights
-
-
-@dataclass
-class FrameState:
-    """Free parameters for one frame: viseme weights and rigid pose."""
-
-    weights: np.ndarray
-    pose: Pose
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-
-
-@dataclass
-class ParamGrad:
-    """Gradient of the objective over (weights, rotation, translation)."""
-
-    weights: np.ndarray
-    rotation: np.ndarray
-    translation: np.ndarray
-
-
-def _resolve_landmarks(rig: Rig, ids, strict: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Map landmark ids to vertex indices; keep mask marks resolvable ids."""
-    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-    vidx = np.empty(len(ids), dtype=np.int64)
-    keep = np.zeros(len(ids), dtype=bool)
-    for i, lid in enumerate(ids):
-        v = rig.landmark_bindings.get(int(lid))
-        if v is None:
-            if strict:
-                raise DataError(f"landmark id {int(lid)} is not bound in the rig")
-            continue
-        vidx[i] = v
-        keep[i] = True
-    return vidx[keep], keep
-
-
-def loss_lmk(pose: Pose, weights, rig: Rig, landmarks) -> float:
-    """Beta-weighted mean squared pixel distance between projected bound
-    vertices and observed landmark positions.
-
-    landmarks: iterable of (id, (x, y), beta).
-    """
-    items = list(landmarks)
-    if not items:
-        raise DataError("landmark loss needs at least one landmark")
-    ids = [it[0] for it in items]
-    pts = np.array([it[1] for it in items], dtype=np.float64).reshape(-1, 2)
-    betas = np.array([it[2] for it in items], dtype=np.float64)
-    if np.any(betas <= 0):
-        raise DataError("landmark betas must be positive")
-    vidx, _ = _resolve_landmarks(rig, ids, strict=True)
-    from .camera import project
-
-    proj = project(blend_vertices(rig, weights), pose)
-    r = proj[vidx] - pts
-    return float((betas * (r * r).sum(axis=1)).sum() / len(items))
-
-
-def loss_rgb(pose: Pose, weights, rig: Rig, image: np.ndarray) -> float:
-    """Mean squared color difference between the image sampled at projected
-    vertices and the rig's per-vertex colors, over vertices landing in-image."""
-    if rig.neutral.colors is None:
-        raise DataError("photometric loss needs per-vertex colors on the rig")
-    img = np.asarray(image)  # a uint8 frame stays uint8; see bilinear_sample
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise DataError(f"image must be (H, W, 3), got {img.shape}")
-    from .camera import project
-    from .images import bilinear_sample, in_bounds
-
-    proj = project(blend_vertices(rig, weights), pose)
-    inb = in_bounds(proj, img.shape[1], img.shape[0])
-    if not inb.any():
-        raise NumericError("all vertices project outside the image")
-    vals = bilinear_sample(img, proj[inb])
-    r = vals - rig.neutral.colors[inb]
-    return float((r * r).sum() / int(inb.sum()))
-
-
-def loss_sup(weights, sets: GuidanceSets) -> float:
-    """Mean squared weight over the suppress set (0 when empty)."""
-    w = np.asarray(weights, dtype=np.float64)
-    idx = sorted(sets.suppress)
-    if not idx:
-        return 0.0
-    ws = w[idx]
-    return float((ws * ws).mean())
-
-
-def loss_act(weights, sets: GuidanceSets) -> float:
-    """Negated mean squared weight over the activate set (0 when empty);
-    minimizing it pushes scheduled visemes up."""
-    w = np.asarray(weights, dtype=np.float64)
-    idx = sorted(sets.activate)
-    if not idx:
-        return 0.0
-    wa = w[idx]
-    return float(-(wa * wa).mean())
-
-
-def loss_flow(
-    pose: Pose, weights, prev_pose: Pose | None, prev_weights, rig: Rig, correspondences
-) -> float:
-    """Mean squared distance between current projections and flow-advected
-    previous projections. Zero without a previous frame or correspondences."""
-    if prev_pose is None or correspondences is None:
-        return 0.0
-    vidx, disp = _as_correspondences(correspondences)
-    if vidx.size == 0:
-        return 0.0
-    if vidx.min() < 0 or vidx.max() >= rig.neutral.vertex_count:
-        raise DataError("flow correspondence vertex index out of range")
-    from .camera import project
-
-    prev_proj = project(blend_vertices(rig, prev_weights), prev_pose)
-    targets = prev_proj[vidx] + disp
-    proj = project(blend_vertices(rig, weights), pose)
-    r = proj[vidx] - targets
-    return float((r * r).sum() / len(vidx))
-
-
-def _as_correspondences(correspondences) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(correspondences, tuple) and len(correspondences) == 2:
-        vidx = np.asarray(correspondences[0], dtype=np.int64).reshape(-1)
-        disp = np.asarray(correspondences[1], dtype=np.float64).reshape(-1, 2)
-    else:
-        items = list(correspondences)
-        vidx = np.array([it[0] for it in items], dtype=np.int64)
-        disp = np.array([it[1] for it in items], dtype=np.float64).reshape(-1, 2)
-    if len(vidx) != len(disp):
-        raise DataError("correspondence indices and displacements differ in length")
-    return vidx, disp
-
-
-def loss_diff(weights, neighbor_weights) -> float:
-    """Mean squared per-viseme difference to the neighbor frame (0 if none)."""
-    if neighbor_weights is None:
-        return 0.0
-    w = np.asarray(weights, dtype=np.float64)
-    nb = np.asarray(neighbor_weights, dtype=np.float64)
-    if w.shape != nb.shape:
-        raise DataError("neighbor weight vector has a different length")
-    d = w - nb
-    return float((d * d).mean())
-
-
-def loss_range(weights) -> float:
-    """Quadratic penalty outside [0, 1]: mean of (w-1)^2 over entries above 1
-    plus mean of w^2 over entries below 0, each 0 for an empty set."""
-    w = np.asarray(weights, dtype=np.float64)
-    total = 0.0
-    upper = w > 1.0
-    if upper.any():
-        e = w[upper] - 1.0
-        total += float((e * e).mean())
-    lower = w < 0.0
-    if lower.any():
-        e = w[lower]
-        total += float((e * e).mean())
-    return total
+from .observations import RawObservation
+from .rig import Rig
 
 
 class FrameProblem:
@@ -190,6 +28,11 @@ class FrameProblem:
     Everything that stays constant across optimizer iterations (landmark
     targets, flow targets, guidance index arrays, the image) is resolved once
     here; evaluate() is the per-iteration hot path.
+
+    obs supplies the landmarks and the image; landmark ids the rig does not
+    bind are skipped. Its raw flow grids are not read: flow_targets is the
+    screened (vertex indices, target pixels) pair, the previous frame's
+    projections advected by the flow.
     """
 
     def __init__(
@@ -198,9 +41,8 @@ class FrameProblem:
         loss_weights,
         guidance: GuidanceSets | None,
         intrinsics: tuple[float, float, float],
+        obs: RawObservation,
         *,
-        landmarks=None,
-        image: np.ndarray | None = None,
         flow_targets=None,
         neighbor_weights=None,
     ):
@@ -218,22 +60,23 @@ class FrameProblem:
         # Targets are stored as contiguous columns and the per-term gradient
         # coefficients are fixed here, so evaluate() only gathers and scales.
         # An empty landmark or flow set contributes nothing.
+        bound = rig.landmark_bindings
+        ids = obs.landmark_ids.tolist()
+        rows = [i for i, lid in enumerate(ids) if lid in bound]
         self.lm_vidx = None
-        if landmarks is not None and len(landmarks[0]):
-            vidx, targets, betas = landmarks
-            targets = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
-            self.lm_vidx = np.asarray(vidx, dtype=np.int64)
-            self.lm_tx = targets[:, 0].copy()
-            self.lm_ty = targets[:, 1].copy()
-            self.lm_betas = np.asarray(betas, dtype=np.float64)
+        if rows:
+            self.lm_vidx = np.array([bound[ids[i]] for i in rows], dtype=np.int64)
+            self.lm_tx = obs.landmark_points[rows, 0]
+            self.lm_ty = obs.landmark_points[rows, 1]
+            self.lm_betas = obs.landmark_betas[rows]
             self.lm_coef = (self.w1 * 2.0 / len(self.lm_vidx)) * self.lm_betas
             self.lm_unique = len(np.unique(self.lm_vidx)) == len(self.lm_vidx)
 
         # kept as given (a uint8 frame stays uint8): bilinear_sample converts
         # only the cells it reads
         self.image = None
-        if image is not None and self.colors is not None:
-            self.image = np.asarray(image)
+        if obs.image is not None and self.colors is not None:
+            self.image = np.asarray(obs.image)
 
         self.fl_vidx = None
         if flow_targets is not None and len(flow_targets[0]):
@@ -261,45 +104,6 @@ class FrameProblem:
             else None
         )
         self.nb_coef = self.w6 * 2.0 / self.n_visemes
-
-    @classmethod
-    def from_observation(
-        cls,
-        rig: Rig,
-        loss_weights,
-        guidance: GuidanceSets | None,
-        intrinsics: tuple[float, float, float],
-        obs: FrameObservation,
-        prev_state: FrameState | None = None,
-        neighbor_weights=None,
-    ) -> "FrameProblem":
-        landmarks = None
-        if obs.landmark_ids is not None and len(obs.landmark_ids):
-            vidx, keep = _resolve_landmarks(rig, obs.landmark_ids, strict=False)
-            if keep.any():
-                landmarks = (vidx, obs.landmark_points[keep], obs.landmark_betas[keep])
-        flow_targets = None
-        if (
-            obs.flow_vertices is not None
-            and len(obs.flow_vertices)
-            and prev_state is not None
-        ):
-            from .camera import project
-
-            prev_proj = project(blend_vertices(rig, prev_state.weights), prev_state.pose)
-            vidx = np.asarray(obs.flow_vertices, dtype=np.int64)
-            disp = np.asarray(obs.flow_displacements, dtype=np.float64).reshape(-1, 2)
-            flow_targets = (vidx, prev_proj[vidx] + disp)
-        return cls(
-            rig,
-            loss_weights,
-            guidance,
-            intrinsics,
-            landmarks=landmarks,
-            image=obs.image,
-            flow_targets=flow_targets,
-            neighbor_weights=neighbor_weights,
-        )
 
     def evaluate(self, w, q, t, want_grad: bool = True):
         """Objective value and, when asked, its gradient at (w, q, t).
@@ -427,56 +231,3 @@ class FrameProblem:
         gq = (gq_unit - qn * float(qn @ gq_unit)) / q_norm
         return val, gw, gq, gt
 
-
-def _problem_for(
-    rig: Rig,
-    state: FrameState,
-    observation: FrameObservation,
-    guidance: GuidanceSets | None,
-    cfg,
-    prev_state: FrameState | None,
-    neighbor_weights,
-) -> FrameProblem:
-    return FrameProblem.from_observation(
-        rig,
-        cfg.loss_weights,
-        guidance,
-        state.pose.intrinsics,
-        observation,
-        prev_state=prev_state,
-        neighbor_weights=neighbor_weights,
-    )
-
-
-def total_loss(
-    rig: Rig,
-    state: FrameState,
-    observation: FrameObservation,
-    guidance: GuidanceSets | None,
-    cfg,
-    *,
-    prev_state: FrameState | None = None,
-    neighbor_weights=None,
-) -> float:
-    """Weighted sum of all seven terms for one frame."""
-    w = check_weights(rig, state.weights)
-    prob = _problem_for(rig, state, observation, guidance, cfg, prev_state, neighbor_weights)
-    val, _, _, _ = prob.evaluate(w, state.pose.rotation, state.pose.translation, want_grad=False)
-    return val
-
-
-def grad_total(
-    rig: Rig,
-    state: FrameState,
-    observation: FrameObservation,
-    guidance: GuidanceSets | None,
-    cfg,
-    *,
-    prev_state: FrameState | None = None,
-    neighbor_weights=None,
-) -> ParamGrad:
-    """Analytic gradient of total_loss over weights, rotation, translation."""
-    w = check_weights(rig, state.weights)
-    prob = _problem_for(rig, state, observation, guidance, cfg, prev_state, neighbor_weights)
-    _, gw, gq, gt = prob.evaluate(w, state.pose.rotation, state.pose.translation)
-    return ParamGrad(weights=gw, rotation=gq, translation=gt)

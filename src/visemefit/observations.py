@@ -21,11 +21,11 @@ from .records import read_text, split_records
 
 @dataclass
 class RawObservation:
-    """Observation for one frame before flow screening.
+    """Observation for one frame, the input of a FrameProblem.
 
     landmark arrays are parallel: ids (L,), points (L, 2), betas (L,).
     flow holds the (forward, backward) grids for the pair ending at this
-    frame, or None.
+    frame, or None; fitting screens them into flow targets.
     """
 
     landmark_ids: np.ndarray
@@ -43,18 +43,6 @@ class RawObservation:
             raise DataError("landmark id/point/beta arrays must be the same length")
         if nl and self.landmark_betas.min() <= 0:
             raise DataError("landmark betas must be positive")
-
-
-@dataclass
-class FrameObservation:
-    """RawObservation after flow screening: displacements tied to rig vertices."""
-
-    landmark_ids: np.ndarray
-    landmark_points: np.ndarray
-    landmark_betas: np.ndarray
-    image: np.ndarray | None = None
-    flow_vertices: np.ndarray | None = None
-    flow_displacements: np.ndarray | None = None
 
 
 def empty_raw() -> RawObservation:
@@ -143,12 +131,8 @@ class ObservationDir:
     def __getitem__(self, frame: int) -> RawObservation:
         if not 0 <= frame < self._n:
             raise IndexError(frame)
-        base = self._landmarks.get(frame)
-        obs = RawObservation(
-            landmark_ids=base.landmark_ids if base else np.zeros(0, dtype=np.int64),
-            landmark_points=base.landmark_points if base else np.zeros((0, 2)),
-            landmark_betas=base.landmark_betas if base else np.zeros(0),
-        )
+        base = self._landmarks.get(frame) or empty_raw()
+        obs = RawObservation(base.landmark_ids, base.landmark_points, base.landmark_betas)
         img_path = os.path.join(self.path, frame_image_name(frame))
         if os.path.exists(img_path):
             obs.image = read_ppm(img_path)
@@ -156,8 +140,3 @@ class ObservationDir:
         if frame > 0 and os.path.exists(flow_path):
             obs.flow = read_flow_pair(flow_path)
         return obs
-
-    def get(self, frame: int) -> RawObservation | None:
-        if not 0 <= frame < self._n:
-            return None
-        return self[frame]

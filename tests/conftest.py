@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from visemefit.camera import Pose, identity_pose
+from visemefit.camera import Pose, identity_pose, project
 from visemefit.mesh import Mesh
-from visemefit.rig import Rig, default_viseme_labels
+from visemefit.rig import Rig, blend_vertices, default_viseme_labels
 
 INTR = (100.0, 32.0, 32.0)
 
@@ -51,3 +51,9 @@ def cam_pose():
 def random_pose(rng: np.random.Generator, scale: float = 0.05) -> Pose:
     q = np.array([0.0, 0.0, 0.0, 1.0]) + rng.normal(0.0, scale, 4)
     return Pose(rotation=q / np.linalg.norm(q), translation=rng.normal(0.0, scale, 3), intrinsics=INTR)
+
+
+def flow_targets(rig: Rig, vidx, disp, prev_weights, prev_pose: Pose):
+    """FrameProblem flow targets built as fit_clip builds them: the previous
+    frame's projections of vertices vidx, advected by displacements disp."""
+    return vidx, project(blend_vertices(rig, prev_weights), prev_pose)[vidx] + disp

@@ -31,15 +31,15 @@ from visemefit.fitting import (
 )
 from visemefit.flow import read_flow_pair, write_flow_pair
 from visemefit.guidance import guidance_sets
-from visemefit.losses import FrameObservation, FrameState, grad_total, total_loss
+from visemefit.losses import FrameProblem
 from visemefit.mesh import parse_obj, serialize_obj
-from visemefit.observations import parse_landmarks
+from visemefit.observations import RawObservation, parse_landmarks
 from visemefit.procedural import generate_procedural
 from visemefit.rig import blend_vertices, load_rig_manifest
 from visemefit.synthetic import build_scene
 from visemefit.timeline import parse_alignment, read_alignment, read_viseme_map, serialize_timeline
 
-from conftest import INTR, make_rig
+from conftest import INTR, flow_targets, make_rig
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +146,9 @@ def _smooth_image(rng) -> np.ndarray:
     return img
 
 
-def _fd_instance(rng, term):
-    """Random rig/pose/weights plus the observation pieces the term reads.
+def _fd_instance(rng, term, cfg):
+    """Random weights and pose plus a FrameProblem holding the observation
+    pieces the term reads.
 
     Instances are redrawn when a projected vertex sits within 0.05 px of a
     pixel-cell boundary (the sampled image is only piecewise smooth there) or
@@ -193,17 +194,22 @@ def _fd_instance(rng, term):
         )
     if "photometric" in want:
         kwargs["image"] = _smooth_image(rng)
-    prev = None
+    targets = None
     if "flow" in want:
-        prev = FrameState(weights=rng.uniform(0.05, 0.95, 4), pose=_fd_pose(rng))
-        kwargs["flow_vertices"] = np.array([0, 3, 6])
-        kwargs["flow_displacements"] = rng.normal(0.0, 1.5, (3, 2))
-    obs = FrameObservation(**kwargs)
+        prev_w = rng.uniform(0.05, 0.95, 4)
+        prev_pose = _fd_pose(rng)
+        vidx = np.array([0, 3, 6])
+        targets = flow_targets(rig, vidx, rng.normal(0.0, 1.5, (3, 2)), prev_w, prev_pose)
+    obs = RawObservation(**kwargs)
     guidance = None
     if "suppress" in want or "activate" in want:
         guidance = GuidanceSets(suppress=frozenset({1, 3}), activate=frozenset({0}))
     neighbor = rng.uniform(0.0, 1.0, 4) if "temporal" in want else None
-    return rig, FrameState(weights=w, pose=pose), obs, guidance, neighbor, prev
+    problem = FrameProblem(
+        rig, cfg.loss_weights, guidance, pose.intrinsics, obs,
+        flow_targets=targets, neighbor_weights=neighbor,
+    )
+    return problem, w, pose
 
 
 def test_criterion_1_gradient_oracle():
@@ -214,28 +220,17 @@ def test_criterion_1_gradient_oracle():
     for term in (*_TERM_INDEX, "total"):
         cfg = _term_cfg(term)
         for _ in range(20):
-            rig, state, obs, guidance, neighbor, prev = _fd_instance(rng, term)
-            g = grad_total(
-                rig, state, obs, guidance, cfg, prev_state=prev, neighbor_weights=neighbor
-            )
-            analytic = np.concatenate([g.weights, g.rotation, g.translation])
-
-            base_w = state.weights
-            base_q = state.pose.rotation
-            base_t = state.pose.translation
+            problem, base_w, pose = _fd_instance(rng, term, cfg)
+            base_q = pose.rotation
+            base_t = pose.translation
+            _, gw, gq, gt = problem.evaluate(base_w, base_q, base_t)
+            analytic = np.concatenate([gw, gq, gt])
 
             def value(dw, dq, dt):
-                st = FrameState(
-                    weights=base_w + dw,
-                    pose=Pose(
-                        rotation=base_q + dq,
-                        translation=base_t + dt,
-                        intrinsics=state.pose.intrinsics,
-                    ),
+                val, _, _, _ = problem.evaluate(
+                    base_w + dw, base_q + dq, base_t + dt, want_grad=False
                 )
-                return total_loss(
-                    rig, st, obs, guidance, cfg, prev_state=prev, neighbor_weights=neighbor
-                )
+                return val
 
             fd = np.zeros(11)
             for i in range(11):

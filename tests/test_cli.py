@@ -211,7 +211,8 @@ def test_fit_outputs_byte_identical_across_runs(scene_dir):
         assert a == b, name
 
 
-def test_fit_directory_of_clips(scene_dir, tmp_path):
+def _two_clips(scene_dir, tmp_path):
+    """A directory of two clips, a and b, both holding the scene's landmarks."""
     scene = scene_dir / "scene"
     clips = tmp_path / "clips"
     for name in ("a", "b"):
@@ -219,19 +220,28 @@ def test_fit_directory_of_clips(scene_dir, tmp_path):
         clip.mkdir(parents=True)
         shutil.copy(scene / "obs" / "landmarks.csv", clip / "landmarks.csv")
         shutil.copy(scene / "align.tsv", clip / "align.tsv")
-    out = tmp_path / "multi"
-    code = main(
+    return clips
+
+
+def _fit_clips(scene_dir, clips, out, config=None, extra=()):
+    scene = scene_dir / "scene"
+    return main(
         [
             "fit",
             "--rig", str(scene / "rig" / "rig.txt"),
             "--map", str(scene / "map.txt"),
             "--obs", str(clips),
-            "--config", str(scene_dir / "fast.cfg"),
-            "--workers", "2",
+            "--config", str(config or scene_dir / "fast.cfg"),
             "--out", str(out),
+            *extra,
         ]
     )
-    assert code == 0
+
+
+def test_fit_directory_of_clips(scene_dir, tmp_path):
+    clips = _two_clips(scene_dir, tmp_path)
+    out = tmp_path / "multi"
+    assert _fit_clips(scene_dir, clips, out, extra=("--workers", "2")) == 0
     for name in ("a", "b"):
         assert (out / name / "curve.csv").exists()
         assert (out / name / "poses.csv").exists()
@@ -244,27 +254,11 @@ def test_fit_directory_of_clips(scene_dir, tmp_path):
 
 
 def test_fit_warnings_name_clip_and_frame(scene_dir, tmp_path, caplog):
-    scene = scene_dir / "scene"
-    clips = tmp_path / "clips"
-    for name in ("a", "b"):
-        clip = clips / name
-        clip.mkdir(parents=True)
-        shutil.copy(scene / "obs" / "landmarks.csv", clip / "landmarks.csv")
-        shutil.copy(scene / "align.tsv", clip / "align.tsv")
+    clips = _two_clips(scene_dir, tmp_path)
     # clip b has flow for its first pair, so its first missing pair ends at frame 2
     write_flow_pair(np.zeros((8, 8, 2)), np.zeros((8, 8, 2)), clips / "b" / frame_flow_name(1))
     with caplog.at_level(logging.WARNING, logger="visemefit.fitting"):
-        code = main(
-            [
-                "fit",
-                "--rig", str(scene / "rig" / "rig.txt"),
-                "--map", str(scene / "map.txt"),
-                "--obs", str(clips),
-                "--config", str(scene_dir / "fast.cfg"),
-                "--out", str(tmp_path / "out"),
-            ]
-        )
-    assert code == 0
+        assert _fit_clips(scene_dir, clips, tmp_path / "out") == 0
     pairs = len(read_landmarks(clips / "a" / "landmarks.csv")) - 1
     assert sorted(r.getMessage() for r in caplog.records) == [
         f"{clips / 'a'}: flow missing for {pairs} of {pairs} frame pairs, first at frame 1;"
@@ -272,6 +266,26 @@ def test_fit_warnings_name_clip_and_frame(scene_dir, tmp_path, caplog):
         f"{clips / 'b'}: flow missing for {pairs - 1} of {pairs} frame pairs, first at frame 2;"
         " flow term skipped there",
     ]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_fit_numeric_error_names_clip_and_frame(scene_dir, tmp_path, capsys, workers):
+    clips = _two_clips(scene_dir, tmp_path)
+    # a learning rate this large throws the head behind the camera at once
+    cfg = parse_fit_config((scene_dir / "fast.cfg").read_text(encoding="utf-8"))
+    (tmp_path / "wild.cfg").write_text(
+        serialize_fit_config(dataclasses.replace(cfg, lr0=50.0)), encoding="utf-8"
+    )
+    capsys.readouterr()
+    code = _fit_clips(
+        scene_dir, clips, tmp_path / "out", tmp_path / "wild.cfg", ("--workers", workers)
+    )
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 3, err
+    assert len(errors) == 1, err
+    assert errors[0].startswith(f"error: {clips / 'a'}: frame 0: "), err
+    assert "Traceback" not in err
 
 
 def test_fit_empty_clip_directory_exits_2(scene_dir, tmp_path, capsys):

@@ -3,15 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from visemefit.camera import Pose, identity_pose, project, quat_rotation_jacobians
+from visemefit.camera import Pose, project, quat_rotation_jacobians
 from visemefit.errors import DataError, NumericError
 from visemefit.fitting import FitConfig
 from visemefit.guidance import GuidanceSets
 from visemefit.images import bilinear_sample
-from visemefit.losses import (
-    FrameProblem,
-    FrameState,
-    grad_total,
+from visemefit.losses import FrameProblem
+from visemefit.observations import RawObservation, empty_raw
+from visemefit.rig import blend_vertices
+
+from conftest import INTR, flow_targets, make_rig, random_pose
+from loss_oracle import (
     loss_act,
     loss_diff,
     loss_flow,
@@ -19,12 +21,7 @@ from visemefit.losses import (
     loss_range,
     loss_rgb,
     loss_sup,
-    total_loss,
 )
-from visemefit.observations import FrameObservation
-from visemefit.rig import blend_vertices
-
-from conftest import INTR, make_rig, random_pose
 
 
 def test_loss_lmk_hand_value(tiny_rig, cam_pose):
@@ -154,37 +151,41 @@ def _full_setup(rng, with_flow=True):
     w = rng.uniform(0.0, 1.0, 3)
     img = rng.uniform(0, 1, (64, 64, 3))
     gt_proj = project(blend_vertices(rig, rng.uniform(0, 1, 3)), pose)
-    obs = FrameObservation(
+    obs = RawObservation(
         landmark_ids=np.arange(8),
         landmark_points=gt_proj + rng.normal(0, 1, (8, 2)),
         landmark_betas=rng.uniform(1, 5, 8),
         image=img,
-        flow_vertices=np.array([1, 3, 4]) if with_flow else None,
-        flow_displacements=rng.normal(0, 2, (3, 2)) if with_flow else None,
     )
+    # flow correspondences: (vertex indices, displacements)
+    flow = (np.array([1, 3, 4]), rng.normal(0, 2, (3, 2))) if with_flow else None
     guidance = GuidanceSets(suppress=frozenset({2}), activate=frozenset({0}))
-    prev = FrameState(weights=rng.uniform(0, 1, 3), pose=random_pose(rng, scale=0.02))
+    prev = (rng.uniform(0, 1, 3), random_pose(rng, scale=0.02))  # (weights, pose)
     nb = rng.uniform(0, 1, 3)
-    return rig, pose, w, obs, guidance, prev, nb
+    return rig, pose, w, obs, guidance, flow, prev, nb
+
+
+def _problem(rig, obs, guidance, flow, prev, nb):
+    targets = None if flow is None else flow_targets(rig, *flow, *prev)
+    return FrameProblem(
+        rig, FitConfig().loss_weights, guidance, INTR, obs,
+        flow_targets=targets, neighbor_weights=nb,
+    )
 
 
 def test_total_loss_equals_sum_of_standalone_terms(rng):
-    rig, pose, w, obs, guidance, prev, nb = _full_setup(rng)
-    cfg = FitConfig()
-    state = FrameState(weights=w, pose=pose)
-    got = total_loss(rig, state, obs, guidance, cfg, prev_state=prev, neighbor_weights=nb)
+    rig, pose, w, obs, guidance, flow, prev, nb = _full_setup(rng)
+    prob = _problem(rig, obs, guidance, flow, prev, nb)
+    got, _, _, _ = prob.evaluate(w, pose.rotation, pose.translation, want_grad=False)
 
-    lw = cfg.loss_weights
+    lw = FitConfig().loss_weights
     lms = list(zip(obs.landmark_ids, obs.landmark_points, obs.landmark_betas))
     expect = (
         lw[0] * loss_lmk(pose, w, rig, lms)
         + lw[1] * loss_rgb(pose, w, rig, obs.image)
         + lw[2] * loss_sup(w, guidance)
         + lw[3] * loss_act(w, guidance)
-        + lw[4] * loss_flow(
-            pose, w, prev.pose, prev.weights, rig,
-            (obs.flow_vertices, obs.flow_displacements),
-        )
+        + lw[4] * loss_flow(pose, w, prev[1], prev[0], rig, flow)
         + lw[5] * loss_diff(w, nb)
         + lw[6] * loss_range(w)
     )
@@ -192,60 +193,56 @@ def test_total_loss_equals_sum_of_standalone_terms(rng):
 
 
 def test_total_loss_skips_absent_terms(rng):
-    rig, pose, w, obs, guidance, prev, nb = _full_setup(rng, with_flow=False)
+    rig, pose, w, obs, guidance, flow, prev, nb = _full_setup(rng, with_flow=False)
     cfg = FitConfig()
-    bare = FrameObservation(
+    bare = RawObservation(
         landmark_ids=obs.landmark_ids,
         landmark_points=obs.landmark_points,
         landmark_betas=obs.landmark_betas,
     )
-    state = FrameState(weights=w, pose=pose)
-    got = total_loss(rig, state, bare, None, cfg)
+    prob = FrameProblem(rig, cfg.loss_weights, None, INTR, bare)
+    got, _, _, _ = prob.evaluate(w, pose.rotation, pose.translation, want_grad=False)
     lms = list(zip(obs.landmark_ids, obs.landmark_points, obs.landmark_betas))
     expect = cfg.loss_weights[0] * loss_lmk(pose, w, rig, lms) + cfg.loss_weights[6] * loss_range(w)
     assert abs(got - expect) < 1e-9
 
 
 def test_gradient_matches_finite_differences(rng):
-    rig, pose, w, obs, guidance, prev, nb = _full_setup(rng)
-    cfg = FitConfig()
-    state = FrameState(weights=w, pose=pose)
-    g = grad_total(rig, state, obs, guidance, cfg, prev_state=prev, neighbor_weights=nb)
+    rig, pose, w, obs, guidance, flow, prev, nb = _full_setup(rng)
+    prob = _problem(rig, obs, guidance, flow, prev, nb)
+    _, gw, gq, gt = prob.evaluate(w, pose.rotation, pose.translation)
 
     h = 1e-6
 
     def value(wv, q, t):
-        st = FrameState(weights=wv, pose=Pose(rotation=q, translation=t, intrinsics=INTR))
-        return total_loss(rig, st, obs, guidance, cfg, prev_state=prev, neighbor_weights=nb)
+        return prob.evaluate(wv, q, t, want_grad=False)[0]
 
     q0, t0 = pose.rotation, pose.translation
     for i in range(len(w)):
         e = np.zeros_like(w)
         e[i] = h
         fd = (value(w + e, q0, t0) - value(w - e, q0, t0)) / (2 * h)
-        assert abs(fd - g.weights[i]) < 1e-3 * max(1.0, abs(fd))
+        assert abs(fd - gw[i]) < 1e-3 * max(1.0, abs(fd))
     for i in range(4):
         e = np.zeros(4)
         e[i] = h
         fd = (value(w, q0 + e, t0) - value(w, q0 - e, t0)) / (2 * h)
-        assert abs(fd - g.rotation[i]) < 1e-3 * max(1.0, abs(fd))
+        assert abs(fd - gq[i]) < 1e-3 * max(1.0, abs(fd))
     for i in range(3):
         e = np.zeros(3)
         e[i] = h
         fd = (value(w, q0, t0 + e) - value(w, q0, t0 - e)) / (2 * h)
-        assert abs(fd - g.translation[i]) < 1e-3 * max(1.0, abs(fd))
+        assert abs(fd - gt[i]) < 1e-3 * max(1.0, abs(fd))
 
 
 def test_frame_problem_skips_unbound_landmarks(rng, cam_pose):
     rig = make_rig(rng)
-    obs = FrameObservation(
+    obs = RawObservation(
         landmark_ids=np.array([0, 42]),  # 42 unbound
         landmark_points=np.array([[30.0, 30.0], [10.0, 10.0]]),
         landmark_betas=np.array([1.0, 1.0]),
     )
-    prob = FrameProblem.from_observation(
-        rig, FitConfig().loss_weights, None, INTR, obs
-    )
+    prob = FrameProblem(rig, FitConfig().loss_weights, None, INTR, obs)
     assert prob.lm_vidx is not None and len(prob.lm_vidx) == 1
 
 
@@ -263,13 +260,11 @@ def test_behind_camera_projection_raises(tiny_rig):
 def test_uint8_frame_evaluates_like_its_float64_copy(rng):
     # a frame read from a PPM stays uint8; value and all three gradients must
     # equal, bit for bit, those of the whole frame divided by 255.0
-    rig, pose, w, obs, guidance, prev, nb = _full_setup(rng)
+    rig, pose, w, obs, guidance, flow, prev, nb = _full_setup(rng)
     frame = rng.integers(0, 256, (64, 64, 3), dtype=np.uint8)
     results = [
-        FrameProblem.from_observation(
-            rig, FitConfig().loss_weights, guidance, INTR,
-            dataclasses.replace(obs, image=image), prev_state=prev, neighbor_weights=nb,
-        ).evaluate(w, pose.rotation, pose.translation)
+        _problem(rig, dataclasses.replace(obs, image=image), guidance, flow, prev, nb)
+        .evaluate(w, pose.rotation, pose.translation)
         for image in (frame, frame / 255.0)
     ]
     (val, gw, gq, gt), (val64, gw64, gq64, gt64) = results
@@ -292,3 +287,43 @@ def test_quaternion_gradient_contraction_matches_loop(rng):
         loop = np.array([(dldx * (s @ drdq[i].T)).sum() for i in range(4)])
         fused = (dldx * (s @ drdq.transpose(0, 2, 1))).reshape(4, -1).sum(axis=1)
         np.testing.assert_array_equal(fused, loop)
+
+
+# FrameProblem.evaluate's own failure paths, each with its message
+
+_UNIT_Q = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+def _bare_problem(rig, image=None, neighbor_weights=None):
+    obs = dataclasses.replace(empty_raw(), image=image)
+    return FrameProblem(
+        rig, FitConfig().loss_weights, None, INTR, obs, neighbor_weights=neighbor_weights
+    )
+
+
+def test_evaluate_rejects_degenerate_quaternion(tiny_rig):
+    w = np.zeros(tiny_rig.viseme_count)
+    for q in ([0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 1.0], [np.inf, 0.0, 0.0, 1.0]):
+        with pytest.raises(NumericError, match="^degenerate quaternion during evaluation$"):
+            _bare_problem(tiny_rig).evaluate(w, np.array(q), np.zeros(3))
+
+
+def test_evaluate_rejects_behind_camera_vertex(tiny_rig):
+    w = np.zeros(tiny_rig.viseme_count)
+    with pytest.raises(NumericError, match=r"^behind-camera vertex \d+ \(depth -\d"):
+        _bare_problem(tiny_rig).evaluate(w, _UNIT_Q, np.array([0.0, 0.0, -5.0]))
+
+
+def test_evaluate_rejects_all_vertices_outside_image(tiny_rig):
+    # the rig projects around pixel (32, 32), far outside a 2x2 frame
+    prob = _bare_problem(tiny_rig, image=np.zeros((2, 2, 3)))
+    with pytest.raises(NumericError, match="^all vertices project outside the image$"):
+        prob.evaluate(np.zeros(tiny_rig.viseme_count), _UNIT_Q, np.zeros(3))
+
+
+def test_evaluate_rejects_non_finite_objective(tiny_rig):
+    # finite inputs whose temporal term overflows: (0 - 1e200)^2 is inf
+    n = tiny_rig.viseme_count
+    prob = _bare_problem(tiny_rig, neighbor_weights=np.full(n, 1e200))
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="^non-finite objective"):
+        prob.evaluate(np.zeros(n), _UNIT_Q, np.zeros(3))

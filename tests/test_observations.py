@@ -107,9 +107,6 @@ def test_observation_dir(tmp_path, rng):
 
     with pytest.raises(IndexError):
         obs_dir[3]
-    assert obs_dir.get(3) is None
-    assert obs_dir.get(-1) is None
-    assert obs_dir.get(2).flow is not None
 
 
 def test_observation_dir_flow_ignored_at_frame_zero(tmp_path, rng):
