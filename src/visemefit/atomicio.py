@@ -29,9 +29,3 @@ def write_text(path, text: str) -> None:
     with atomic_path(path) as tmp:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def write_bytes(path, blob: bytes) -> None:
-    with atomic_path(path) as tmp:
-        with open(tmp, "wb") as fh:
-            fh.write(blob)

@@ -15,7 +15,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .atomicio import write_text
 from .bones import read_bone_assets, serialize_blended_poses
@@ -34,6 +33,8 @@ from .observations import ObservationDir, read_landmarks
 from .procedural import generate_procedural, read_rules
 from .rig import bake_mesh_sequence, load_rig_manifest
 from .timeline import read_alignment, read_viseme_map
+
+log = logging.getLogger(__name__)
 
 
 def _cmd_gen_proc(args) -> int:
@@ -77,42 +78,38 @@ def _cmd_fit(args) -> int:
     if _is_clip_dir(args.obs):
         if not args.align:
             raise UsageError("single-clip fit needs --align")
-        return _fit_one(rig, args.align, args.obs, cfg, vmap, rules, args.fps, args.out)
-
-    # directory of clips: each subdirectory holds observations plus align.tsv
-    clips = sorted(
-        name
-        for name in os.listdir(args.obs)
-        if os.path.isdir(os.path.join(args.obs, name))
-    )
-    if not clips:
-        raise DataError(f"{args.obs} holds neither observations nor clip directories")
-    jobs = []
-    for name in clips:
-        clip_dir = os.path.join(args.obs, name)
-        align = os.path.join(clip_dir, "align.tsv")
-        if not os.path.exists(align):
-            raise DataError(f"clip {name} is missing align.tsv")
-        jobs.append((name, align, clip_dir))
-
-    total = 0
-    if args.workers <= 1:
-        for name, align, clip_dir in jobs:
-            total += _fit_one(
-                rig, align, clip_dir, cfg, vmap, rules, args.fps,
+        jobs = [(args.align, args.obs, args.out)]
+    else:
+        # directory of clips: each subdirectory holds observations plus align.tsv
+        clips = sorted(
+            name
+            for name in os.listdir(args.obs)
+            if os.path.isdir(os.path.join(args.obs, name))
+        )
+        if not clips:
+            raise DataError(f"{args.obs} holds neither observations nor clip directories")
+        jobs = [
+            (
+                os.path.join(args.obs, name, "align.tsv"),
+                os.path.join(args.obs, name),
                 os.path.join(args.out, name),
             )
-    else:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            futures = [
-                pool.submit(
-                    _fit_one, rig, align, clip_dir, cfg, vmap, rules, args.fps,
-                    os.path.join(args.out, name),
-                )
-                for name, align, clip_dir in jobs
-            ]
-            for fut in futures:
-                total += fut.result()
+            for name in clips
+        ]
+
+    # Every clip is fitted. The first failure decides the exit code; each
+    # later one is a warning line, which names its clip like every fit error.
+    total, first_failure = 0, None
+    for align, clip_dir, out_dir in jobs:
+        try:
+            total += _fit_one(rig, align, clip_dir, cfg, vmap, rules, args.fps, out_dir)
+        except (DataError, NumericError, OSError) as exc:
+            if first_failure is None:
+                first_failure = exc
+            else:
+                log.warning("%s", exc)
+    if first_failure is not None:
+        raise first_failure
     return total
 
 
@@ -202,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="fit config file (defaults when omitted)")
     p.add_argument("--rules", help="envelope timing overrides for the guide curve")
     p.add_argument("--fps", type=float, default=30.0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted but has no effect: clips are fitted one after another")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_fit)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .adam import AdamState, adam_step, learning_rate
-from .camera import Pose, identity_pose, project
+from .camera import Pose, project
 from .curves import Curve
 from .errors import DataError, NumericError
 from .flow import screen_flow
@@ -145,12 +145,9 @@ def _optimize_frame(problem: FrameProblem, w0, q0, t0, cfg: FitConfig, frame: in
         t = params[nv + 4 :]
         try:
             _, gw, gq, gt = problem.evaluate(w, q, t)
-        except NumericError as exc:
-            raise NumericError(f"frame {frame}: {exc}") from exc
-        grad = _pack(gw, gq, gt)
-        grad *= scale
-        lr = learning_rate(i, cfg.lr0, cfg.decay_every, cfg.decay_factor)
-        try:
+            grad = _pack(gw, gq, gt)
+            grad *= scale
+            lr = learning_rate(i, cfg.lr0, cfg.decay_every, cfg.decay_factor)
             internal = adam_step(state, internal, grad, lr)
         except NumericError as exc:
             raise NumericError(f"frame {frame}: {exc}") from exc

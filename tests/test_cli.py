@@ -2,11 +2,14 @@ import dataclasses
 import logging
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import visemefit
 from visemefit.atomicio import atomic_path
 from visemefit.cli import main
 from visemefit.curves import parse_curve, read_curve, serialize_curve
@@ -238,19 +241,78 @@ def _fit_clips(scene_dir, clips, out, config=None, extra=()):
     )
 
 
-def test_fit_directory_of_clips(scene_dir, tmp_path):
-    clips = _two_clips(scene_dir, tmp_path)
-    out = tmp_path / "multi"
-    assert _fit_clips(scene_dir, clips, out, extra=("--workers", "2")) == 0
+def _tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in sorted(Path(root).rglob("*"))
+        if p.is_file()
+    }
+
+
+@pytest.fixture(scope="module")
+def clean_batch(scene_dir, tmp_path_factory):
+    """The two-clip directory and its batch fit, run with no --workers."""
+    root = tmp_path_factory.mktemp("clean_batch")
+    clips = _two_clips(scene_dir, root)
+    assert _fit_clips(scene_dir, clips, root / "out") == 0
+    return clips, root / "out"
+
+
+def test_fit_directory_of_clips(scene_dir, clean_batch, tmp_path):
+    clips, out = clean_batch
     for name in ("a", "b"):
         assert (out / name / "curve.csv").exists()
         assert (out / name / "poses.csv").exists()
     # identical inputs give identical outputs regardless of clip name
     assert (out / "a" / "curve.csv").read_bytes() == (out / "b" / "curve.csv").read_bytes()
-    # single-clip fit on one of the clip dirs agrees with the batch result
-    single = (scene_dir / "rerun_a" / "curve.csv")
-    if single.exists():
-        assert single.read_bytes() != b""
+    # --workers is accepted and changes nothing
+    threaded = tmp_path / "threaded"
+    assert _fit_clips(scene_dir, clips, threaded, extra=("--workers", "2")) == 0
+    assert _tree(threaded) == _tree(out)
+    # a single-clip fit of one clip directory agrees with the batch result
+    single = tmp_path / "single"
+    align = str(clips / "a" / "align.tsv")
+    assert _fit_clips(scene_dir, clips / "a", single, extra=("--align", align)) == 0
+    for name in ("curve.csv", "poses.csv"):
+        assert (single / name).read_bytes() == (out / "a" / name).read_bytes(), name
+
+
+def _nan_landmark(clip):
+    lm = clip / "landmarks.csv"
+    lines = lm.read_text(encoding="utf-8").splitlines()
+    row = lines[1].split(",")
+    row[2] = "nan"  # the x column
+    lines[1] = ",".join(row)
+    lm.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return lm
+
+
+def _no_align(clip):
+    align = clip / "align.tsv"
+    align.unlink()
+    return align
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("breakage", [_nan_landmark, _no_align], ids=["nan-landmark", "no-align"])
+def test_fit_failing_clip_does_not_stop_the_others(
+    scene_dir, clean_batch, tmp_path, capsys, breakage, workers
+):
+    clips = _two_clips(scene_dir, tmp_path)
+    broken = breakage(clips / "a")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = _fit_clips(scene_dir, clips, out, extra=("--workers", workers))
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 2, err
+    assert len(errors) == 1, err
+    assert str(broken) in errors[0], err
+    assert "Traceback" not in err
+    assert not (out / "a").exists()
+    for name in ("curve.csv", "poses.csv"):
+        assert (out / "b" / name).read_bytes() == (clean_batch[1] / "b" / name).read_bytes(), name
 
 
 def test_fit_warnings_name_clip_and_frame(scene_dir, tmp_path, caplog):
@@ -269,23 +331,39 @@ def test_fit_warnings_name_clip_and_frame(scene_dir, tmp_path, caplog):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_fit_numeric_error_names_clip_and_frame(scene_dir, tmp_path, capsys, workers):
+def test_fit_numeric_error_names_clip_and_frame(scene_dir, tmp_path, workers):
     clips = _two_clips(scene_dir, tmp_path)
     # a learning rate this large throws the head behind the camera at once
     cfg = parse_fit_config((scene_dir / "fast.cfg").read_text(encoding="utf-8"))
     (tmp_path / "wild.cfg").write_text(
         serialize_fit_config(dataclasses.replace(cfg, lr0=50.0)), encoding="utf-8"
     )
-    capsys.readouterr()
-    code = _fit_clips(
-        scene_dir, clips, tmp_path / "out", tmp_path / "wild.cfg", ("--workers", workers)
+    # in a child process, so stderr carries the log lines as a user sees them
+    scene = scene_dir / "scene"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "visemefit.cli", "fit",
+            "--rig", str(scene / "rig" / "rig.txt"),
+            "--map", str(scene / "map.txt"),
+            "--obs", str(clips),
+            "--config", str(tmp_path / "wild.cfg"),
+            "--out", str(tmp_path / "out"),
+            "--workers", workers,
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(visemefit.__file__).parents[1])},
     )
-    err = capsys.readouterr().err
+    code, err = proc.returncode, proc.stderr
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert code == 3, err
     assert len(errors) == 1, err
     assert errors[0].startswith(f"error: {clips / 'a'}: frame 0: "), err
     assert "Traceback" not in err
+    # b is still fitted, and its own failure is one warning line
+    later = [line for line in err.splitlines() if line.startswith(f"{clips / 'b'}: frame 0: ")]
+    assert len(later) == 1, err
 
 
 def test_fit_empty_clip_directory_exits_2(scene_dir, tmp_path, capsys):
