@@ -44,7 +44,7 @@ def map_file(path, kind: str) -> mmap.mmap:
                 raise DataError(f"{path}: empty {kind} file")
             return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except OSError as exc:
-        raise DataError(f"cannot read {kind} {path}: {exc}")
+        raise DataError(f"cannot read {kind} {path}: {exc.strerror or exc}")
 
 
 def read_ppm(path) -> np.ndarray:

@@ -1,11 +1,18 @@
 """Per-frame fitting objective: seven weighted terms and their gradients.
 
-Data terms (landmark, photometric, flow) chain through blend -> rigid
-transform -> pinhole projection; regularizers (suppress, activate, neighbor
-difference, range) act on the weight vector directly. Gradients are analytic:
-the projection jacobian is exact, the photometric term uses the exact in-cell
-derivative of bilinear sampling, and the quaternion gradient is the exact
-chain through normalization (tangent to the unit sphere at unit norm).
+The terms take two code paths. Landmark and flow are pixel-target blocks,
+both computed by _pixel_term: a weighted mean of scaled squared distances
+between projected vertices and targets. The photometric term, which samples
+the image, is added between them. The regularizers (suppress, activate,
+temporal difference, range) are (weight, index, residual) rows on the weight
+vector: each adds weight * mean(r * r) to the value and
+(weight * 2.0 / len(r)) * r to the weight gradient.
+
+evaluate() always returns the gradient, and it is analytic: pixel-space
+gradients chain through blend -> rigid transform -> pinhole projection, the
+photometric term uses the exact in-cell derivative of bilinear sampling, and
+the quaternion gradient is the exact chain through normalization (tangent to
+the unit sphere at unit norm).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .rig import Rig
 
 
 class FrameProblem:
-    """One frame's objective with analytic value-and-gradient evaluation.
+    """One frame's objective; evaluate() returns its value and gradient.
 
     Everything that stays constant across optimizer iterations (landmark
     targets, flow targets, guidance index arrays, the image) is resolved once
@@ -46,7 +53,6 @@ class FrameProblem:
         flow_targets=None,
         neighbor_weights=None,
     ):
-        self.rig = rig
         self.intrinsics = (float(intrinsics[0]), float(intrinsics[1]), float(intrinsics[2]))
         self.b0 = rig.neutral.vertices
         self.d2 = rig.deltas.reshape(rig.viseme_count, -1)
@@ -57,20 +63,17 @@ class FrameProblem:
         self.n_verts = rig.neutral.vertex_count
         self.n_visemes = rig.viseme_count
 
-        # Targets are stored as contiguous columns and the per-term gradient
-        # coefficients are fixed here, so evaluate() only gathers and scales.
-        # An empty landmark or flow set contributes nothing.
+        # Pixel-target blocks are (weight, vertex indices, target x, target y,
+        # per-point scale), or None when the set is empty. Flow's scale is all
+        # ones, so it shares the landmark arithmetic exactly.
         bound = rig.landmark_bindings
         ids = obs.landmark_ids.tolist()
         rows = [i for i, lid in enumerate(ids) if lid in bound]
-        self.lm_vidx = None
+        self.landmarks = None
         if rows:
-            self.lm_vidx = np.array([bound[ids[i]] for i in rows], dtype=np.int64)
-            self.lm_tx = obs.landmark_points[rows, 0]
-            self.lm_ty = obs.landmark_points[rows, 1]
-            self.lm_betas = obs.landmark_betas[rows]
-            self.lm_coef = (self.w1 * 2.0 / len(self.lm_vidx)) * self.lm_betas
-            self.lm_unique = len(np.unique(self.lm_vidx)) == len(self.lm_vidx)
+            vidx = np.array([bound[ids[i]] for i in rows], dtype=np.int64)
+            tx, ty = obs.landmark_points[rows].T.copy()
+            self.landmarks = (self.w1, vidx, tx, ty, obs.landmark_betas[rows])
 
         # kept as given (a uint8 frame stays uint8): bilinear_sample converts
         # only the cells it reads
@@ -78,42 +81,31 @@ class FrameProblem:
         if obs.image is not None and self.colors is not None:
             self.image = np.asarray(obs.image)
 
-        self.fl_vidx = None
+        self.flow = None
         if flow_targets is not None and len(flow_targets[0]):
             vidx, targets = flow_targets
-            targets = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
-            self.fl_vidx = np.asarray(vidx, dtype=np.int64)
-            self.fl_tx = targets[:, 0].copy()
-            self.fl_ty = targets[:, 1].copy()
-            self.fl_coef = self.w5 * 2.0 / len(self.fl_vidx)
+            tx, ty = np.asarray(targets, dtype=np.float64).reshape(-1, 2).T.copy()
+            self.flow = (self.w5, np.asarray(vidx, dtype=np.int64), tx, ty, np.ones(len(tx)))
 
-        if guidance is not None:
-            self.sup_idx = np.array(sorted(guidance.suppress), dtype=np.int64)
-            self.act_idx = np.array(sorted(guidance.activate), dtype=np.int64)
-        else:
-            self.sup_idx = np.zeros(0, dtype=np.int64)
-            self.act_idx = np.zeros(0, dtype=np.int64)
-        if self.sup_idx.size:
-            self.sup_coef = self.w3 * 2.0 / len(self.sup_idx)
-        if self.act_idx.size:
-            self.act_coef = -self.w4 * 2.0 / len(self.act_idx)
+        sup, act = (guidance.suppress, guidance.activate) if guidance is not None else ((), ())
+        self.sup_idx = np.array(sorted(sup), dtype=np.int64)
+        self.act_idx = np.array(sorted(act), dtype=np.int64)
 
-        self.neighbor = (
-            np.asarray(neighbor_weights, dtype=np.float64)
-            if neighbor_weights is not None
-            else None
-        )
-        self.nb_coef = self.w6 * 2.0 / self.n_visemes
+        self.neighbor = None
+        if neighbor_weights is not None:
+            self.neighbor = np.asarray(neighbor_weights, dtype=np.float64)
 
-    def evaluate(self, w, q, t, want_grad: bool = True):
-        """Objective value and, when asked, its gradient at (w, q, t).
+    def evaluate(self, w, q, t):
+        """Objective value and its gradient (gw, gq, gt) at (w, q, t).
 
         q need not be unit; it is normalized on entry and the reported
         gradient is the exact derivative through that normalization.
 
         Every reduction keeps the rounding of the plain formulas: a mean is
         written sum / count (as numpy computes it), never a multiply by a
-        precomputed reciprocal.
+        precomputed reciprocal, and every gradient coefficient is
+        weight * 2.0 / count. Terms add in a fixed order: landmark,
+        photometric, flow, then the weight rows.
         """
         n = self.n_verts
         w = np.asarray(w, dtype=np.float64)
@@ -136,24 +128,12 @@ class FrameProblem:
         py = f * x[:, 1] * inv_z + cy
 
         val = 0.0
-        if want_grad:
-            dpx = np.zeros(n)
-            dpy = np.zeros(n)
-            gw = np.zeros(self.n_visemes)
+        dpx = np.zeros(n)
+        dpy = np.zeros(n)
+        gw = np.zeros(self.n_visemes)
 
-        if self.lm_vidx is not None:
-            vi = self.lm_vidx
-            rx = px[vi] - self.lm_tx
-            ry = py[vi] - self.lm_ty
-            val += self.w1 * float((self.lm_betas * (rx * rx + ry * ry)).sum() / len(vi))
-            if want_grad:
-                c = self.lm_coef
-                if self.lm_unique:
-                    dpx[vi] += c * rx
-                    dpy[vi] += c * ry
-                else:
-                    np.add.at(dpx, vi, c * rx)
-                    np.add.at(dpy, vi, c * ry)
+        if self.landmarks is not None:
+            val += _pixel_term(self.landmarks, px, py, dpx, dpy)
 
         if self.image is not None:
             h, wd = self.image.shape[:2]
@@ -162,59 +142,33 @@ class FrameProblem:
             if fidx.size == 0:
                 raise NumericError("all vertices project outside the image")
             pts = np.stack([px[fidx], py[fidx]], axis=1)
-            if want_grad:
-                vals, gx, gy = images.bilinear_sample(self.image, pts, with_grad=True)
-            else:
-                vals = images.bilinear_sample(self.image, pts)
+            vals, gx, gy = images.bilinear_sample(self.image, pts, with_grad=True)
             rr = vals - self.colors[fidx]
             nf = fidx.size
             val += self.w2 * float((rr * rr).sum() / nf)
-            if want_grad:
-                c = self.w2 * 2.0 / nf
-                dpx[fidx] += c * (rr * gx).sum(axis=1)
-                dpy[fidx] += c * (rr * gy).sum(axis=1)
+            c = self.w2 * 2.0 / nf
+            dpx[fidx] += c * (rr * gx).sum(axis=1)
+            dpy[fidx] += c * (rr * gy).sum(axis=1)
 
-        if self.fl_vidx is not None:
-            vi = self.fl_vidx
-            rx = px[vi] - self.fl_tx
-            ry = py[vi] - self.fl_ty
-            val += self.w5 * float((rx * rx + ry * ry).sum() / len(vi))
-            if want_grad:
-                dpx[vi] += self.fl_coef * rx
-                dpy[vi] += self.fl_coef * ry
+        if self.flow is not None:
+            val += _pixel_term(self.flow, px, py, dpx, dpy)
 
-        if self.sup_idx.size:
-            ws = w[self.sup_idx]
-            val += self.w3 * float((ws * ws).sum() / len(ws))
-            if want_grad:
-                gw[self.sup_idx] += self.sup_coef * ws
-        if self.act_idx.size:
-            wa = w[self.act_idx]
-            val += -self.w4 * float((wa * wa).sum() / len(wa))
-            if want_grad:
-                gw[self.act_idx] += self.act_coef * wa
+        # weight rows (weight, index into w, residual): suppress, activate,
+        # temporal, then the range term's upper and lower parts
+        sup, act = self.sup_idx, self.act_idx
+        rows = [(self.w3, sup, w[sup]), (-self.w4, act, w[act])]
         if self.neighbor is not None:
-            d = w - self.neighbor
-            val += self.w6 * float((d * d).sum() / len(d))
-            if want_grad:
-                gw += self.nb_coef * d
+            rows.append((self.w6, slice(None), w - self.neighbor))
         upper = w > 1.0
-        if upper.any():
-            e = w[upper] - 1.0
-            val += self.w7 * float((e * e).sum() / len(e))
-            if want_grad:
-                gw[upper] += (self.w7 * 2.0 / len(e)) * e
         lower = w < 0.0
-        if lower.any():
-            e = w[lower]
-            val += self.w7 * float((e * e).sum() / len(e))
-            if want_grad:
-                gw[lower] += (self.w7 * 2.0 / len(e)) * e
+        rows += [(self.w7, upper, w[upper] - 1.0), (self.w7, lower, w[lower])]
+        for weight, idx, r in rows:
+            if len(r):
+                val += weight * float((r * r).sum() / len(r))
+                gw[idx] += (weight * 2.0 / len(r)) * r
 
         if not math.isfinite(val):
             raise NumericError("non-finite objective value")
-        if not want_grad:
-            return val, None, None, None
 
         # chain pixel-space gradients to (w, q, t) through the projection
         a = dpx * f * inv_z
@@ -231,3 +185,17 @@ class FrameProblem:
         gq = (gq_unit - qn * float(qn @ gq_unit)) / q_norm
         return val, gw, gq, gt
 
+
+def _pixel_term(block, px, py, dpx, dpy) -> float:
+    """Add one pixel-target block's gradient to (dpx, dpy); return its value.
+
+    The value is weight * mean of scale * squared pixel distance. np.add.at
+    accumulates every point, so two targets on one vertex both count.
+    """
+    weight, vidx, tx, ty, scale = block
+    rx = px[vidx] - tx
+    ry = py[vidx] - ty
+    c = (weight * 2.0 / len(vidx)) * scale
+    np.add.at(dpx, vidx, c * rx)
+    np.add.at(dpy, vidx, c * ry)
+    return weight * float((scale * (rx * rx + ry * ry)).sum() / len(vidx))

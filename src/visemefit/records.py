@@ -20,7 +20,9 @@ def read_text(path, what: str, encoding: str = "utf-8") -> str:
         with open(path, "r", encoding=encoding) as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from None
+        # an OSError's own text repeats the path; its strerror does not
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataError(f"cannot read {what} {path}: {reason}") from None
 
 
 class Line(NamedTuple):

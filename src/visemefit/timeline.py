@@ -66,15 +66,13 @@ def parse_alignment(text: str, source: str = "<alignment>") -> Timeline:
             raise line.error(f"end {end} <= start {start}")
         segments.append(PhonemeSegment(tok, start, end))
     segments.sort(key=lambda s: s.start)
-    for a, b in zip(segments, segments[1:]):
-        if b.start < a.end:
-            raise DataError(
-                f"{source}: segments {a.phoneme!r} and {b.phoneme!r} overlap at {b.start}"
-            )
     duration = records.header_number("duration")
     if duration is None:
         duration = segments[-1].end if segments else 0.0
-    return Timeline(tuple(segments), duration)
+    try:
+        return Timeline(tuple(segments), duration)
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from None
 
 
 def serialize_timeline(t: Timeline) -> str:

@@ -227,9 +227,7 @@ def test_criterion_1_gradient_oracle():
             analytic = np.concatenate([gw, gq, gt])
 
             def value(dw, dq, dt):
-                val, _, _, _ = problem.evaluate(
-                    base_w + dw, base_q + dq, base_t + dt, want_grad=False
-                )
+                val, _, _, _ = problem.evaluate(base_w + dw, base_q + dq, base_t + dt)
                 return val
 
             fd = np.zeros(11)

@@ -309,6 +309,7 @@ def test_fit_failing_clip_does_not_stop_the_others(
     assert code == 2, err
     assert len(errors) == 1, err
     assert str(broken) in errors[0], err
+    assert errors[0].count(str(broken)) == 1, err
     assert "Traceback" not in err
     assert not (out / "a").exists()
     for name in ("curve.csv", "poses.csv"):
@@ -444,6 +445,12 @@ BAD_INPUTS = [
                  id="alignment-duration-inf"),
     pytest.param("gen-proc", "align.tsv", "m\t0.0\tinf\n", "end", id="alignment-end-inf"),
     pytest.param("gen-proc", "align.tsv", "m\t0.0\n", "fields", id="alignment-short-row"),
+    pytest.param("gen-proc", "align.tsv", "m\t-0.5\t0.5\n", "starts before 0",
+                 id="alignment-negative-start"),
+    pytest.param("gen-proc", "align.tsv", "# duration=0.1\nm\t0.0\t0.5\n", "duration",
+                 id="alignment-duration-too-short"),
+    pytest.param("gen-proc", "align.tsv", "m\t0.0\t0.5\nm\t0.3\t0.8\n", "overlap",
+                 id="alignment-overlap"),
     pytest.param("resample", "gt.csv", "# fps=inf\nframe,MBP\n0,0.5\n", "fps",
                  id="curve-fps-inf"),
     pytest.param("resample", "gt.csv", "# fps=30\nframe,MBP\n0,nan\n", "MBP",

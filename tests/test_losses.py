@@ -145,8 +145,11 @@ def test_loss_diff_and_range_hand_values():
     assert abs(got - ((0.04 + 0.01) / 2.0 + 0.09)) < 1e-12
 
 
-def _full_setup(rng, with_flow=True):
+def _full_setup(rng, with_flow=True, shared_vertex=False):
     rig = make_rig(rng, n_verts=8, n_visemes=3)
+    if shared_vertex:
+        # landmarks 0 and 7 both bind vertex 0: two targets on one vertex
+        rig = dataclasses.replace(rig, landmark_bindings={**rig.landmark_bindings, 7: 0})
     pose = random_pose(rng, scale=0.02)
     w = rng.uniform(0.0, 1.0, 3)
     img = rng.uniform(0, 1, (64, 64, 3))
@@ -174,22 +177,23 @@ def _problem(rig, obs, guidance, flow, prev, nb):
 
 
 def test_total_loss_equals_sum_of_standalone_terms(rng):
-    rig, pose, w, obs, guidance, flow, prev, nb = _full_setup(rng)
-    prob = _problem(rig, obs, guidance, flow, prev, nb)
-    got, _, _, _ = prob.evaluate(w, pose.rotation, pose.translation, want_grad=False)
+    for shared_vertex in (False, True):
+        rig, pose, w, obs, guidance, flow, prev, nb = _full_setup(rng, shared_vertex=shared_vertex)
+        prob = _problem(rig, obs, guidance, flow, prev, nb)
+        got, _, _, _ = prob.evaluate(w, pose.rotation, pose.translation)
 
-    lw = FitConfig().loss_weights
-    lms = list(zip(obs.landmark_ids, obs.landmark_points, obs.landmark_betas))
-    expect = (
-        lw[0] * loss_lmk(pose, w, rig, lms)
-        + lw[1] * loss_rgb(pose, w, rig, obs.image)
-        + lw[2] * loss_sup(w, guidance)
-        + lw[3] * loss_act(w, guidance)
-        + lw[4] * loss_flow(pose, w, prev[1], prev[0], rig, flow)
-        + lw[5] * loss_diff(w, nb)
-        + lw[6] * loss_range(w)
-    )
-    assert abs(got - expect) < 1e-9
+        lw = FitConfig().loss_weights
+        lms = list(zip(obs.landmark_ids, obs.landmark_points, obs.landmark_betas))
+        expect = (
+            lw[0] * loss_lmk(pose, w, rig, lms)
+            + lw[1] * loss_rgb(pose, w, rig, obs.image)
+            + lw[2] * loss_sup(w, guidance)
+            + lw[3] * loss_act(w, guidance)
+            + lw[4] * loss_flow(pose, w, prev[1], prev[0], rig, flow)
+            + lw[5] * loss_diff(w, nb)
+            + lw[6] * loss_range(w)
+        )
+        assert abs(got - expect) < 1e-9
 
 
 def test_total_loss_skips_absent_terms(rng):
@@ -201,38 +205,38 @@ def test_total_loss_skips_absent_terms(rng):
         landmark_betas=obs.landmark_betas,
     )
     prob = FrameProblem(rig, cfg.loss_weights, None, INTR, bare)
-    got, _, _, _ = prob.evaluate(w, pose.rotation, pose.translation, want_grad=False)
+    got, _, _, _ = prob.evaluate(w, pose.rotation, pose.translation)
     lms = list(zip(obs.landmark_ids, obs.landmark_points, obs.landmark_betas))
     expect = cfg.loss_weights[0] * loss_lmk(pose, w, rig, lms) + cfg.loss_weights[6] * loss_range(w)
     assert abs(got - expect) < 1e-9
 
 
 def test_gradient_matches_finite_differences(rng):
-    rig, pose, w, obs, guidance, flow, prev, nb = _full_setup(rng)
-    prob = _problem(rig, obs, guidance, flow, prev, nb)
-    _, gw, gq, gt = prob.evaluate(w, pose.rotation, pose.translation)
-
     h = 1e-6
+    for shared_vertex in (False, True):
+        rig, pose, w, obs, guidance, flow, prev, nb = _full_setup(rng, shared_vertex=shared_vertex)
+        prob = _problem(rig, obs, guidance, flow, prev, nb)
+        _, gw, gq, gt = prob.evaluate(w, pose.rotation, pose.translation)
 
-    def value(wv, q, t):
-        return prob.evaluate(wv, q, t, want_grad=False)[0]
+        def value(wv, q, t):
+            return prob.evaluate(wv, q, t)[0]
 
-    q0, t0 = pose.rotation, pose.translation
-    for i in range(len(w)):
-        e = np.zeros_like(w)
-        e[i] = h
-        fd = (value(w + e, q0, t0) - value(w - e, q0, t0)) / (2 * h)
-        assert abs(fd - gw[i]) < 1e-3 * max(1.0, abs(fd))
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = h
-        fd = (value(w, q0 + e, t0) - value(w, q0 - e, t0)) / (2 * h)
-        assert abs(fd - gq[i]) < 1e-3 * max(1.0, abs(fd))
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        fd = (value(w, q0, t0 + e) - value(w, q0, t0 - e)) / (2 * h)
-        assert abs(fd - gt[i]) < 1e-3 * max(1.0, abs(fd))
+        q0, t0 = pose.rotation, pose.translation
+        for i in range(len(w)):
+            e = np.zeros_like(w)
+            e[i] = h
+            fd = (value(w + e, q0, t0) - value(w - e, q0, t0)) / (2 * h)
+            assert abs(fd - gw[i]) < 1e-3 * max(1.0, abs(fd))
+        for i in range(4):
+            e = np.zeros(4)
+            e[i] = h
+            fd = (value(w, q0 + e, t0) - value(w, q0 - e, t0)) / (2 * h)
+            assert abs(fd - gq[i]) < 1e-3 * max(1.0, abs(fd))
+        for i in range(3):
+            e = np.zeros(3)
+            e[i] = h
+            fd = (value(w, q0, t0 + e) - value(w, q0, t0 - e)) / (2 * h)
+            assert abs(fd - gt[i]) < 1e-3 * max(1.0, abs(fd))
 
 
 def test_frame_problem_skips_unbound_landmarks(rng, cam_pose):
@@ -243,7 +247,8 @@ def test_frame_problem_skips_unbound_landmarks(rng, cam_pose):
         landmark_betas=np.array([1.0, 1.0]),
     )
     prob = FrameProblem(rig, FitConfig().loss_weights, None, INTR, obs)
-    assert prob.lm_vidx is not None and len(prob.lm_vidx) == 1
+    # the landmark block is (weight, vertex indices, x, y, betas)
+    assert prob.landmarks is not None and len(prob.landmarks[1]) == 1
 
 
 def test_behind_camera_projection_raises(tiny_rig):
