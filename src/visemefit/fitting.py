@@ -46,7 +46,7 @@ class FitConfig:
     m: int = 3
     n: int = 2
     radius: int = 2
-    iters: int = 250
+    iters: int = 80
     lr0: float = 0.1
     decay_every: int = 10
     decay_factor: float = 0.9
@@ -97,6 +97,8 @@ def parse_fit_config(text: str, source: str = "<config>") -> FitConfig:
         key, value = line.key_value()
         if key not in known:
             raise line.error(f"unknown config key {key!r}")
+        if key in values:
+            raise line.error(f"duplicate config key {key!r}")
         values[key] = line.integer(value, key) if key in _INT_KEYS else line.number(value, key)
     try:
         return FitConfig(**values)

@@ -55,7 +55,7 @@ def empty_raw() -> RawObservation:
 
 def parse_landmarks(text: str, source: str = "<landmarks>") -> dict[int, RawObservation]:
     """Landmark CSV to {frame: RawObservation} (images and flow left unset)."""
-    per_frame: dict[int, list[tuple[int, float, float, float]]] = {}
+    per_frame: dict[int, dict[int, tuple[float, float, float]]] = {}
     saw_header = False
     for line in split_records(text, source).body:
         cols = line.text.split(",")
@@ -71,13 +71,16 @@ def parse_landmarks(text: str, source: str = "<landmarks>") -> dict[int, RawObse
             raise line.error("negative frame index")
         if beta <= 0:
             raise line.error("beta must be positive")
-        per_frame.setdefault(frame, []).append((lid, x, y, beta))
+        rows = per_frame.setdefault(frame, {})
+        if lid in rows:
+            raise line.error(f"duplicate row for frame {frame}, landmark_id {lid}")
+        rows[lid] = (x, y, beta)
     out: dict[int, RawObservation] = {}
     for frame, rows in per_frame.items():
         out[frame] = RawObservation(
-            landmark_ids=np.array([r[0] for r in rows], dtype=np.int64),
-            landmark_points=np.array([[r[1], r[2]] for r in rows]),
-            landmark_betas=np.array([r[3] for r in rows]),
+            landmark_ids=np.array(list(rows), dtype=np.int64),
+            landmark_points=np.array([[x, y] for x, y, _ in rows.values()]),
+            landmark_betas=np.array([beta for _, _, beta in rows.values()]),
         )
     return out
 

@@ -187,7 +187,10 @@ def load_rig_manifest(path) -> Rig:
             if value:
                 mouth_ids = [line.integer(s, key) for s in value.split(",")]
         elif key.startswith("L"):
-            bindings[line.integer(key[1:], "landmark id")] = line.integer(value, key)
+            lid = line.integer(key[1:], "landmark id")
+            if lid in bindings:
+                raise line.error(f"duplicate binding for landmark {lid}")
+            bindings[lid] = line.integer(value, key)
         else:
             raise line.error(f"unknown manifest key {key!r}")
     if neutral_path is None:

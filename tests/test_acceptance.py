@@ -271,6 +271,20 @@ def test_criterion_2_synthetic_recovery(seed7):
     assert runtime < 120.0
 
 
+def test_default_schedule_accuracy_guard(tmp_path):
+    # Not a release criterion: a held-out scene with a tight bound, so a
+    # shorter default optimizer schedule that loses accuracy fails here
+    # long before it could reach criterion 2's 0.05.
+    scene = tmp_path / "scene"
+    assert cli_main(["synth", "--seed", "11", "--frames", "12", "--out", str(scene)]) == 0
+    _run_fit(scene, tmp_path / "fit", scene / "config.txt")
+    gt = read_curve(scene / "gt.csv")
+    fitted = read_curve(tmp_path / "fit" / "curve.csv")
+    worst = np.abs(fitted.weights - gt.weights).mean(axis=1).max()
+    print(f"schedule guard: seed-11 12-frame worst per-frame MAE {worst:.5f} (< 0.004)")
+    assert worst < 0.004
+
+
 # ---------------------------------------------------------------------------
 # criterion 3: guidance picks the labeled viseme when shapes are ambiguous
 

@@ -424,6 +424,8 @@ BAD_INPUTS = [
     pytest.param("fit", "config.txt", "cx=nan\n", "cx", id="config-cx-nan"),
     pytest.param("fit", "config.txt", "w1 0.5\n", "key=value", id="config-no-equals"),
     pytest.param("fit", "config.txt", "focal=-1\n", "focal", id="config-focal-negative"),
+    pytest.param("fit", "config.txt", "iters=250\niters=80\n", ":2: duplicate config key 'iters'",
+                 id="config-duplicate-key"),
     pytest.param("gen-proc", "rules.txt", "min_onset_ms=inf\n", "min_onset_ms",
                  id="rules-min-onset-inf"),
     pytest.param("gen-proc", "rules.txt", "onset_frac\n", "key=value", id="rules-no-equals"),
@@ -433,6 +435,8 @@ BAD_INPUTS = [
                  id="manifest-binding-inf"),
     pytest.param("bake", "rig/rig.txt", "neutral=neutral.obj\njusttext\n", "key=value",
                  id="manifest-no-equals"),
+    pytest.param("bake", "rig/rig.txt", "neutral=neutral.obj\nL0=1\nL0=2\n",
+                 ":3: duplicate binding for landmark 0", id="manifest-duplicate-binding"),
     pytest.param("bake", "rig/neutral.obj", "v 0 0 nan\n", "z", id="obj-vertex-nan"),
     pytest.param("bake", "rig/neutral.obj", "v 0 0\n", "vertex", id="obj-short-vertex"),
     pytest.param("bake", "rig/neutral.obj", "# caf\u00e9\nv 0 0 0\n", "ascii",
@@ -470,6 +474,8 @@ BAD_INPUTS = [
                  id="landmarks-beta-inf"),
     pytest.param("eval", "obs/landmarks.csv", LANDMARKS_HEADER + "0,0,1.0\n", "columns",
                  id="landmarks-short-row"),
+    pytest.param("fit", "obs/landmarks.csv", LANDMARKS_HEADER + "0,3,1.0,1.0,1.0\n" * 2,
+                 ":3: duplicate row for frame 0, landmark_id 3", id="landmarks-duplicate-row"),
     pytest.param("bones", "bones.csv", BONES_CSV.replace("0,-0.2,0,1,1,1", "0,-0.2,0,1,1,inf"),
                  "sz", id="bones-scale-inf"),
     pytest.param("bones", "bones.csv", BONES_CSV + "jaw,SSS,0,0\n", "columns",

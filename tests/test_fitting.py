@@ -27,7 +27,7 @@ def test_fit_config_defaults():
     cfg = FitConfig()
     assert cfg.loss_weights == (0.8, 1.0, 800.0, 150.0, 1.0, 300.0, 100.0)
     assert (cfg.m, cfg.n, cfg.radius) == (3, 2, 2)
-    assert (cfg.iters, cfg.lr0, cfg.decay_every, cfg.decay_factor) == (250, 0.1, 10, 0.9)
+    assert (cfg.iters, cfg.lr0, cfg.decay_every, cfg.decay_factor) == (80, 0.1, 10, 0.9)
     assert cfg.intrinsics == (1200.0, 192.0, 192.0)
 
 
