@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .camera import quat_norm_is_safe
 from .errors import DataError, NumericError
 from .records import read_text, split_records
 
@@ -120,7 +121,10 @@ def blend_bone_pose(assets: BonePoseAssets, weights) -> BonePose:
         q = pose.rotations
         sign = np.where((q * rest.rotations).sum(axis=1) < 0.0, -1.0, 1.0)
         acc += wi * sign[:, None] * q
-    norms = np.linalg.norm(acc, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(acc, axis=1)
+    if not np.isfinite(norms).all():
+        raise DataError("blended rotation overflows: weights out of range")
     out = np.empty_like(acc)
     for i in range(len(acc)):
         if norms[i] < 1e-8:
@@ -142,6 +146,8 @@ def parse_bone_assets(text: str, source: str = "<bones>") -> BonePoseAssets:
             raise line.error(f"expected 12 columns, got {len(cols)}")
         bone, label = cols[0].strip(), cols[1].strip()
         nums = tuple(line.numbers(cols[2:], _POSE_FIELDS))
+        if not quat_norm_is_safe(nums[0:4]):
+            raise line.error("quaternion norm is zero or overflows")
         if bone not in rows:
             rows[bone] = {}
             bones.append(bone)
@@ -183,7 +189,10 @@ def serialize_blended_poses(assets: BonePoseAssets, curve) -> str:
         raise DataError(f"curve is missing viseme columns {missing}")
     lines = ["frame,bone," + ",".join(_POSE_FIELDS)]
     for j in range(curve.frame_count):
-        pose = blend_bone_pose(assets, curve.weights[j, cols])
+        try:
+            pose = blend_bone_pose(assets, curve.weights[j, cols])
+        except DataError as exc:
+            raise DataError(f"frame {j}: {exc}") from None
         for i, bone in enumerate(assets.bones):
             nums = np.concatenate([pose.rotations[i], pose.translations[i], pose.scales[i]])
             lines.append(f"{j},{bone}," + ",".join(f"{v:.6f}" for v in nums))

@@ -7,11 +7,20 @@ units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericError
+
+
+def quat_norm_is_safe(q) -> bool:
+    """Whether the squared norm of ``q`` is positive and finite, so
+    normalizing it neither divides by zero nor overflows."""
+    # Python floats overflow to inf without a numpy RuntimeWarning
+    squared = sum(float(v) * float(v) for v in q)
+    return 0.0 < squared < math.inf
 
 
 def quat_normalize(q) -> np.ndarray:

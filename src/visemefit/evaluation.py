@@ -8,6 +8,7 @@ sums absolute frame-to-frame weight changes per viseme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,12 @@ def keypoint_error(rig: Rig, curve: Curve, poses, observations, subset=None) -> 
         pose: Pose = poses[j]
         shaped = blend_vertices(rig, curve.weights[j])
         proj = project(shaped[verts], pose)
-        values[j] = float(np.linalg.norm(proj - np.asarray(targets), axis=1).mean())
+        # a finite but huge landmark or projection overflows to inf; report
+        # the frame instead of a numpy warning
+        with np.errstate(over="ignore"):
+            values[j] = float(np.linalg.norm(proj - np.asarray(targets), axis=1).mean())
+        if not math.isfinite(values[j]):
+            raise DataError(f"frame {j}: keypoint error overflows (landmark or pose out of range)")
     return MetricSeries(name="keypoint_error", fps=curve.fps, values=values)
 
 

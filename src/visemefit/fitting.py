@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .adam import AdamState, adam_step, learning_rate
-from .camera import Pose, project
+from .camera import Pose, project, quat_norm_is_safe
 from .curves import Curve
 from .errors import DataError, NumericError
 from .flow import screen_flow
@@ -93,12 +93,9 @@ _INT_KEYS = {"m", "n", "radius", "iters", "decay_every"}
 def parse_fit_config(text: str, source: str = "<config>") -> FitConfig:
     known = {f.name for f in fields(FitConfig)}
     values = {}
-    for line in split_records(text, source).body:
-        key, value = line.key_value()
+    for line, key, value in split_records(text, source).key_values("config"):
         if key not in known:
             raise line.error(f"unknown config key {key!r}")
-        if key in values:
-            raise line.error(f"duplicate config key {key!r}")
         values[key] = line.integer(value, key) if key in _INT_KEYS else line.number(value, key)
     try:
         return FitConfig(**values)
@@ -124,30 +121,23 @@ class FitResult:
     poses: list[Pose] = field(default_factory=list)
 
 
-def _pack(w, q, t):
-    return np.concatenate([w, q, t])
-
-
-def _optimize_frame(problem: FrameProblem, w0, q0, t0, cfg: FitConfig, frame: int):
+def _optimize_frame(problem: FrameProblem, p0, cfg: FitConfig, frame: int):
     # Adam runs in scaled coordinates: pose entries are divided by
     # pose_step_scale so one step moves them a small fraction of a unit,
     # while weights step at the full learning rate.
-    nv = len(w0)
+    nv = len(p0) - 7
     scale = np.ones(nv + 7)
     scale[nv:] = cfg.pose_step_scale
-    internal = _pack(w0, q0, t0) / scale
+    internal = p0 / scale
     state = AdamState.zeros(len(internal))
     params = np.empty_like(internal)
     for i in range(cfg.iters):
         # evaluate keeps no reference to w, q or t, so one buffer serves
         # every iteration
         np.multiply(internal, scale, out=params)
-        w = params[:nv]
-        q = params[nv : nv + 4]
-        t = params[nv + 4 :]
         try:
-            _, gw, gq, gt = problem.evaluate(w, q, t)
-            grad = _pack(gw, gq, gt)
+            _, gw, gq, gt = problem.evaluate(params[:nv], params[nv : nv + 4], params[nv + 4 :])
+            grad = np.concatenate([gw, gq, gt])
             grad *= scale
             lr = learning_rate(i, cfg.lr0, cfg.decay_every, cfg.decay_factor)
             internal = adam_step(state, internal, grad, lr)
@@ -158,8 +148,7 @@ def _optimize_frame(problem: FrameProblem, w0, q0, t0, cfg: FitConfig, frame: in
         if norm == 0.0 or not math.isfinite(norm):
             raise NumericError(f"frame {frame}: quaternion collapsed to zero")
         internal[nv : nv + 4] = qseg / (norm * cfg.pose_step_scale)
-    params = internal * scale
-    return params[:nv], params[nv : nv + 4], params[nv + 4 :]
+    return internal * scale
 
 
 def fit_clip(
@@ -190,7 +179,8 @@ def fit_clip(
             poses=[],
         )
     proc = generate_procedural(timeline, fps, vmap, rules)
-    guide = np.zeros((n_frames, rig.viseme_count))
+    nv = rig.viseme_count
+    guide = np.zeros((n_frames, nv))
     upto = min(n_frames, proc.frame_count)
     guide[:upto] = proc.weights[:upto]
 
@@ -199,78 +189,70 @@ def fit_clip(
         for j in range(n_frames)
     ]
 
-    weights = np.zeros((n_frames, rig.viseme_count))
-    quats = np.zeros((n_frames, 4))
-    trans = np.zeros((n_frames, 3))
+    # one row per frame: weights, quaternion (x, y, z, w), translation;
+    # weights start from the guide, frame 0's pose from the identity
+    params = np.zeros((n_frames, nv + 7))
+    params[:, :nv] = guide
+    params[0, nv + 3] = 1.0
     missing_flow: list[int] = []
     missing_rgb = 0
 
     # a numeric failure names the clip as well as the frame
     try:
-        # forward sweep
-        prev_w = prev_q = prev_t = None
-        for j in range(n_frames):
-            obs: RawObservation = observations[j]
-            flow_targets = None
-            if j > 0 and obs.flow is not None:
-                prev_proj = _safe_project(rig, prev_w, prev_q, prev_t, cfg, j - 1)
-                fwd, bwd = obs.flow
-                vidx, disp = screen_flow(fwd, bwd, prev_proj, cfg.tau_flow)
-                if vidx.size:
-                    flow_targets = (vidx, prev_proj[vidx] + disp)
-            elif j > 0 and obs.flow is None:
-                missing_flow.append(j)
-            if obs.image is not None and rig.neutral.colors is None:
-                missing_rgb += 1
-            problem = FrameProblem(
-                rig, cfg.loss_weights, sets[j], cfg.intrinsics, obs,
-                flow_targets=flow_targets, neighbor_weights=prev_w,
-            )
-            q0 = prev_q if prev_q is not None else np.array([0.0, 0.0, 0.0, 1.0])
-            t0 = prev_t if prev_t is not None else np.zeros(3)
-            w, q, t = _optimize_frame(problem, guide[j].copy(), q0.copy(), t0.copy(), cfg, j)
-            weights[j], quats[j], trans[j] = w, q, t
-            prev_w, prev_q, prev_t = w, q, t
+        for order in (range(n_frames), range(n_frames - 1, -1, -1)):
+            forward = order.step == 1
+            prev = None
+            for j in order:
+                obs: RawObservation = observations[j]
+                flow_targets = None
+                if forward and j > 0:
+                    params[j, nv:] = params[j - 1, nv:]
+                    if obs.flow is None:
+                        missing_flow.append(j)
+                    else:
+                        prev_proj = _safe_project(rig, params[j - 1], cfg, j - 1)
+                        fwd, bwd = obs.flow
+                        vidx, disp = screen_flow(fwd, bwd, prev_proj, cfg.tau_flow)
+                        if vidx.size:
+                            flow_targets = (vidx, prev_proj[vidx] + disp)
+                if forward and obs.image is not None and rig.neutral.colors is None:
+                    missing_rgb += 1
+                problem = FrameProblem(
+                    rig, cfg.loss_weights, sets[j], cfg.intrinsics, obs,
+                    flow_targets=flow_targets,
+                    neighbor_weights=None if prev is None else params[prev, :nv],
+                )
+                params[j] = _optimize_frame(problem, params[j], cfg, j)
+                prev = j
 
-        if missing_flow:
-            log.warning(
-                "%s: flow missing for %d of %d frame pairs, first at frame %d;"
-                " flow term skipped there",
-                clip, len(missing_flow), n_frames - 1, missing_flow[0],
-            )
-        if missing_rgb:
-            log.warning(
-                "%s: rig has no vertex colors; photometric term skipped (%d frames have images)",
-                clip, missing_rgb,
-            )
-
-        # backward sweep: seed from the forward pass, temporal term looks ahead
-        next_w = None
-        for j in range(n_frames - 1, -1, -1):
-            obs = observations[j]
-            problem = FrameProblem(
-                rig, cfg.loss_weights, sets[j], cfg.intrinsics, obs, neighbor_weights=next_w
-            )
-            w, q, t = _optimize_frame(
-                problem, weights[j].copy(), quats[j].copy(), trans[j].copy(), cfg, j
-            )
-            weights[j], quats[j], trans[j] = w, q, t
-            next_w = w
+            if forward and missing_flow:
+                log.warning(
+                    "%s: flow missing for %d of %d frame pairs, first at frame %d;"
+                    " flow term skipped there",
+                    clip, len(missing_flow), n_frames - 1, missing_flow[0],
+                )
+            if forward and missing_rgb:
+                log.warning(
+                    "%s: rig has no vertex colors; photometric term skipped (%d frames have images)",
+                    clip, missing_rgb,
+                )
     except NumericError as exc:
         raise NumericError(f"{clip}: {exc}") from exc
 
-    np.clip(weights, 0.0, 1.0, out=weights)
+    weights = np.clip(params[:, :nv], 0.0, 1.0)
     poses = [
-        Pose(rotation=quats[j], translation=trans[j], intrinsics=cfg.intrinsics)
-        for j in range(n_frames)
+        Pose(rotation=row[nv : nv + 4], translation=row[nv + 4 :], intrinsics=cfg.intrinsics)
+        for row in params
     ]
     return FitResult(curve=Curve(fps=fps, labels=labels, weights=weights), poses=poses)
 
 
-def _safe_project(rig, w, q, t, cfg, frame):
-    pose = Pose(rotation=q, translation=t, intrinsics=cfg.intrinsics)
+def _safe_project(rig, row, cfg, frame):
+    """Projected rig vertices for a packed (w, q, t) row."""
+    nv = rig.viseme_count
+    pose = Pose(rotation=row[nv : nv + 4], translation=row[nv + 4 :], intrinsics=cfg.intrinsics)
     try:
-        return project(blend_vertices(rig, w), pose)
+        return project(blend_vertices(rig, row[:nv]), pose)
     except NumericError as exc:
         raise NumericError(f"frame {frame}: {exc}") from exc
 
@@ -309,6 +291,8 @@ def parse_poses(text: str, source: str = "<poses>") -> list[Pose]:
         if line.integer(cols[0], "frame") != len(rows):
             raise line.error("frames must be consecutive from 0")
         rows.append(line.numbers(cols[1:], _POSE_COLUMNS))
+        if not quat_norm_is_safe(rows[-1][0:4]):
+            raise line.error("quaternion norm is zero or overflows")
     intrinsics = tuple(records.header_number(key) for key in ("focal", "cx", "cy"))
     if rows and None in intrinsics:
         raise DataError(f"{source}: needs '# focal=', '# cx=' and '# cy=' comments")

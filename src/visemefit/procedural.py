@@ -136,8 +136,7 @@ def parse_rules(text: str, source: str = "<rules>") -> EnvelopeRules:
     any number of apex.<LABEL>=<float> overrides."""
     base = {}
     overrides: dict[str, float] = {}
-    for line in split_records(text, source).body:
-        key, value = line.key_value()
+    for line, key, value in split_records(text, source).key_values("rules"):
         num = line.number(value, key)
         if key in ("onset_frac", "offset_frac"):
             base[key] = num

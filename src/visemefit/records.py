@@ -73,6 +73,22 @@ class Records(NamedTuple):
         line = self.header.get(key)
         return None if line is None else line.number(line.text, key)
 
+    def key_values(self, what: str):
+        """(line, key, value) for each ``key=value`` body line.
+
+        A key that an earlier line already set is a ``duplicate <what> key``
+        error. The check runs after the caller has handled the line, so a
+        caller's own check on the parsed key (such as a landmark id) reports
+        first.
+        """
+        seen: set[str] = set()
+        for line in self.body:
+            key, value = line.key_value()
+            yield line, key, value
+            if key in seen:
+                raise line.error(f"duplicate {what} key {key!r}")
+            seen.add(key)
+
 
 def split_records(text: str, source: str) -> Records:
     header: dict[str, Line] = {}

@@ -169,8 +169,7 @@ def load_rig_manifest(path) -> Rig:
     bindings: dict[int, int] = {}
     lip_h = lip_v = None
     mouth_ids: list[int] = []
-    for line in records.body:
-        key, value = line.key_value()
+    for line, key, value in records.key_values("manifest"):
         if key == "neutral":
             neutral_path = os.path.join(base, value)
         elif key.startswith("viseme."):

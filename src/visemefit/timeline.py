@@ -112,8 +112,7 @@ def parse_viseme_map(text: str, labels=None, source: str = "<map>") -> PhonemeVi
     """
     raw_entries: list[tuple[str, str]] = []
     silence: set[str] = set()
-    for line in split_records(text, source).body:
-        key, value = line.key_value()
+    for line, key, value in split_records(text, source).key_values("map"):
         if key == "silence":
             silence.update(tok.strip() for tok in value.split(",") if tok.strip())
         elif key:

@@ -221,3 +221,10 @@ def test_serialize_blended_poses_resolves_curve_columns():
     missing = Curve(fps=30.0, labels=("MBP",), weights=np.zeros((1, 1)))
     with pytest.raises(DataError):
         serialize_blended_poses(assets, missing)
+
+
+def test_serialize_blended_poses_overflow_names_the_frame():
+    # a finite but huge weight overflows the rotation sum's norm
+    curve = Curve(fps=30.0, labels=("MBP", "WWW"), weights=np.array([[0.0, 0.0], [1e160, 0.0]]))
+    with pytest.raises(DataError, match="^frame 1: blended rotation overflows"):
+        serialize_blended_poses(_assets(), curve)

@@ -1,6 +1,8 @@
 import dataclasses
 import logging
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -431,18 +433,27 @@ BAD_INPUTS = [
     pytest.param("gen-proc", "rules.txt", "onset_frac\n", "key=value", id="rules-no-equals"),
     pytest.param("gen-proc", "rules.txt", "onset_frac=0.9\n", "onset_frac",
                  id="rules-onset-out-of-range"),
+    pytest.param("gen-proc", "rules.txt", "onset_frac=0.3\nonset_frac=0.2\n",
+                 ":2: duplicate rules key 'onset_frac'", id="rules-duplicate-key"),
     pytest.param("bake", "rig/rig.txt", "neutral=neutral.obj\nL0=inf\n", "L0",
                  id="manifest-binding-inf"),
     pytest.param("bake", "rig/rig.txt", "neutral=neutral.obj\njusttext\n", "key=value",
                  id="manifest-no-equals"),
     pytest.param("bake", "rig/rig.txt", "neutral=neutral.obj\nL0=1\nL0=2\n",
                  ":3: duplicate binding for landmark 0", id="manifest-duplicate-binding"),
+    pytest.param("bake", "rig/rig.txt", "neutral=neutral.obj\nneutral=neutral.obj\n",
+                 ":2: duplicate manifest key 'neutral'", id="manifest-duplicate-neutral"),
+    pytest.param("bake", "rig/rig.txt",
+                 "neutral=neutral.obj\nviseme.MBP=MBP.obj\nviseme.MBP=MBP.obj\n",
+                 ":3: duplicate manifest key 'viseme.MBP'", id="manifest-duplicate-viseme"),
     pytest.param("bake", "rig/neutral.obj", "v 0 0 nan\n", "z", id="obj-vertex-nan"),
     pytest.param("bake", "rig/neutral.obj", "v 0 0\n", "vertex", id="obj-short-vertex"),
     pytest.param("bake", "rig/neutral.obj", "# caf\u00e9\nv 0 0 0\n", "ascii",
                  id="obj-not-ascii"),
     pytest.param("gen-proc", "map.txt", "m=MBP\n=SSS\n", "empty phoneme", id="map-empty-token"),
     pytest.param("gen-proc", "map.txt", "m=MBP\njusttext\n", "key=value", id="map-no-equals"),
+    pytest.param("gen-proc", "map.txt", "m=MBP\nm=SSS\n", ":2: duplicate map key 'm'",
+                 id="map-duplicate-phoneme"),
     pytest.param("gen-proc", "align.tsv", "# duration=nan\nm\t0.0\t0.5\n", "duration",
                  id="alignment-duration-nan"),
     pytest.param("gen-proc", "align.tsv", "# duration=inf\nm\t0.0\t0.5\n", "duration",
@@ -468,6 +479,8 @@ BAD_INPUTS = [
     pytest.param("eval", "poses.csv", POSES_CSV.replace("# cy=512.0\n", ""), "# cy=",
                  id="poses-missing-cy"),
     pytest.param("eval", "poses.csv", POSES_CSV + "1,0,0\n", "columns", id="poses-short-row"),
+    pytest.param("eval", "poses.csv", POSES_CSV.replace("0,0,0,0,1,", "0,0,0,1e300,1,"),
+                 ":5: quaternion norm", id="poses-quaternion-huge"),
     pytest.param("fit", "obs/landmarks.csv", LANDMARKS_HEADER + "0,0,nan,1.0,1.0\n", "x",
                  id="landmarks-x-nan"),
     pytest.param("eval", "obs/landmarks.csv", LANDMARKS_HEADER + "0,0,1.0,1.0,inf\n", "beta",
@@ -480,6 +493,8 @@ BAD_INPUTS = [
                  "sz", id="bones-scale-inf"),
     pytest.param("bones", "bones.csv", BONES_CSV + "jaw,SSS,0,0\n", "columns",
                  id="bones-short-row"),
+    pytest.param("bones", "bones.csv", BONES_CSV.replace("0,0,0.2588,", "0,0,1e300,"),
+                 ":3: quaternion norm", id="bones-quaternion-huge"),
 ]
 
 
@@ -509,6 +524,95 @@ def test_bad_text_input_exits_2_with_one_line(scene_dir, tmp_path, capsys,
     error, s = _run_probe(scene_dir, tmp_path, capsys, command, name=name, content=content)
     assert str(s / name) in error
     assert names in error
+
+
+def _scene_with_poses(scene_dir, tmp_path):
+    """A copy of the scene with the probe's side files and a pose for every
+    curve frame, so that eval --metric keypoint gets as far as the metric."""
+    s = tmp_path / "s"
+    shutil.copytree(scene_dir / "scene", s)
+    (s / "rules.txt").write_text("onset_frac=0.3\napex.MBP=0.9\n", encoding="utf-8")
+    (s / "bones.csv").write_text(BONES_CSV, encoding="utf-8")
+    frames = read_curve(s / "gt.csv").frame_count
+    rows = "".join(f"{j},0,0,0,1,0,0,2\n" for j in range(1, frames))
+    (s / "poses.csv").write_text(POSES_CSV + rows, encoding="utf-8")
+    return s
+
+
+def test_keypoint_overflow_exits_2_naming_the_frame(scene_dir, tmp_path, capsys):
+    """A finite but huge landmark x overflows the keypoint error. eval names
+    the frame in one error line and numpy prints no warning."""
+    s = _scene_with_poses(scene_dir, tmp_path)
+    landmarks = s / "obs" / "landmarks.csv"
+    lines = landmarks.read_text(encoding="utf-8").splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("5,"))
+    cols = lines[k].split(",")
+    cols[2] = "1e300"
+    lines[k] = ",".join(cols)
+    landmarks.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(_probe_argv("eval", s, "30")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: frame 5: keypoint error overflows (landmark or pose out of range)"
+    ]
+
+
+# (subcommand, input file it reads) pairs the mutation fuzz draws from
+FUZZ_TARGETS = [
+    ("gen-proc", "align.tsv"), ("gen-proc", "map.txt"), ("gen-proc", "rules.txt"),
+    ("gen-proc", "rig/rig.txt"), ("bake", "rig/rig.txt"), ("bake", "rig/neutral.obj"),
+    ("bake", "rig/MBP.obj"), ("bake", "gt.csv"), ("bones", "bones.csv"), ("bones", "gt.csv"),
+    ("resample", "gt.csv"), ("eval", "gt.csv"), ("eval", "rig/rig.txt"),
+    ("eval", "obs/landmarks.csv"), ("eval", "poses.csv"),
+]
+FUZZ_TOKENS = [b"nan", b"inf", b"1e309", b"1e300", b"-1e300", b"1e-300", b""]
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _mutate(data: bytes, rnd: random.Random) -> tuple[bytes, str]:
+    """One random mutation of data and a description of it."""
+    kind = rnd.choice(["truncate", "flip", "drop", "duplicate", "number"])
+    if kind == "truncate":
+        cut = rnd.randrange(len(data))
+        return data[:cut], f"truncate at byte {cut}"
+    if kind == "flip":
+        at, bit = rnd.randrange(len(data)), 1 << rnd.randrange(8)
+        return data[:at] + bytes([data[at] ^ bit]) + data[at + 1:], f"flip {bit:#x} at byte {at}"
+    lines = data.splitlines(keepends=True)
+    if kind in ("drop", "duplicate"):
+        k = rnd.randrange(len(lines))
+        lines[k:k + 1] = [] if kind == "drop" else [lines[k], lines[k]]
+        return b"".join(lines), f"{kind} line {k + 1}"
+    match = rnd.choice(list(_NUMBER.finditer(data)))
+    token = rnd.choice(FUZZ_TOKENS)
+    mutated = data[:match.start()] + token + data[match.end():]
+    return mutated, f"number {match.group()!r} at byte {match.start()} -> {token!r}"
+
+
+def test_mutated_inputs_exit_cleanly(scene_dir, tmp_path, capsys):
+    """Seeded single mutations of every input of gen-proc, bake, bones,
+    resample and eval: each run exits 0, 2 or 3, no exception or numpy
+    warning escapes main, and a failing run prints exactly one error line."""
+    s = _scene_with_poses(scene_dir, tmp_path)
+    originals = {name: (s / name).read_bytes() for _, name in FUZZ_TARGETS}
+    for command in sorted({command for command, _ in FUZZ_TARGETS}):
+        assert main(_probe_argv(command, s, "30")) == 0, command
+    rnd = random.Random(8)
+    for _ in range(300):
+        command, name = rnd.choice(FUZZ_TARGETS)
+        data, what = _mutate(originals[name], rnd)
+        (s / name).write_bytes(data)
+        capsys.readouterr()
+        try:
+            code = main(_probe_argv(command, s, "30"))
+        except Exception as exc:  # a warning turned error by the pytest config lands here too
+            pytest.fail(f"{command} with {name} ({what}) raised {exc!r}")
+        err = capsys.readouterr().err
+        (s / name).write_bytes(originals[name])
+        context = f"{command} with {name} ({what}): exit {code}, stderr {err!r}"
+        assert code in (0, 2, 3), context
+        if code:
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), context
 
 
 @pytest.mark.parametrize(

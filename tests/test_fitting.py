@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from visemefit import fitting
 from visemefit.camera import Pose, project
 from visemefit.curves import serialize_curve
 from visemefit.errors import DataError
@@ -210,3 +211,50 @@ def test_fit_clip_tolerates_missing_observations(rng, caplog):
     result = fit_clip(rig, timeline, sparse, cfg, vmap)
     assert result.curve.frame_count == 3
     assert np.isfinite(result.curve.weights).all()
+
+
+def test_fit_clip_sweep_order(rng, monkeypatch):
+    """Frames are solved forward, then backward. Flow targets exist only on
+    forward frames after the first that have flow, and the temporal neighbor
+    is the frame solved just before in the same order."""
+    rig, timeline, obs, cfg, vmap = _clip_inputs(rng)
+    nv, n = rig.viseme_count, len(obs)
+    shift = np.zeros((64, 64, 2), dtype=np.float32)
+    shift[..., 0] = 1.0
+    with_flow = {0, 2, 4}
+    for j in with_flow:
+        obs[j].flow = (shift, -shift)
+
+    class Recording(fitting.FrameProblem):
+        def __init__(self, *args, flow_targets=None, neighbor_weights=None, **kw):
+            super().__init__(*args, flow_targets=flow_targets,
+                             neighbor_weights=neighbor_weights, **kw)
+            self.flow_arg = flow_targets
+            self.neighbor_arg = None if neighbor_weights is None else np.array(neighbor_weights)
+
+    solves = []
+    optimize = fitting._optimize_frame
+
+    def recording_optimize(problem, *args):
+        out = optimize(problem, *args)
+        # the frame is the last argument; hstack gives the packed (w, q, t)
+        solves.append((args[-1], problem, np.hstack(out)[:nv]))
+        return out
+
+    monkeypatch.setattr(fitting, "FrameProblem", Recording)
+    monkeypatch.setattr(fitting, "_optimize_frame", recording_optimize)
+    fit_clip(rig, timeline, obs, cfg, vmap)
+
+    order = [frame for frame, _, _ in solves]
+    assert order == list(range(n)) + list(range(n - 1, -1, -1))
+    for k, (frame, problem, _) in enumerate(solves):
+        forward = k < n
+        if forward and frame > 0 and frame in with_flow:
+            vidx, targets = problem.flow_arg
+            assert vidx.size > 0 and targets.shape == (vidx.size, 2)
+        else:
+            assert problem.flow_arg is None
+        if k in (0, n):
+            assert problem.neighbor_arg is None
+        else:
+            np.testing.assert_array_equal(problem.neighbor_arg, solves[k - 1][2])
