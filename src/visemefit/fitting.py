@@ -131,23 +131,26 @@ def _optimize_frame(problem: FrameProblem, p0, cfg: FitConfig, frame: int):
     internal = p0 / scale
     state = AdamState.zeros(len(internal))
     params = np.empty_like(internal)
-    for i in range(cfg.iters):
-        # evaluate keeps no reference to w, q or t, so one buffer serves
-        # every iteration
-        np.multiply(internal, scale, out=params)
-        try:
-            _, gw, gq, gt = problem.evaluate(params[:nv], params[nv : nv + 4], params[nv + 4 :])
-            grad = np.concatenate([gw, gq, gt])
-            grad *= scale
-            lr = learning_rate(i, cfg.lr0, cfg.decay_every, cfg.decay_factor)
-            internal = adam_step(state, internal, grad, lr)
-        except NumericError as exc:
-            raise NumericError(f"frame {frame}: {exc}") from exc
-        qseg = internal[nv : nv + 4] * cfg.pose_step_scale
-        norm = math.sqrt(qseg @ qseg)
-        if norm == 0.0 or not math.isfinite(norm):
-            raise NumericError(f"frame {frame}: quaternion collapsed to zero")
-        internal[nv : nv + 4] = qseg / (norm * cfg.pose_step_scale)
+    # a finite but huge observation overflows inside evaluate; the finite
+    # checks on the objective and the gradient report it with the frame
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(cfg.iters):
+            # evaluate keeps no reference to w, q or t, so one buffer serves
+            # every iteration
+            np.multiply(internal, scale, out=params)
+            try:
+                _, gw, gq, gt = problem.evaluate(params[:nv], params[nv : nv + 4], params[nv + 4 :])
+                grad = np.concatenate([gw, gq, gt])
+                grad *= scale
+                lr = learning_rate(i, cfg.lr0, cfg.decay_every, cfg.decay_factor)
+                internal = adam_step(state, internal, grad, lr)
+            except NumericError as exc:
+                raise NumericError(f"frame {frame}: {exc}") from exc
+            qseg = internal[nv : nv + 4] * cfg.pose_step_scale
+            norm = math.sqrt(qseg @ qseg)
+            if norm == 0.0 or not math.isfinite(norm):
+                raise NumericError(f"frame {frame}: quaternion collapsed to zero")
+            internal[nv : nv + 4] = qseg / (norm * cfg.pose_step_scale)
     return internal * scale
 
 

@@ -9,6 +9,7 @@ wrong file was passed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,11 +58,6 @@ class Mesh:
 _VERTEX_FIELDS = ("x", "y", "z", "r", "g", "b")
 
 
-def _fmt(x: float) -> str:
-    # repr of a Python float is the shortest string that round-trips exactly
-    return repr(float(x))
-
-
 def parse_obj(text: str, source: str = "<obj>") -> Mesh:
     vertices = []
     colors = []
@@ -101,16 +97,31 @@ def read_obj(path) -> Mesh:
     return parse_obj(read_text(path, "mesh", encoding="ascii"), source=str(path))
 
 
+# A baked sequence shares its faces and colors with the neutral mesh, so
+# their text is formatted once per distinct array. The key is the array's
+# exact bytes: -0.0 and 0.0 stay apart, and a changed array is a new key.
+@lru_cache(maxsize=8)
+def _face_lines(tri_bytes: bytes) -> tuple[str, ...]:
+    tris = np.frombuffer(tri_bytes, dtype=np.int64).reshape(-1, 3) + 1
+    return tuple(f"f {i} {j} {k}" for i, j, k in tris.tolist())
+
+
+@lru_cache(maxsize=8)
+def _color_suffixes(color_bytes: bytes) -> tuple[str, ...]:
+    colors = np.frombuffer(color_bytes, dtype=np.float64).tolist()
+    it = iter(map(repr, colors))
+    return tuple(f" {r} {g} {b}" for r, g, b in zip(it, it, it))
+
+
 def serialize_obj(mesh: Mesh) -> str:
-    lines = []
+    # repr of a Python float is the shortest string that round-trips exactly
+    it = iter(map(repr, mesh.vertices.ravel().tolist()))
     if mesh.colors is None:
-        for x, y, z in mesh.vertices:
-            lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
+        lines = [f"v {x} {y} {z}" for x, y, z in zip(it, it, it)]
     else:
-        for (x, y, z), (r, g, b) in zip(mesh.vertices, mesh.colors):
-            lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)} {_fmt(r)} {_fmt(g)} {_fmt(b)}")
-    for i, j, k in mesh.triangles:
-        lines.append(f"f {i + 1} {j + 1} {k + 1}")
+        suffixes = _color_suffixes(mesh.colors.tobytes())
+        lines = [f"v {x} {y} {z}{c}" for x, y, z, c in zip(it, it, it, suffixes)]
+    lines.extend(_face_lines(mesh.triangles.tobytes()))
     return "\n".join(lines) + "\n"
 
 

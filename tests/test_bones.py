@@ -228,3 +228,70 @@ def test_serialize_blended_poses_overflow_names_the_frame():
     curve = Curve(fps=30.0, labels=("MBP", "WWW"), weights=np.array([[0.0, 0.0], [1e160, 0.0]]))
     with pytest.raises(DataError, match="^frame 1: blended rotation overflows"):
         serialize_blended_poses(_assets(), curve)
+    # a huge pose scale at an ordinary weight overflows the blended scale
+    assets = _assets()
+    huge = BonePose(rotations=np.array([IDENT, IDENT]), translations=np.zeros((2, 3)),
+                    scales=np.full((2, 3), 1e308))
+    assets = BonePoseAssets(bones=assets.bones, labels=assets.labels, rest=assets.rest,
+                            viseme_poses=(assets.viseme_poses[0], huge))
+    curve = Curve(fps=30.0, labels=("MBP", "WWW"), weights=np.array([[0.0, 0.5], [0.0, 2.0]]))
+    with pytest.raises(DataError, match="^frame 1: blended translation or scale overflows"):
+        serialize_blended_poses(assets, curve)
+
+
+def _reference_rows(assets: BonePoseAssets, weights) -> list[str]:
+    """Blended pose rows from a per-frame loop over blend_bone_pose."""
+    rows = []
+    for j, w in enumerate(weights):
+        pose = blend_bone_pose(assets, w)
+        for i, bone in enumerate(assets.bones):
+            nums = [*pose.rotations[i], *pose.translations[i], *pose.scales[i]]
+            rows.append(f"{j},{bone}," + ",".join(f"{v:.6f}" for v in nums))
+    return rows
+
+
+def test_serialize_blended_poses_matches_per_frame_blend(rng):
+    # visemes A and B hold opposite rotations on bone "b0", so weights
+    # (0.5, 0.5, 0, ...) cancel its rotation sum
+    n_visemes, n_bones, frames = 5, 3, 150
+    qa = np.array([1.0, 0.0, 0.0, 0.0])
+
+    def pose(k):
+        rot = rng.normal(size=(n_bones, 4))
+        if k in (0, 1):
+            rot[0] = qa if k == 0 else -qa
+        return BonePose(
+            rotations=rot,
+            translations=rng.normal(0.0, 0.1, (n_bones, 3)),
+            scales=1.0 + rng.normal(0.0, 0.1, (n_bones, 3)),
+        )
+
+    assets = BonePoseAssets(
+        bones=tuple(f"b{i}" for i in range(n_bones)),
+        labels=("A", "B", "C", "D", "E"),
+        rest=BonePose(
+            rotations=np.tile(IDENT, (n_bones, 1)),
+            translations=np.zeros((n_bones, 3)),
+            scales=np.ones((n_bones, 3)),
+        ),
+        viseme_poses=tuple(pose(k) for k in range(n_visemes)),
+    )
+    weights = rng.uniform(0.0, 0.6, (frames, n_visemes))
+    weights[::7] = 0.0
+    cancelled = 40
+    weights[cancelled] = [0.5, 0.5, 0.0, 0.0, 0.0]
+
+    def curve(w):
+        return Curve(fps=30.0, labels=assets.labels, weights=w.copy())
+
+    lines = serialize_blended_poses(assets, curve(weights)).splitlines()
+    assert lines[0] == "frame,bone,qx,qy,qz,qw,tx,ty,tz,sx,sy,sz"
+    assert lines[1:] == _reference_rows(assets, weights)
+    assert lines[1 + cancelled * n_bones].startswith(f"{cancelled},b0,0.000000,0.000000,0.000000,1.000000,")
+
+    # the first overflowing frame is named, also when a later frame in the
+    # same block of frames overflows too
+    weights[70, 2] = 1e160
+    weights[75, 3] = 1e160
+    with pytest.raises(DataError, match="^frame 70: blended rotation overflows"):
+        serialize_blended_poses(assets, curve(weights))

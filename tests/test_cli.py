@@ -411,6 +411,7 @@ def _probe_argv(command, s, fps):
         "resample": ["resample", "--curve", curve, "--fps", fps, "--out", s / "r.csv"],
         "eval": ["eval", "--metric", "keypoint", "--curve", curve, "--rig", rig,
                  "--obs", s / "obs", "--poses", s / "poses.csv", "--out", s / "metrics"],
+        "eval-tv": ["eval", "--metric", "tv", "--curve", curve, "--out", s / "metrics"],
         "synth": ["synth", "--seed", "1", "--frames", "3", "--ambiguous", "--fps", fps,
                   "--out", s / "synth"],
     }[command]
@@ -539,17 +540,21 @@ def _scene_with_poses(scene_dir, tmp_path):
     return s
 
 
+def _set_field(path, frame, col, value):
+    """Replace column col of the first CSV row of frame in path."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith(f"{frame},"))
+    cols = lines[k].split(",")
+    cols[col] = value
+    lines[k] = ",".join(cols)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def test_keypoint_overflow_exits_2_naming_the_frame(scene_dir, tmp_path, capsys):
     """A finite but huge landmark x overflows the keypoint error. eval names
     the frame in one error line and numpy prints no warning."""
     s = _scene_with_poses(scene_dir, tmp_path)
-    landmarks = s / "obs" / "landmarks.csv"
-    lines = landmarks.read_text(encoding="utf-8").splitlines()
-    k = next(i for i, line in enumerate(lines) if line.startswith("5,"))
-    cols = lines[k].split(",")
-    cols[2] = "1e300"
-    lines[k] = ",".join(cols)
-    landmarks.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _set_field(s / "obs" / "landmarks.csv", 5, 2, "1e300")
     capsys.readouterr()
     assert main(_probe_argv("eval", s, "30")) == 2
     assert capsys.readouterr().err.splitlines() == [
@@ -557,12 +562,36 @@ def test_keypoint_overflow_exits_2_naming_the_frame(scene_dir, tmp_path, capsys)
     ]
 
 
+def test_total_variation_overflow_exits_2_naming_the_viseme(scene_dir, tmp_path, capsys):
+    """A finite but huge weight overflows the MBP total variation. eval names
+    the viseme in one error line and numpy prints no warning."""
+    s = _scene_with_poses(scene_dir, tmp_path)
+    _set_field(s / "gt.csv", 3, 1, "1e308")
+    capsys.readouterr()
+    assert main(_probe_argv("eval-tv", s, "30")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: viseme MBP: total variation overflows (weights out of range)"
+    ]
+
+
+def test_fit_landmark_overflow_exits_3_naming_clip_and_frame(scene_dir, tmp_path, capsys):
+    """A finite but huge landmark x overflows the objective on frame 5. fit
+    names the clip and the frame in one error line and numpy prints no
+    warning."""
+    s = _scene_with_poses(scene_dir, tmp_path)
+    _set_field(s / "obs" / "landmarks.csv", 5, 2, "1e300")
+    capsys.readouterr()
+    assert main(_probe_argv("fit", s, "30")) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {s / 'obs'}: frame 5: "), err
+
+
 # (subcommand, input file it reads) pairs the mutation fuzz draws from
 FUZZ_TARGETS = [
     ("gen-proc", "align.tsv"), ("gen-proc", "map.txt"), ("gen-proc", "rules.txt"),
     ("gen-proc", "rig/rig.txt"), ("bake", "rig/rig.txt"), ("bake", "rig/neutral.obj"),
     ("bake", "rig/MBP.obj"), ("bake", "gt.csv"), ("bones", "bones.csv"), ("bones", "gt.csv"),
-    ("resample", "gt.csv"), ("eval", "gt.csv"), ("eval", "rig/rig.txt"),
+    ("resample", "gt.csv"), ("eval", "gt.csv"), ("eval-tv", "gt.csv"), ("eval", "rig/rig.txt"),
     ("eval", "obs/landmarks.csv"), ("eval", "poses.csv"),
 ]
 FUZZ_TOKENS = [b"nan", b"inf", b"1e309", b"1e300", b"-1e300", b"1e-300", b""]

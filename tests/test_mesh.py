@@ -89,3 +89,53 @@ def test_mesh_validation():
             triangles=np.array([[0, 1, 2]]),
             colors=np.zeros((2, 3)),
         )
+
+
+def _reference_obj(mesh: Mesh) -> str:
+    """serialize_obj written out float by float, as the reference."""
+    lines = []
+    for i, (x, y, z) in enumerate(mesh.vertices):
+        nums = [x, y, z] if mesh.colors is None else [x, y, z, *mesh.colors[i]]
+        lines.append("v " + " ".join(repr(float(v)) for v in nums))
+    for i, j, k in mesh.triangles:
+        lines.append(f"f {i + 1} {j + 1} {k + 1}")
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = np.array([-0.0, 0.0, 1e-05, 1e16, 5e-324, -1.5, 0.1])
+
+
+@pytest.mark.parametrize("colored", [False, True])
+@pytest.mark.parametrize("tris", [np.array([[0, 1, 2], [6, 5, 4]]), np.zeros((0, 3), dtype=int)])
+def test_serialize_obj_matches_reference(colored, tris):
+    verts = np.stack([EDGE_VALUES, np.roll(EDGE_VALUES, 1), np.roll(EDGE_VALUES, 2)], axis=1)
+    colors = np.roll(verts, 3, axis=0) if colored else None
+    m = Mesh(vertices=verts, triangles=tris, colors=colors)
+    assert serialize_obj(m) == _reference_obj(m)
+
+
+def test_serialize_obj_alternating_meshes_match_reference(rng):
+    # same shapes and values up to the sign of a zero, so a face or color
+    # text keyed by anything but the exact array bytes gets served stale
+    verts = rng.normal(0.0, 1.0, (4, 3))
+    colors_a = np.zeros((4, 3))
+    colors_b = colors_a.copy()
+    colors_b[2, 1] = -0.0
+    meshes = [
+        Mesh(vertices=verts, triangles=np.array([[0, 1, 2]]), colors=colors_a),
+        Mesh(vertices=verts, triangles=np.array([[1, 2, 3]]), colors=colors_b),
+        Mesh(vertices=verts, triangles=np.array([[0, 1, 2]])),
+    ]
+    for _ in range(3):
+        for m in meshes:
+            assert serialize_obj(m) == _reference_obj(m)
+    # meshes built and dropped one after another: a freed array's id is
+    # often reused by the next one, which has other faces and colors
+    for i in range(12):
+        m = Mesh(
+            vertices=verts,
+            triangles=np.array([[i % 4, (i + 1) % 4, (i + 2) % 4]]),
+            colors=np.full((4, 3), i / 10.0),
+        )
+        assert serialize_obj(m) == _reference_obj(m)
+        del m
