@@ -17,6 +17,7 @@ import numpy as np
 
 from .camera import quat_norm_is_safe
 from .errors import DataError, NumericError
+from .frozen import frozen_array
 from .records import read_text, split_records
 
 _SLERP_MIN_ANGLE = 1e-6
@@ -57,7 +58,10 @@ def _unit_rows(r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BonePose:
-    """Per-bone rotations (B, 4), translations (B, 3) and scales (B, 3)."""
+    """Per-bone rotations (B, 4), translations (B, 3) and scales (B, 3).
+
+    Rotations are stored normalized; each array is owned as frozen_array says.
+    """
 
     rotations: np.ndarray
     translations: np.ndarray
@@ -65,16 +69,13 @@ class BonePose:
 
     def __post_init__(self):
         r = np.asarray(self.rotations, dtype=np.float64).reshape(-1, 4)
-        t = np.asarray(self.translations, dtype=np.float64).reshape(-1, 3)
-        s = np.asarray(self.scales, dtype=np.float64).reshape(-1, 3)
+        t = frozen_array(self.translations, np.float64).reshape(-1, 3)
+        s = frozen_array(self.scales, np.float64).reshape(-1, 3)
         if not (len(r) == len(t) == len(s)):
             raise DataError("bone pose arrays must agree on bone count")
         if len(r) and np.linalg.norm(r, axis=1).min() == 0.0:
             raise DataError("bone pose contains a zero-norm quaternion")
-        r = _unit_rows(r)
-        for arr in (r, t, s):
-            arr.setflags(write=False)
-        object.__setattr__(self, "rotations", r)
+        object.__setattr__(self, "rotations", frozen_array(_unit_rows(r), np.float64))
         object.__setattr__(self, "translations", t)
         object.__setattr__(self, "scales", s)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
+from .frozen import frozen_array
 
 
 def quat_norm_is_safe(q) -> bool:
@@ -64,22 +65,23 @@ def quat_rotation_jacobians(q) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform plus pinhole intrinsics (f, cx, cy) in pixels."""
+    """Rigid transform plus pinhole intrinsics (f, cx, cy) in pixels.
+
+    rotation and translation are owned as frozen_array says.
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
     intrinsics: tuple[float, float, float]
 
     def __post_init__(self):
-        q = np.asarray(self.rotation, dtype=np.float64).reshape(4).copy()
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3).copy()
+        q = frozen_array(self.rotation, np.float64).reshape(4)
+        t = frozen_array(self.translation, np.float64).reshape(3)
         if not (np.isfinite(q).all() and np.isfinite(t).all()):
             raise DataError("pose components must be finite")
         f, cx, cy = self.intrinsics
         if not f > 0:
             raise DataError(f"focal length must be positive, got {f}")
-        q.setflags(write=False)
-        t.setflags(write=False)
         object.__setattr__(self, "rotation", q)
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "intrinsics", (float(f), float(cx), float(cy)))

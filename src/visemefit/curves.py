@@ -12,20 +12,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .frozen import frozen_array
 from .records import read_text, split_records
 from .timeline import checked_frame_count
 
 
 @dataclass(frozen=True)
 class Curve:
+    """Viseme weights (frames, V) at fps; weights is owned as frozen_array says."""
+
     fps: float
     labels: tuple[str, ...]
-    weights: np.ndarray  # (frames, V)
+    weights: np.ndarray
 
     def __post_init__(self):
         if not 0 < self.fps < math.inf:
             raise DataError(f"curve fps must be positive and finite, got {self.fps}")
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
+        w = frozen_array(self.weights, np.float64)
         if w.ndim != 2:
             raise DataError(f"curve weights must be 2-D, got shape {w.shape}")
         if w.shape[1] != len(self.labels):
@@ -34,7 +37,6 @@ class Curve:
             )
         if not np.isfinite(w).all():
             raise DataError("curve weights must be finite")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         object.__setattr__(self, "fps", float(self.fps))
@@ -100,7 +102,7 @@ def resample_curve(curve: Curve, fps_out: float) -> Curve:
     if n == 0:
         return Curve(fps=fps_out, labels=curve.labels, weights=np.zeros((0, len(curve.labels))))
     if fps_out == curve.fps:
-        return Curve(fps=fps_out, labels=curve.labels, weights=curve.weights.copy())
+        return Curve(fps=fps_out, labels=curve.labels, weights=curve.weights)
     n_out = max(
         1,
         checked_frame_count(

@@ -16,20 +16,22 @@ import numpy as np
 from .camera import Pose, project
 from .curves import Curve
 from .errors import DataError
+from .frozen import frozen_array
 from .rig import Rig, blend_vertices
 
 
 @dataclass(frozen=True)
 class MetricSeries:
+    """One metric value per frame; values is owned as frozen_array says."""
+
     name: str
     fps: float
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1)
+        v = frozen_array(self.values, np.float64).reshape(-1)
         if v.size and not np.all(np.isfinite(v)):
             raise DataError(f"metric {self.name!r} contains non-finite values")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
 

@@ -87,7 +87,8 @@ class FitConfig:
         return (self.focal, self.cx, self.cy)
 
 
-_INT_KEYS = {"m", "n", "radius", "iters", "decay_every"}
+# annotations are strings under ``from __future__ import annotations``
+_INT_KEYS = {f.name for f in fields(FitConfig) if f.type == "int"}
 
 
 def parse_fit_config(text: str, source: str = "<config>") -> FitConfig:

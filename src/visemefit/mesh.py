@@ -14,22 +14,27 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DataError
+from .frozen import frozen_array
 from .records import read_text, split_records
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable triangle mesh with optional per-vertex colors in [0, 1]."""
+    """Immutable triangle mesh with optional per-vertex colors in [0, 1].
+
+    Each array is owned as frozen_array says, so a mesh built from another
+    mesh's triangles or colors shares them.
+    """
 
     vertices: np.ndarray
     triangles: np.ndarray
     colors: np.ndarray | None = None
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
+        v = frozen_array(self.vertices, np.float64)
         if v.ndim != 2 or v.shape[1] != 3:
             raise DataError(f"vertices must have shape (N, 3), got {v.shape}")
-        t = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
+        t = frozen_array(self.triangles, np.int64)
         if t.size == 0:
             t = t.reshape(0, 3)
         if t.ndim != 2 or t.shape[1] != 3:
@@ -38,14 +43,11 @@ class Mesh:
             raise DataError("triangle refers to a vertex index out of range")
         c = self.colors
         if c is not None:
-            c = np.ascontiguousarray(np.asarray(c, dtype=np.float64))
+            c = frozen_array(c, np.float64)
             if c.shape != v.shape:
                 raise DataError(
                     f"colors shape {c.shape} does not match vertices {v.shape}"
                 )
-        for arr in (v, t, c):
-            if arr is not None:
-                arr.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
         object.__setattr__(self, "colors", c)
@@ -88,7 +90,7 @@ def parse_obj(text: str, source: str = "<obj>") -> Mesh:
         raise DataError(f"{source}: no vertices")
     return Mesh(
         vertices=np.array(vertices, dtype=np.float64),
-        triangles=np.array(triangles, dtype=np.int64).reshape(-1, 3),
+        triangles=np.array(triangles, dtype=np.int64),
         colors=np.array(colors, dtype=np.float64) if colors else None,
     )
 

@@ -7,7 +7,7 @@ what produces co-articulation between neighboring phonemes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,15 +47,21 @@ class EnvelopeRule:
 
 @dataclass(frozen=True)
 class EnvelopeRules:
-    """Shared timing plus per-viseme apex amplitudes."""
+    """Shared timing plus per-viseme apex amplitudes.
+
+    apex_overrides is copied, so later writes to the caller's dict change no
+    rules.
+    """
 
     base: EnvelopeRule = EnvelopeRule()
-    apex_overrides: dict[str, float] | None = None
+    apex_overrides: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "apex_overrides", dict(self.apex_overrides))
 
     def for_viseme(self, label: str) -> EnvelopeRule:
-        overrides = self.apex_overrides or {}
-        if label in overrides:
-            apex = overrides[label]
+        if label in self.apex_overrides:
+            apex = self.apex_overrides[label]
         elif label in DEFAULT_CLOSURE_LABELS:
             apex = 1.0
         else:
@@ -157,7 +163,7 @@ def parse_rules(text: str, source: str = "<rules>") -> EnvelopeRules:
         base_rule = EnvelopeRule(**base)
     except DataError as exc:
         raise DataError(f"{source}: {exc}") from None
-    return EnvelopeRules(base=base_rule, apex_overrides=overrides or None)
+    return EnvelopeRules(base=base_rule, apex_overrides=overrides)
 
 
 def read_rules(path) -> EnvelopeRules:

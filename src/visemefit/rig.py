@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .frozen import frozen_array
 from .mesh import Mesh, read_obj
 from .records import read_text, split_records
 
@@ -34,8 +35,11 @@ class Rig:
 
     landmark_bindings maps landmark id -> vertex index. lip_pairs holds two
     vertex-index pairs (horizontal, vertical) used by the lip-distance
-    metrics. mouth_landmark_ids marks the landmark ids that get the heavier
-    default fitting weight.
+    metrics. mouth_landmark_ids lists the landmark ids around the mouth; only
+    ``eval --mouth-only`` reads it (the fit weights each landmark by its
+    observed beta). The visemes, labels, bindings and mouth ids are copied
+    and the cached deltas are owned as frozen_array says, so later writes to
+    what the caller passed change no rig.
     """
 
     neutral: Mesh
@@ -46,6 +50,10 @@ class Rig:
     mouth_landmark_ids: frozenset[int] = frozenset()
 
     def __post_init__(self):
+        object.__setattr__(self, "visemes", tuple(self.visemes))
+        object.__setattr__(self, "viseme_labels", tuple(str(s) for s in self.viseme_labels))
+        object.__setattr__(self, "landmark_bindings", dict(self.landmark_bindings))
+        object.__setattr__(self, "mouth_landmark_ids", frozenset(self.mouth_landmark_ids))
         n = self.neutral.vertex_count
         if len(self.visemes) != len(self.viseme_labels):
             raise DataError("one label per viseme mesh required")
@@ -70,13 +78,9 @@ class Rig:
                 for vi in pair:
                     if not 0 <= vi < n:
                         raise DataError(f"lip pair vertex {vi} out of range")
-        object.__setattr__(self, "visemes", tuple(self.visemes))
-        object.__setattr__(self, "viseme_labels", tuple(str(s) for s in self.viseme_labels))
-        object.__setattr__(self, "mouth_landmark_ids", frozenset(self.mouth_landmark_ids))
         # deltas cached eagerly; every fit iteration reads them
         deltas = np.stack([m.vertices - self.neutral.vertices for m in self.visemes])
-        deltas.setflags(write=False)
-        object.__setattr__(self, "_deltas", deltas)
+        object.__setattr__(self, "_deltas", frozen_array(deltas, np.float64))
 
     @property
     def viseme_count(self) -> int:
@@ -130,17 +134,17 @@ def load_rig(
     neutral_path,
     viseme_paths,
     labels,
-    bindings=None,
+    bindings=(),
     lip_pairs=None,
     mouth_ids=(),
 ) -> Rig:
     return Rig(
         neutral=read_obj(neutral_path),
-        visemes=tuple(read_obj(p) for p in viseme_paths),
-        viseme_labels=tuple(labels),
-        landmark_bindings=dict(bindings or {}),
+        visemes=[read_obj(p) for p in viseme_paths],
+        viseme_labels=labels,
+        landmark_bindings=bindings,
         lip_pairs=lip_pairs,
-        mouth_landmark_ids=frozenset(mouth_ids),
+        mouth_landmark_ids=mouth_ids,
     )
 
 

@@ -16,7 +16,7 @@ ground truth instead of saturating toward the activation bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,8 +70,6 @@ class SynthScene:
     config: FitConfig
     fps: float
     write_rasters: bool = True
-    map_text: str = ""
-    background: np.ndarray = field(default_factory=lambda: BACKGROUND.copy())
 
     @property
     def frame_count(self) -> int:
@@ -190,7 +188,7 @@ def _build_rig(rng: np.random.Generator, ambiguous: bool) -> Rig:
         viseme_labels=labels,
         landmark_bindings={v: v for v in range(len(neutral.vertices))},
         lip_pairs=(LIP_HORIZONTAL, LIP_VERTICAL),
-        mouth_landmark_ids=frozenset(MOUTH_LANDMARK_IDS),
+        mouth_landmark_ids=MOUTH_LANDMARK_IDS,
     )
 
 
@@ -266,11 +264,10 @@ def build_scene(
     else:
         timeline = _random_timeline(rng, n_frames, fps)
 
-    map_text = default_map_text()
     vmap = PhonemeVisemeMap(
         labels=rig.viseme_labels,
         entries={tok: rig.label_index(lab) for tok, lab in PHONE_TABLE},
-        silence=frozenset(SILENCE_TOKENS),
+        silence=SILENCE_TOKENS,
     )
 
     proc = generate_procedural(timeline, fps, vmap)
@@ -322,7 +319,6 @@ def build_scene(
         config=config,
         fps=fps,
         write_rasters=not ambiguous,
-        map_text=map_text,
     )
 
 
@@ -384,7 +380,7 @@ def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
     align = os.path.join(out, "align.tsv")
     write_text(align, serialize_timeline(scene.timeline))
     map_path = os.path.join(out, "map.txt")
-    write_text(map_path, scene.map_text or default_map_text())
+    write_text(map_path, default_map_text())
     config_path = os.path.join(out, "config.txt")
     write_text(config_path, serialize_fit_config(scene.config))
     gt_path = os.path.join(out, "gt.csv")
@@ -400,7 +396,7 @@ def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
             proj = project(shaped, scene.poses[j])
             img = _splat(
                 proj, colors, IMAGE_SIZE, sigma=2.5, window=10,
-                bg_value=scene.background, bg_weight=3e-4,
+                bg_value=BACKGROUND, bg_weight=3e-4,
             )
             write_ppm(img, os.path.join(obs_dir, frame_image_name(j)))
             if j > 0:

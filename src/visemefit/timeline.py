@@ -88,7 +88,10 @@ def read_alignment(path) -> Timeline:
 
 @dataclass(frozen=True)
 class PhonemeVisemeMap:
-    """Total map from phoneme tokens to viseme indices, plus silence tokens."""
+    """Total map from phoneme tokens to viseme indices, plus silence tokens.
+
+    entries is copied, so later writes to the caller's dict change no map.
+    """
 
     labels: tuple[str, ...]
     entries: dict[str, int] = field(default_factory=dict)
@@ -96,6 +99,7 @@ class PhonemeVisemeMap:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "entries", dict(self.entries))
         object.__setattr__(self, "silence", frozenset(self.silence))
         for tok, idx in self.entries.items():
             if not 0 <= idx < len(self.labels):
@@ -133,7 +137,7 @@ def parse_viseme_map(text: str, labels=None, source: str = "<map>") -> PhonemeVi
         if label not in index:
             raise DataError(f"{source}: viseme label {label!r} not in the configured label set")
         entries[tok] = index[label]
-    return PhonemeVisemeMap(labels=labels, entries=entries, silence=frozenset(silence))
+    return PhonemeVisemeMap(labels=labels, entries=entries, silence=silence)
 
 
 def read_viseme_map(path, labels=None) -> PhonemeVisemeMap:

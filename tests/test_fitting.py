@@ -61,8 +61,9 @@ def test_fit_config_roundtrip(tmp_path):
     text = serialize_fit_config(cfg)
     back = parse_fit_config(text)
     assert back == cfg
-    # integer-valued keys stay ints so == compares cleanly
-    assert isinstance(back.iters, int) and isinstance(back.m, int)
+    # every field parses to its declared type, so == compares cleanly
+    for f in dataclasses.fields(FitConfig):
+        assert type(getattr(back, f.name)) is type(getattr(cfg, f.name)), f.name
     p = tmp_path / "fit.cfg"
     p.write_text(text, encoding="utf-8")
     assert read_fit_config(p) == cfg

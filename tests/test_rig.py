@@ -50,8 +50,9 @@ def test_blend_is_linear_in_deltas(rng, tiny_rig):
 
 def test_blend_mesh_keeps_topology_and_colors(tiny_rig):
     m = blend_mesh(tiny_rig, np.full(tiny_rig.viseme_count, 0.3))
-    np.testing.assert_array_equal(m.triangles, tiny_rig.neutral.triangles)
-    np.testing.assert_array_equal(m.colors, tiny_rig.neutral.colors)
+    # shared, not copied: every baked mesh of a clip carries the same arrays
+    assert m.triangles is tiny_rig.neutral.triangles
+    assert m.colors is tiny_rig.neutral.colors
 
 
 def test_check_weights_rejects_wrong_length(tiny_rig):
