@@ -163,10 +163,8 @@ def parse_bone_assets(text: str, source: str = "<bones>") -> BonePoseAssets:
     rows: dict[str, dict[str, tuple]] = {}
     bones: list[str] = []
     labels: list[str] = []
-    for line in split_records(text, source).body:
+    for line in split_records(text, source).rows("bone"):
         cols = line.text.split(",")
-        if cols[0] == "bone":  # header
-            continue
         if len(cols) != 12:
             raise line.error(f"expected 12 columns, got {len(cols)}")
         bone, label = cols[0].strip(), cols[1].strip()

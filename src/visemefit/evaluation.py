@@ -50,20 +50,8 @@ def keypoint_error(rig: Rig, curve: Curve, poses, observations, subset=None) -> 
     values = np.zeros(n)
     for j in range(n):
         obs = observations.get(j)
-        obs_points: dict[int, np.ndarray] = {}
-        if obs is not None:
-            for lid, pt in zip(obs.landmark_ids, obs.landmark_points):
-                obs_points[int(lid)] = pt
-        verts, targets = [], []
-        for lid, vi in rig.landmark_bindings.items():
-            if wanted is not None and lid not in wanted:
-                continue
-            pt = obs_points.get(lid)
-            if pt is None:
-                continue
-            verts.append(vi)
-            targets.append(pt)
-        if not verts:
+        rows, verts = rig.landmark_rows(() if obs is None else obs.landmark_ids, wanted)
+        if not rows.size:
             raise DataError(f"frame {j}: no observed landmarks for any bound id")
         pose: Pose = poses[j]
         shaped = blend_vertices(rig, curve.weights[j])
@@ -71,7 +59,7 @@ def keypoint_error(rig: Rig, curve: Curve, poses, observations, subset=None) -> 
         # a finite but huge landmark or projection overflows to inf; report
         # the frame instead of a numpy warning
         with np.errstate(over="ignore"):
-            values[j] = float(np.linalg.norm(proj - np.asarray(targets), axis=1).mean())
+            values[j] = float(np.linalg.norm(proj - obs.landmark_points[rows], axis=1).mean())
         if not math.isfinite(values[j]):
             raise DataError(f"frame {j}: keypoint error overflows (landmark or pose out of range)")
     return MetricSeries(name="keypoint_error", fps=curve.fps, values=values)

@@ -32,9 +32,12 @@ from .timeline import PhonemeVisemeMap, Timeline
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitConfig:
-    """Loss weights, guidance parameters, optimizer schedule, camera intrinsics."""
+    """Loss weights, guidance parameters, optimizer schedule, camera intrinsics.
+
+    Frozen, so the range checks in __post_init__ hold for the config's life.
+    """
 
     w1: float = 0.8  # landmark
     w2: float = 1.0  # photometric
@@ -286,10 +289,8 @@ def serialize_poses(poses) -> str:
 def parse_poses(text: str, source: str = "<poses>") -> list[Pose]:
     records = split_records(text, source)
     rows: list[list[float]] = []
-    for line in records.body:
+    for line in records.rows("frame"):
         cols = line.text.split(",")
-        if cols[0] == "frame":
-            continue
         if len(cols) != 8:
             raise line.error(f"expected 8 columns, got {len(cols)}")
         if line.integer(cols[0], "frame") != len(rows):

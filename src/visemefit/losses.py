@@ -66,12 +66,9 @@ class FrameProblem:
         # Pixel-target blocks are (weight, vertex indices, target x, target y,
         # per-point scale), or None when the set is empty. Flow's scale is all
         # ones, so it shares the landmark arithmetic exactly.
-        bound = rig.landmark_bindings
-        ids = obs.landmark_ids.tolist()
-        rows = [i for i, lid in enumerate(ids) if lid in bound]
+        rows, vidx = rig.landmark_rows(obs.landmark_ids)
         self.landmarks = None
-        if rows:
-            vidx = np.array([bound[ids[i]] for i in rows], dtype=np.int64)
+        if rows.size:
             tx, ty = obs.landmark_points[rows].T.copy()
             self.landmarks = (self.w1, vidx, tx, ty, obs.landmark_betas[rows])
 

@@ -9,59 +9,51 @@ degrades gracefully.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError
 from .flow import read_flow_pair
+from .frozen import frozen_array
 from .images import read_ppm
 from .records import read_text, split_records
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RawObservation:
     """Observation for one frame, the input of a FrameProblem.
 
-    landmark arrays are parallel: ids (L,), points (L, 2), betas (L,).
-    flow holds the (forward, backward) grids for the pair ending at this
-    frame, or None; fitting screens them into flow targets.
+    landmark arrays are parallel: ids (L,), points (L, 2), betas (L,); they
+    default to empty and are owned as frozen_array says. flow holds the
+    (forward, backward) grids for the pair ending at this frame, or None;
+    fitting screens them into flow targets.
     """
 
-    landmark_ids: np.ndarray
-    landmark_points: np.ndarray
-    landmark_betas: np.ndarray
+    landmark_ids: np.ndarray = ()
+    landmark_points: np.ndarray = ()
+    landmark_betas: np.ndarray = ()
     image: np.ndarray | None = None
     flow: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        self.landmark_ids = np.asarray(self.landmark_ids, dtype=np.int64).reshape(-1)
-        self.landmark_points = np.asarray(self.landmark_points, dtype=np.float64).reshape(-1, 2)
-        self.landmark_betas = np.asarray(self.landmark_betas, dtype=np.float64).reshape(-1)
-        nl = len(self.landmark_ids)
-        if self.landmark_points.shape[0] != nl or self.landmark_betas.shape[0] != nl:
+        ids = frozen_array(self.landmark_ids, np.int64).reshape(-1)
+        points = frozen_array(self.landmark_points, np.float64).reshape(-1, 2)
+        betas = frozen_array(self.landmark_betas, np.float64).reshape(-1)
+        if len(points) != len(ids) or len(betas) != len(ids):
             raise DataError("landmark id/point/beta arrays must be the same length")
-        if nl and self.landmark_betas.min() <= 0:
+        if len(ids) and betas.min() <= 0:
             raise DataError("landmark betas must be positive")
-
-
-def empty_raw() -> RawObservation:
-    return RawObservation(
-        landmark_ids=np.zeros(0, dtype=np.int64),
-        landmark_points=np.zeros((0, 2)),
-        landmark_betas=np.zeros(0),
-    )
+        object.__setattr__(self, "landmark_ids", ids)
+        object.__setattr__(self, "landmark_points", points)
+        object.__setattr__(self, "landmark_betas", betas)
 
 
 def parse_landmarks(text: str, source: str = "<landmarks>") -> dict[int, RawObservation]:
     """Landmark CSV to {frame: RawObservation} (images and flow left unset)."""
     per_frame: dict[int, dict[int, tuple[float, float, float]]] = {}
-    saw_header = False
-    for line in split_records(text, source).body:
+    for line in split_records(text, source).rows("frame"):
         cols = line.text.split(",")
-        if not saw_header and cols[0] == "frame":
-            saw_header = True
-            continue
         if len(cols) != 5:
             raise line.error(f"expected 5 columns, got {len(cols)}")
         frame = line.integer(cols[0], "frame")
@@ -134,12 +126,10 @@ class ObservationDir:
     def __getitem__(self, frame: int) -> RawObservation:
         if not 0 <= frame < self._n:
             raise IndexError(frame)
-        base = self._landmarks.get(frame) or empty_raw()
-        obs = RawObservation(base.landmark_ids, base.landmark_points, base.landmark_betas)
         img_path = os.path.join(self.path, frame_image_name(frame))
-        if os.path.exists(img_path):
-            obs.image = read_ppm(img_path)
         flow_path = os.path.join(self.path, frame_flow_name(frame))
-        if frame > 0 and os.path.exists(flow_path):
-            obs.flow = read_flow_pair(flow_path)
-        return obs
+        return replace(
+            self._landmarks.get(frame) or RawObservation(),
+            image=read_ppm(img_path) if os.path.exists(img_path) else None,
+            flow=read_flow_pair(flow_path) if frame > 0 and os.path.exists(flow_path) else None,
+        )

@@ -7,18 +7,20 @@ what produces co-articulation between neighboring phonemes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .curves import Curve
 from .errors import DataError
 from .records import read_text, split_records
-from .rig import DEFAULT_CLOSURE_LABELS
 from .timeline import PhonemeVisemeMap, Timeline, frame_count, viseme_of
 
 # Onset/offset windows never grow past this, whatever the segment length.
 MAX_TRANSITION_S = 0.12
+
+# Only the bilabial-closure shape gets a full-amplitude default apex.
+DEFAULT_CLOSURE_LABELS = frozenset({"MBP"})
 
 
 @dataclass(frozen=True)
@@ -66,13 +68,7 @@ class EnvelopeRules:
             apex = 1.0
         else:
             apex = self.base.apex_amplitude
-        return EnvelopeRule(
-            onset_frac=self.base.onset_frac,
-            offset_frac=self.base.offset_frac,
-            apex_amplitude=apex,
-            min_onset=self.base.min_onset,
-            min_offset=self.base.min_offset,
-        )
+        return replace(self.base, apex_amplitude=apex)
 
 
 def smoothstep(u):

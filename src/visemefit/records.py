@@ -73,6 +73,13 @@ class Records(NamedTuple):
         line = self.header.get(key)
         return None if line is None else line.number(line.text, key)
 
+    def rows(self, first_cell: str) -> list[Line]:
+        """The body lines of a CSV, less its optional column header: the first
+        body line, when its first cell is first_cell. A later line never is."""
+        if self.body and self.body[0].text.split(",")[0] == first_cell:
+            return self.body[1:]
+        return self.body
+
     def key_values(self, what: str):
         """(line, key, value) for each ``key=value`` body line.
 

@@ -6,6 +6,7 @@ float arrays of length V ordered like ``viseme_labels``.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -15,10 +16,6 @@ from .errors import DataError
 from .frozen import frozen_array
 from .mesh import Mesh, read_obj
 from .records import read_text, split_records
-
-# Only the bilabial-closure shape gets a full-amplitude default apex; see
-# procedural.default_rules.
-DEFAULT_CLOSURE_LABELS = frozenset({"MBP"})
 
 
 def default_viseme_labels(count: int = 16) -> tuple[str, ...]:
@@ -37,9 +34,9 @@ class Rig:
     vertex-index pairs (horizontal, vertical) used by the lip-distance
     metrics. mouth_landmark_ids lists the landmark ids around the mouth; only
     ``eval --mouth-only`` reads it (the fit weights each landmark by its
-    observed beta). The visemes, labels, bindings and mouth ids are copied
-    and the cached deltas are owned as frozen_array says, so later writes to
-    what the caller passed change no rig.
+    observed beta). The visemes, labels, bindings, lip pairs and mouth ids
+    are copied and the cached deltas are owned as frozen_array says, so later
+    writes to what the caller passed change no rig.
     """
 
     neutral: Mesh
@@ -74,10 +71,16 @@ class Rig:
             if not 0 <= vi < n:
                 raise DataError(f"landmark L{lid} bound to out-of-range vertex {vi}")
         if self.lip_pairs is not None:
-            for pair in self.lip_pairs:
-                for vi in pair:
-                    if not 0 <= vi < n:
-                        raise DataError(f"lip pair vertex {vi} out of range")
+            try:
+                pairs = tuple((operator.index(a), operator.index(b)) for a, b in self.lip_pairs)
+            except (TypeError, ValueError):
+                pairs = ()
+            if len(pairs) != 2:
+                raise DataError("lip_pairs must be two (vertex, vertex) index pairs")
+            for vi in pairs[0] + pairs[1]:
+                if not 0 <= vi < n:
+                    raise DataError(f"lip pair vertex {vi} out of range")
+            object.__setattr__(self, "lip_pairs", pairs)
         # deltas cached eagerly; every fit iteration reads them
         deltas = np.stack([m.vertices - self.neutral.vertices for m in self.visemes])
         object.__setattr__(self, "_deltas", frozen_array(deltas, np.float64))
@@ -90,6 +93,15 @@ class Rig:
     def deltas(self) -> np.ndarray:
         """(V, N, 3) per-viseme vertex offsets from neutral."""
         return self._deltas
+
+    def landmark_rows(self, landmark_ids, subset=None) -> tuple[np.ndarray, np.ndarray]:
+        """Which observed landmarks count: the rows of landmark_ids whose id the
+        rig binds (and subset holds, when given), in observation order, and
+        the vertex index each of those ids is bound to."""
+        bound = self.landmark_bindings
+        ids = np.asarray(landmark_ids).tolist()
+        rows = [i for i, lid in enumerate(ids) if lid in bound and (subset is None or lid in subset)]
+        return np.array(rows, dtype=np.int64), np.array([bound[ids[i]] for i in rows], dtype=np.int64)
 
     def label_index(self, label: str) -> int:
         try:

@@ -168,6 +168,9 @@ tongue,MBP,0,0,0,1,0,0.05,0,1,1,1
 def test_parse_bone_assets():
     assets = parse_bone_assets(CSV)
     assert assets.bones == ("jaw", "tongue")
+    # only the first line can be the column header; a bone may be named bone
+    named = parse_bone_assets(CSV.replace("tongue", "bone"))
+    assert named.bones == ("jaw", "bone")
     assert assets.labels == ("MBP",)
     np.testing.assert_allclose(assets.viseme_poses[0].translations[0], [0, -0.2, 0])
     np.testing.assert_allclose(assets.viseme_poses[0].rotations[0], zrot(30), atol=1e-6)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,9 @@ def test_keypoint_error_subset_and_missing(rng):
     curve, poses, obs = _curve_and_obs(rng, rig)
     # move only landmark 2 and measure just that id
     for j in obs:
-        obs[j].landmark_points[2] += [0.0, 7.0]
+        points = obs[j].landmark_points.copy()
+        points[2] += [0.0, 7.0]
+        obs[j] = dataclasses.replace(obs[j], landmark_points=points)
     series = keypoint_error(rig, curve, poses, obs, subset=[2])
     np.testing.assert_allclose(series.values, 7.0, atol=1e-9)
     # with the full set the mean dilutes by the landmark count

@@ -16,7 +16,7 @@ from visemefit.fitting import (
     serialize_fit_config,
     serialize_poses,
 )
-from visemefit.observations import RawObservation, empty_raw
+from visemefit.observations import RawObservation
 from visemefit.procedural import generate_procedural
 from visemefit.rig import blend_vertices
 from visemefit.timeline import parse_alignment, parse_viseme_map
@@ -54,6 +54,13 @@ def test_fit_config_defaults():
 def test_fit_config_rejects(kw):
     with pytest.raises(DataError):
         FitConfig(**kw)
+
+
+def test_fit_config_is_frozen():
+    # an assignment would skip the range checks, so there is none
+    cfg = FitConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.iters = 0
 
 
 def test_fit_config_roundtrip(tmp_path):
@@ -128,6 +135,9 @@ def test_poses_parse_errors():
     with pytest.raises(DataError):
         parse_poses("# focal=1200.0\n# cx=512.0\n" + header + "0,0,0,0,1,0,0,0\n")
     assert parse_poses(serialize_poses([])) == []
+    # the column header is only the first body line; a repeat is a bad row
+    with pytest.raises(DataError, match=":5: frame is not an integer"):
+        parse_poses("# focal=1\n# cx=0\n# cy=0\n" + header + header + "0,0,0,0,1,0,0,0\n")
 
 
 def _clip_inputs(rng):
@@ -196,7 +206,7 @@ def test_fit_clip_rejects_label_mismatch(rng):
 def test_fit_clip_warnings_name_the_clip(rng, caplog):
     rig, timeline, obs, cfg, vmap = _clip_inputs(rng)
     bare = dataclasses.replace(rig, neutral=dataclasses.replace(rig.neutral, colors=None))
-    obs[3].image = np.zeros((64, 64, 3), dtype=np.uint8)
+    obs[3] = dataclasses.replace(obs[3], image=np.zeros((64, 64, 3), dtype=np.uint8))
     with caplog.at_level("WARNING", logger="visemefit.fitting"):
         fit_clip(bare, timeline, obs, cfg, vmap, clip="talk01")
     assert [r.getMessage() for r in caplog.records] == [
@@ -208,7 +218,7 @@ def test_fit_clip_warnings_name_the_clip(rng, caplog):
 def test_fit_clip_tolerates_missing_observations(rng, caplog):
     rig, timeline, obs, cfg, vmap = _clip_inputs(rng)
     # frames with no landmarks at all still get fitted (guidance + range only)
-    sparse = [obs[0], empty_raw(), obs[2]]
+    sparse = [obs[0], RawObservation(), obs[2]]
     result = fit_clip(rig, timeline, sparse, cfg, vmap)
     assert result.curve.frame_count == 3
     assert np.isfinite(result.curve.weights).all()
@@ -224,7 +234,7 @@ def test_fit_clip_sweep_order(rng, monkeypatch):
     shift[..., 0] = 1.0
     with_flow = {0, 2, 4}
     for j in with_flow:
-        obs[j].flow = (shift, -shift)
+        obs[j] = dataclasses.replace(obs[j], flow=(shift, -shift))
 
     class Recording(fitting.FrameProblem):
         def __init__(self, *args, flow_targets=None, neighbor_weights=None, **kw):

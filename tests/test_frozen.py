@@ -7,6 +7,7 @@ from visemefit.curves import Curve
 from visemefit.evaluation import MetricSeries
 from visemefit.frozen import frozen_array
 from visemefit.mesh import Mesh
+from visemefit.observations import RawObservation
 from visemefit.procedural import EnvelopeRules
 from visemefit.rig import Rig
 from visemefit.timeline import PhonemeVisemeMap
@@ -43,6 +44,18 @@ ARRAY_FIELDS = {
         "scales", np.ones((1, 3)),
     ),
     "metric": (lambda a: MetricSeries(name="m", fps=30.0, values=a), "values", np.zeros(4)),
+    "landmark-ids": (
+        lambda a: RawObservation(landmark_ids=a, landmark_points=np.zeros((2, 2)), landmark_betas=np.ones(2)),
+        "landmark_ids", np.array([0, 1]),
+    ),
+    "landmark-points": (
+        lambda a: RawObservation(landmark_ids=[0, 1], landmark_points=a, landmark_betas=np.ones(2)),
+        "landmark_points", np.zeros((2, 2)),
+    ),
+    "landmark-betas": (
+        lambda a: RawObservation(landmark_ids=[0, 1], landmark_points=np.zeros((2, 2)), landmark_betas=a),
+        "landmark_betas", np.ones(2),
+    ),
 }
 
 
@@ -74,19 +87,23 @@ def test_frozen_array_keeps_a_frozen_array_and_copies_the_rest():
 
 
 def test_value_copies_the_callers_mapping(rng):
-    """Rig bindings, map entries and apex overrides hold what they validated:
-    writing to the caller's dict afterwards changes none of them."""
+    """Rig bindings and lip pairs, map entries and apex overrides hold what
+    they validated: writing to what the caller passed afterwards changes none
+    of them."""
     bindings = {0: 1}
+    pairs = [[0, 1], [2, 3]]
     base = make_rig(rng)
     rig = Rig(neutral=base.neutral, visemes=base.visemes, viseme_labels=base.viseme_labels,
-              landmark_bindings=bindings)
+              landmark_bindings=bindings, lip_pairs=pairs)
     entries = {"m": 0}
     vmap = PhonemeVisemeMap(labels=("MBP",), entries=entries)
     overrides = {"MBP": 0.5}
     rules = EnvelopeRules(apex_overrides=overrides)
     bindings[0] = 10**6
+    pairs[0][0] = 10**6
     entries["m"] = 7
     overrides["MBP"] = 5.0
     assert rig.landmark_bindings == {0: 1}
+    assert rig.lip_pairs == ((0, 1), (2, 3))
     assert vmap.entries == {"m": 0}
     assert rules.apex_overrides == {"MBP": 0.5}

@@ -9,7 +9,7 @@ from visemefit.fitting import FitConfig
 from visemefit.guidance import GuidanceSets
 from visemefit.images import bilinear_sample
 from visemefit.losses import FrameProblem
-from visemefit.observations import RawObservation, empty_raw
+from visemefit.observations import RawObservation
 from visemefit.rig import blend_vertices
 
 from conftest import INTR, flow_targets, make_rig, random_pose
@@ -300,7 +300,7 @@ _UNIT_Q = np.array([0.0, 0.0, 0.0, 1.0])
 
 
 def _bare_problem(rig, image=None, neighbor_weights=None):
-    obs = dataclasses.replace(empty_raw(), image=image)
+    obs = RawObservation(image=image)
     return FrameProblem(
         rig, FitConfig().loss_weights, None, INTR, obs, neighbor_weights=neighbor_weights
     )

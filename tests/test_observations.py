@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from visemefit.images import write_ppm
 from visemefit.observations import (
     ObservationDir,
     RawObservation,
-    empty_raw,
     frame_flow_name,
     frame_image_name,
     parse_landmarks,
@@ -73,8 +74,10 @@ def test_raw_observation_validation():
             landmark_points=np.zeros((1, 2)),
             landmark_betas=np.zeros(1),
         )
-    e = empty_raw()
+    e = RawObservation()
     assert len(e.landmark_ids) == 0 and e.landmark_points.shape == (0, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.image = np.zeros((4, 4, 3))
 
 
 def test_frame_file_names():

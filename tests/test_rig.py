@@ -104,6 +104,10 @@ def test_rig_validation(rng):
             viseme_labels=("A",),
             lip_pairs=((0, 99), (1, 2)),
         )
+    # lip_pairs is exactly two pairs of vertex indices
+    for bad in (((0, 1),), ((0, 1), (2, 3), (4, 5)), ((0, 1), (2, 3, 4)), ((0, 1), (2, 3.0)), (0, 1)):
+        with pytest.raises(DataError, match="two \\(vertex, vertex\\) index pairs"):
+            Rig(neutral=neutral, visemes=visemes[:1], viseme_labels=("A",), lip_pairs=bad)
 
 
 def test_bake_mesh_sequence(tiny_rig, rng):
