@@ -69,8 +69,8 @@ class BonePose:
 
     def __post_init__(self):
         r = np.asarray(self.rotations, dtype=np.float64).reshape(-1, 4)
-        t = frozen_array(self.translations, np.float64).reshape(-1, 3)
-        s = frozen_array(self.scales, np.float64).reshape(-1, 3)
+        t = frozen_array(self.translations, np.float64, (-1, 3))
+        s = frozen_array(self.scales, np.float64, (-1, 3))
         if not (len(r) == len(t) == len(s)):
             raise DataError("bone pose arrays must agree on bone count")
         if len(r) and np.linalg.norm(r, axis=1).min() == 0.0:

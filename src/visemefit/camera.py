@@ -75,8 +75,8 @@ class Pose:
     intrinsics: tuple[float, float, float]
 
     def __post_init__(self):
-        q = frozen_array(self.rotation, np.float64).reshape(4)
-        t = frozen_array(self.translation, np.float64).reshape(3)
+        q = frozen_array(self.rotation, np.float64, 4)
+        t = frozen_array(self.translation, np.float64, 3)
         if not (np.isfinite(q).all() and np.isfinite(t).all()):
             raise DataError("pose components must be finite")
         f, cx, cy = self.intrinsics

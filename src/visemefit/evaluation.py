@@ -29,7 +29,7 @@ class MetricSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        v = frozen_array(self.values, np.float64).reshape(-1)
+        v = frozen_array(self.values, np.float64, -1)
         if v.size and not np.all(np.isfinite(v)):
             raise DataError(f"metric {self.name!r} contains non-finite values")
         object.__setattr__(self, "values", v)

@@ -20,9 +20,15 @@ from .images import bilinear_sample, in_bounds, map_file
 MAGIC = b"FLO1"
 
 
+def flow_cells(values) -> np.ndarray:
+    """Displacements as the little-endian float32 cells of a flow file."""
+    return np.asarray(values, dtype="<f4")
+
+
 def write_flow_pair(forward: np.ndarray, backward: np.ndarray, path) -> None:
-    fwd = np.asarray(forward, dtype=np.float32)
-    bwd = np.asarray(backward, dtype=np.float32)
+    """Write (H, W, 2) forward and backward grids; C-contiguous flow cells go out uncopied."""
+    fwd = np.ascontiguousarray(flow_cells(forward))
+    bwd = np.ascontiguousarray(flow_cells(backward))
     if fwd.ndim != 3 or fwd.shape[2] != 2:
         raise DataError(f"flow grid must be (H, W, 2), got {fwd.shape}")
     if fwd.shape != bwd.shape:
@@ -34,8 +40,8 @@ def write_flow_pair(forward: np.ndarray, backward: np.ndarray, path) -> None:
         with open(tmp, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<II", w, h))
-            fh.write(fwd.astype("<f4").tobytes())
-            fh.write(bwd.astype("<f4").tobytes())
+            fh.write(fwd)
+            fh.write(bwd)
 
 
 def read_flow_pair(path) -> tuple[np.ndarray, np.ndarray]:

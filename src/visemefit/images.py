@@ -2,9 +2,10 @@
 
 read_ppm returns a frame as its (H, W, 3) uint8 bytes, a view over a memory
 map of the file that is never converted whole; bilinear_sample scales the
-cells it reads into float64 in [0, 1]. write_ppm takes float values in
-[0, 1]. Sample positions are (x, y) with pixel centers on integer
-coordinates; the valid sampling domain is 0 <= x <= W-1, 0 <= y <= H-1.
+cells it reads into float64 in [0, 1]. write_ppm writes uint8 bytes as they
+are and float values in [0, 1] through quantize, the one float-to-byte rule.
+Sample positions are (x, y) with pixel centers on integer coordinates; the
+valid sampling domain is 0 <= x <= W-1, 0 <= y <= H-1.
 """
 
 from __future__ import annotations
@@ -17,18 +18,24 @@ import numpy as np
 from .errors import DataError
 
 
+def quantize(values) -> np.ndarray:
+    """Float values in [0, 1] as uint8 pixel bytes, rounded to 1/255 and clipped."""
+    return np.clip(np.rint(np.asarray(values, dtype=np.float64) * 255.0), 0, 255).astype(np.uint8)
+
+
 def write_ppm(image: np.ndarray, path) -> None:
-    img = np.asarray(image, dtype=np.float64)
+    """Write an (H, W, 3) frame: uint8 pixels as they are, other values through quantize."""
+    img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3:
         raise DataError(f"image must be (H, W, 3), got {img.shape}")
     h, w, _ = img.shape
-    data = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+    data = np.ascontiguousarray(img if img.dtype == np.uint8 else quantize(img))
     from .atomicio import atomic_path
 
     with atomic_path(path) as tmp:
         with open(tmp, "wb") as fh:
             fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(data.tobytes())
+            fh.write(data)
 
 
 def map_file(path, kind: str) -> mmap.mmap:

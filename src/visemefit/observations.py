@@ -37,9 +37,9 @@ class RawObservation:
     flow: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        ids = frozen_array(self.landmark_ids, np.int64).reshape(-1)
-        points = frozen_array(self.landmark_points, np.float64).reshape(-1, 2)
-        betas = frozen_array(self.landmark_betas, np.float64).reshape(-1)
+        ids = frozen_array(self.landmark_ids, np.int64, -1)
+        points = frozen_array(self.landmark_points, np.float64, (-1, 2))
+        betas = frozen_array(self.landmark_betas, np.float64, -1)
         if len(points) != len(ids) or len(betas) != len(ids):
             raise DataError("landmark id/point/beta arrays must be the same length")
         if len(ids) and betas.min() <= 0:

@@ -24,8 +24,8 @@ from .camera import Pose, project
 from .curves import Curve, write_curve
 from .errors import DataError
 from .fitting import FitConfig, serialize_fit_config
-from .flow import write_flow_pair
-from .images import write_ppm
+from .flow import flow_cells, write_flow_pair
+from .images import quantize, write_ppm
 from .mesh import Mesh, write_obj
 from .observations import RawObservation, frame_flow_name, frame_image_name, serialize_landmarks
 from .procedural import generate_procedural
@@ -37,6 +37,9 @@ IMAGE_SIZE = 1024
 FOCAL = 1200.0
 DEPTH = 2.5
 BACKGROUND = np.array([0.2, 0.25, 0.3])
+# Gaussian splats of the color frames and of the flow grids (see _splat)
+FRAME_SPLAT = {"sigma": 2.5, "window": 10, "bg_value": BACKGROUND, "bg_weight": 3e-4}
+FLOW_SPLAT = {"sigma": 3.0, "window": 12, "bg_value": (0.0, 0.0), "bg_weight": 1e-6}
 
 # phoneme inventory; one viseme may own several phonemes
 PHONE_TABLE = (
@@ -322,26 +325,37 @@ def build_scene(
     )
 
 
-def _splat(points, values, size, sigma, window, bg_value, bg_weight):
-    """Normalized Gaussian splat of per-point values onto a square grid."""
-    channels = values.shape[1]
-    acc = np.empty((size, size, channels))
-    acc[:] = np.asarray(bg_value, dtype=np.float64) * bg_weight
-    wsum = np.full((size, size), bg_weight)
-    inv = 1.0 / (2.0 * sigma * sigma)
-    for (px, py), val in zip(points, values):
-        x0 = max(0, int(math.ceil(px - window)))
-        x1 = min(size - 1, int(math.floor(px + window)))
-        y0 = max(0, int(math.ceil(py - window)))
-        y1 = min(size - 1, int(math.floor(py + window)))
-        if x0 > x1 or y0 > y1:
-            continue
-        xs = np.arange(x0, x1 + 1) - px
-        ys = np.arange(y0, y1 + 1) - py
-        w = np.exp(-(xs[None, :] ** 2 + ys[:, None] ** 2) * inv)
-        acc[y0 : y1 + 1, x0 : x1 + 1] += w[:, :, None] * val
-        wsum[y0 : y1 + 1, x0 : x1 + 1] += w
-    return acc / wsum[:, :, None]
+def _splat(points, values, size, sigma, window, bg_value, bg_weight, encode):
+    """Normalized Gaussian splat of per-point values onto a square grid, as a
+    (size, size, C) array of encode(float64 values).
+
+    Only pixels inside some point's window are computed, in float64 and point
+    order as a dense accumulation would; the rest copy the encoded bytes of
+    (bg_value * bg_weight) / bg_weight."""
+    p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    # first covered pixel and pixel count of each window along x and y
+    lo = np.maximum(0.0, np.ceil(p - window))
+    count = np.minimum(size - 1.0, np.floor(p + window)) - lo + 1.0
+    inside = (count > 0).all(axis=1)
+    p, lo, count = p[inside], lo[inside].astype(np.int64), count[inside].astype(np.int64)
+    steps = np.arange(2 * window + 1)
+    cells = lo[:, None, :] + steps[None, :, None]  # (point, step, axis)
+    d2 = (cells - p[:, None, :]) ** 2
+    w = np.exp(-(d2[:, None, :, 0] + d2[:, :, None, 1]) * (1.0 / (2.0 * sigma * sigma)))
+    mask = (steps < count[:, 1:])[:, :, None] & (steps < count[:, :1])[:, None, :]  # point, y, x
+    flat = cells[:, :, None, 1] * size + cells[:, None, :, 0]
+    pixels, slot = np.unique(flat[mask], return_inverse=True)
+    vals = np.asarray(values, dtype=np.float64)[inside]
+    terms = [w[mask], *(w[..., None] * vals[:, None, None, :])[mask].T]
+    bg = np.asarray(bg_value, dtype=np.float64) * bg_weight
+    # bincount adds in input order: each pixel's background term, then its windows in point order
+    slot = np.concatenate([np.arange(len(pixels)), slot])
+    starts = [np.full(len(pixels), b) for b in (bg_weight, *bg)]
+    sums = np.stack([np.bincount(slot, np.concatenate(pair)) for pair in zip(starts, terms)], axis=1)
+    fill = encode((bg / bg_weight)[None])
+    grid = np.frombuffer(bytearray(fill.tobytes()) * size**2, dtype=fill.dtype).reshape(size**2, -1)
+    grid[pixels] = encode(sums[:, 1:] / sums[:, :1])
+    return grid.reshape(size, size, -1)
 
 
 def _serialize_manifest(rig: Rig) -> str:
@@ -394,21 +408,12 @@ def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
         for j in range(scene.frame_count):
             shaped = blend_vertices(rig, scene.gt_curve.weights[j])
             proj = project(shaped, scene.poses[j])
-            img = _splat(
-                proj, colors, IMAGE_SIZE, sigma=2.5, window=10,
-                bg_value=BACKGROUND, bg_weight=3e-4,
-            )
+            img = _splat(proj, colors, IMAGE_SIZE, encode=quantize, **FRAME_SPLAT)
             write_ppm(img, os.path.join(obs_dir, frame_image_name(j)))
             if j > 0:
                 disp = proj - prev_proj
-                fwd = _splat(
-                    prev_proj, disp, IMAGE_SIZE, sigma=3.0, window=12,
-                    bg_value=np.zeros(2), bg_weight=1e-6,
-                )
-                bwd = _splat(
-                    proj, -disp, IMAGE_SIZE, sigma=3.0, window=12,
-                    bg_value=np.zeros(2), bg_weight=1e-6,
-                )
+                fwd = _splat(prev_proj, disp, IMAGE_SIZE, encode=flow_cells, **FLOW_SPLAT)
+                bwd = _splat(proj, -disp, IMAGE_SIZE, encode=flow_cells, **FLOW_SPLAT)
                 write_flow_pair(fwd, bwd, os.path.join(obs_dir, frame_flow_name(j)))
             prev_proj = proj
 

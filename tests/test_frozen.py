@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,49 @@ def test_frozen_array_keeps_a_frozen_array_and_copies_the_rest():
     # a value built from another value's array shares it
     curve = Curve(fps=30.0, labels=("A", "B", "C"), weights=a)
     assert Curve(fps=60.0, labels=curve.labels, weights=curve.weights).weights is curve.weights
+    # a shape is met by keeping a frozen array that has it, else by a copy
+    assert frozen_array(frozen, np.float64, (-1, 3)) is frozen
+    for shape in (6, (3, -1)):
+        out = frozen_array(frozen, np.float64, shape)
+        assert out.flags.owndata and not out.flags.writeable and not np.shares_memory(out, frozen)
+    out = frozen_array(a, np.float64, (2, 3))
+    assert out.shape == (2, 3) and a.flags.writeable and not np.shares_memory(out, a)
+
+
+# value type -> (a value, the same value rebuilt from the first one's fields,
+# the array fields the two must share)
+REBUILT = {
+    "pose": (
+        lambda: Pose(rotation=[0.0, 0.0, 0.0, 1.0], translation=np.ones(3), intrinsics=INTR),
+        lambda p: Pose(rotation=p.rotation, translation=p.translation, intrinsics=p.intrinsics),
+        ("rotation", "translation"),
+    ),
+    "observation": (
+        lambda: RawObservation(landmark_ids=[0, 1], landmark_points=np.ones((2, 2)), landmark_betas=np.ones(2)),
+        lambda o: dataclasses.replace(o, image=np.zeros((2, 2, 3), dtype=np.uint8)),
+        ("landmark_ids", "landmark_points", "landmark_betas"),
+    ),
+    "bone-pose": (
+        lambda: BonePose(rotations=[[0, 0, 0, 1]], translations=np.ones((1, 3)), scales=np.ones((1, 3))),
+        lambda b: BonePose(rotations=b.rotations, translations=b.translations, scales=b.scales),
+        ("translations", "scales"),
+    ),
+    "metric": (
+        lambda: MetricSeries(name="m", fps=30.0, values=np.ones(4)),
+        lambda m: MetricSeries(name=m.name, fps=m.fps, values=m.values),
+        ("values",),
+    ),
+}
+
+
+@pytest.mark.parametrize("build, rebuild, names", REBUILT.values(), ids=list(REBUILT))
+def test_value_rebuilt_from_a_value_shares_its_arrays(build, rebuild, names):
+    """A field frozen in its final shape is kept as it is when it is passed
+    to a new value, not copied again."""
+    value = build()
+    again = rebuild(value)
+    for name in names:
+        assert getattr(again, name) is getattr(value, name), name
 
 
 def test_value_copies_the_callers_mapping(rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from visemefit.errors import DataError
-from visemefit.images import bilinear_sample, in_bounds, read_ppm, write_ppm
+from visemefit.images import bilinear_sample, in_bounds, quantize, read_ppm, write_ppm
 
 
 def test_bilinear_sample_hand_values():
@@ -47,6 +47,18 @@ def test_ppm_clips_out_of_range(tmp_path):
     write_ppm(img, p)
     back = read_ppm(p) / 255.0
     np.testing.assert_allclose(back[0, 0], [1.0, 0.0, 0.5], atol=1e-2)
+
+
+def test_ppm_writes_uint8_pixels_as_they_are(rng, tmp_path):
+    pixels = rng.integers(0, 256, (4, 6, 3), dtype=np.uint8)
+    p = tmp_path / "u.ppm"
+    for image in (pixels, pixels[:, ::-1]):  # a strided array is made contiguous
+        write_ppm(image, p)
+        assert p.read_bytes() == b"P6\n6 4\n255\n" + np.ascontiguousarray(image).tobytes()
+    # a float frame is turned into the same bytes by quantize
+    write_ppm(pixels / 255.0, p)
+    np.testing.assert_array_equal(read_ppm(p), pixels)
+    np.testing.assert_array_equal(quantize([[-0.5, 0.0, 0.5 / 255, 1.0, 7.0]]), [[0, 0, 0, 255, 255]])
 
 
 def test_read_ppm_rejects_garbage(tmp_path):

@@ -6,15 +6,23 @@ import pytest
 from visemefit.camera import project
 from visemefit.curves import parse_curve, serialize_curve
 from visemefit.errors import DataError
-from visemefit.observations import serialize_landmarks
+from visemefit.flow import flow_cells, write_flow_pair
+from visemefit.images import quantize, write_ppm
+from visemefit.observations import frame_flow_name, frame_image_name, serialize_landmarks
 from visemefit.rig import blend_vertices, load_rig_manifest
 from visemefit.synthetic import (
+    FLOW_SPLAT,
+    FRAME_SPLAT,
+    IMAGE_SIZE,
     MOUTH_LANDMARK_IDS,
     SILENCE_TOKENS,
+    _splat,
     build_scene,
     write_scene,
 )
 from visemefit.timeline import read_alignment
+
+from splat_oracle import splat as dense_splat
 
 
 def test_build_scene_is_deterministic():
@@ -100,11 +108,96 @@ def test_write_scene_inventory(tmp_path):
     assert not os.path.exists(os.path.join(obs, "000000.flo"))
 
 
-def test_write_scene_text_outputs_reproducible(tmp_path):
+def _tree(root):
+    files = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    return files
+
+
+def test_write_scene_outputs_reproducible(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        scene = build_scene(seed=21, n_frames=6)
-        scene.write_rasters = False  # skip slow rasters; text files carry the test
-        write_scene(scene, out)
-    for name in ("gt.csv", "align.tsv", "map.txt", "config.txt", "obs/landmarks.csv", "rig/rig.txt", "rig/neutral.obj"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        write_scene(build_scene(seed=21, n_frames=6), out)
+    tree = _tree(out_a)
+    assert sum(name.endswith((".ppm", ".flo")) for name in tree) == 6 + 5
+    assert tree == _tree(out_b)
+
+
+SIZE = 40
+
+
+def _point_sets():
+    """Seeded point sets on a SIZE x SIZE grid; windows are 10 or 12 px."""
+    rng = np.random.default_rng(1207)
+    far = [[-13.5, 20.0], [SIZE + 12.5, 3.0], [7.0, -14.0], [30.0, SIZE + 13.0], [-40.0, -40.0]]
+    return {
+        "overlapping": SIZE / 2 + rng.uniform(-5.0, 5.0, (12, 2)),
+        # a strip along each border, reaching up to a window past it
+        "borders": np.concatenate(
+            [
+                np.column_stack([rng.uniform(-11.0, 2.0, 3), rng.uniform(0, SIZE, 3)]),
+                np.column_stack([rng.uniform(SIZE - 3.0, SIZE + 10.0, 3), rng.uniform(0, SIZE, 3)]),
+                np.column_stack([rng.uniform(0, SIZE, 3), rng.uniform(-11.0, 2.0, 3)]),
+                np.column_stack([rng.uniform(0, SIZE, 3), rng.uniform(SIZE - 3.0, SIZE + 10.0, 3)]),
+                [[-10.0, 5.0], [SIZE + 9.0, SIZE + 9.0]],  # windows one pixel wide or tall
+            ]
+        ),
+        "outside": np.array(far + [[12.25, 17.75]] + far[::-1]),
+        "only-outside": np.array(far),
+        "empty": np.zeros((0, 2)),
+        "integer-and-half": np.concatenate(
+            [rng.integers(0, SIZE, (6, 2)), rng.integers(0, SIZE, (6, 2)) + 0.5, [[0.5, SIZE - 1.0]]]
+        ).astype(np.float64),
+    }
+
+
+POINT_SETS = _point_sets()
+
+
+@pytest.mark.parametrize("name", list(POINT_SETS))
+def test_splat_writes_the_dense_oracles_bytes(name, tmp_path):
+    """Frames and flow splatted on the covered pixels only are byte-identical
+    files to those of the dense splat, with the scene's parameter sets."""
+    points = POINT_SETS[name]
+    rng = np.random.default_rng(len(points))
+    colors = rng.uniform(-0.1, 1.1, (len(points), 3))  # includes values the bytes clip
+    disp = rng.normal(0.0, 3.0, (len(points), 2))
+    new, old = tmp_path / "new", tmp_path / "old"
+    write_ppm(_splat(points, colors, SIZE, encode=quantize, **FRAME_SPLAT), new)
+    write_ppm(dense_splat(points, colors, SIZE, **FRAME_SPLAT), old)
+    assert new.read_bytes() == old.read_bytes()
+    pairs = ((points, disp), (points + disp, -disp))
+    write_flow_pair(*(_splat(at, d, SIZE, encode=flow_cells, **FLOW_SPLAT) for at, d in pairs), new)
+    write_flow_pair(*(dense_splat(at, d, SIZE, **FLOW_SPLAT) for at, d in pairs), old)
+    assert new.read_bytes() == old.read_bytes()
+    # the float64 values before encoding agree bit for bit too
+    for params, vals in ((FRAME_SPLAT, colors), (FLOW_SPLAT, disp)):
+        dense = dense_splat(points, vals, SIZE, **params)
+        np.testing.assert_array_equal(_splat(points, vals, SIZE, encode=np.asarray, **params), dense)
+    if name in ("only-outside", "empty"):  # every pixel is background
+        frame = _splat(points, colors, SIZE, encode=quantize, **FRAME_SPLAT)
+        assert (frame == quantize(FRAME_SPLAT["bg_value"])).all()
+        assert (_splat(points, disp, SIZE, encode=flow_cells, **FLOW_SPLAT) == 0.0).all()
+
+
+def test_write_scene_rasters_match_the_dense_oracle(tmp_path):
+    scene = build_scene(seed=5, n_frames=3)
+    write_scene(scene, tmp_path)
+    obs = tmp_path / "obs"
+    colors = scene.rig.neutral.colors
+    prev = None
+    for j in range(scene.frame_count):
+        proj = project(blend_vertices(scene.rig, scene.gt_curve.weights[j]), scene.poses[j])
+        write_ppm(dense_splat(proj, colors, IMAGE_SIZE, **FRAME_SPLAT), tmp_path / "f.ppm")
+        assert (tmp_path / "f.ppm").read_bytes() == (obs / frame_image_name(j)).read_bytes(), j
+        if prev is not None:
+            disp = proj - prev
+            fwd = dense_splat(prev, disp, IMAGE_SIZE, **FLOW_SPLAT)
+            bwd = dense_splat(proj, -disp, IMAGE_SIZE, **FLOW_SPLAT)
+            write_flow_pair(fwd, bwd, tmp_path / "f.flo")
+            assert (tmp_path / "f.flo").read_bytes() == (obs / frame_flow_name(j)).read_bytes(), j
+        prev = proj
