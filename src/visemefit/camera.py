@@ -102,20 +102,27 @@ def transform_points(points, pose: Pose) -> np.ndarray:
     return p @ R.T + pose.translation
 
 
+def pinhole(points, intrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels (N, 2) and inverse depths (N,) of camera-frame points (N, 3).
+
+    A pixel is f * X / z + c. If any point has non-positive depth, raises
+    NumericError naming the one of least depth.
+    """
+    z = points[:, 2]
+    if z.size and z.min() <= 0.0:
+        bad = int(np.argmin(z))
+        raise NumericError(f"behind-camera vertex {bad} (depth {z[bad]:.6g})")
+    f, cx, cy = intrinsics
+    pixels = f * points[:, :2] / z[:, None]
+    pixels += (cx, cy)
+    return pixels, 1.0 / z
+
+
 def project(points, pose: Pose) -> np.ndarray:
     """Pinhole projection of one point (3,) or many (N, 3) to pixels.
 
     Raises NumericError if any transformed point has non-positive depth.
     """
     p = np.asarray(points, dtype=np.float64)
-    single = p.ndim == 1
-    X = transform_points(p.reshape(-1, 3), pose)
-    z = X[:, 2]
-    if np.any(z <= 0.0):
-        bad = int(np.argmax(z <= 0.0))
-        raise NumericError(f"behind-camera vertex at index {bad} (depth {z[bad]:.6g})")
-    f, cx, cy = pose.intrinsics
-    out = np.empty((len(X), 2))
-    out[:, 0] = f * X[:, 0] / z + cx
-    out[:, 1] = f * X[:, 1] / z + cy
-    return out[0] if single else out
+    pixels, _ = pinhole(transform_points(p.reshape(-1, 3), pose), pose.intrinsics)
+    return pixels[0] if p.ndim == 1 else pixels

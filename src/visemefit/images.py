@@ -95,12 +95,7 @@ def read_ppm(path) -> np.ndarray:
 def in_bounds(points: np.ndarray, width: int, height: int) -> np.ndarray:
     """Mask of (x, y) points inside the bilinear-sampling domain."""
     p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    return (
-        (p[:, 0] >= 0.0)
-        & (p[:, 0] <= width - 1.0)
-        & (p[:, 1] >= 0.0)
-        & (p[:, 1] <= height - 1.0)
-    )
+    return ((p >= 0.0) & (p <= (width - 1.0, height - 1.0))).all(axis=1)
 
 
 # (row, column) offsets of the corners (x0, y0), (x1, y0), (x0, y1), (x1, y1),

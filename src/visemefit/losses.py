@@ -1,18 +1,34 @@
 """Per-frame fitting objective: seven weighted terms and their gradients.
 
-The terms take two code paths. Landmark and flow are pixel-target blocks,
-both computed by _pixel_term: a weighted mean of scaled squared distances
-between projected vertices and targets. The photometric term, which samples
-the image, is added between them. The regularizers (suppress, activate,
-temporal difference, range) are (weight, index, residual) rows on the weight
-vector: each adds weight * mean(r * r) to the value and
-(weight * 2.0 / len(r)) * r to the weight gradient.
+FrameProblem builds every per-frame constant once; evaluate() then works on
+one vector u = [projected vertex pixels (N, 2) flattened, the V viseme
+weights] and three pieces:
+
+- The residual rows stack every term whose rows are fixed for the frame.
+  Each row reads one entry of u and has a target and a coefficient:
+  - landmark: a pixel coordinate of the bound vertex, the observed
+    position, w1 * beta / count;
+  - flow: a pixel coordinate, the flow-advected previous projection,
+    w5 / count;
+  - suppress and activate: a weight, 0, w3 / |suppress| and
+    -w4 / |activate|;
+  - temporal: a weight, the neighbor frame's weight, w6 / V.
+
+  They add sum(coef * (u[index] - target)^2) to the value, and np.bincount
+  returns their gradient to u, so two rows on one entry both count.
+- The photometric term samples the image at the projected vertices that land
+  inside it. Which vertices those are changes with the pose, so it is built
+  on each call.
+- The range term's rows are the weights outside [0, 1], so they too depend
+  on the call: the nonzero entries of min(w, 0) and max(w, 1) - 1, each side
+  averaged over its own count.
 
 evaluate() always returns the gradient, and it is analytic: pixel-space
 gradients chain through blend -> rigid transform -> pinhole projection, the
 photometric term uses the exact in-cell derivative of bilinear sampling, and
 the quaternion gradient is the exact chain through normalization (tangent to
-the unit sphere at unit norm).
+the unit sphere at unit norm). d(rotation)/dq is linear in q, so one constant
+(16, 9) matrix, _DR_DQ, contracts it with the vertices.
 """
 
 from __future__ import annotations
@@ -22,19 +38,30 @@ import math
 import numpy as np
 
 from . import images
-from .camera import quat_rotation_jacobians, quat_to_matrix
+from .camera import pinhole, quat_rotation_jacobians, quat_to_matrix
 from .errors import NumericError
 from .guidance import GuidanceSets
 from .observations import RawObservation
 from .rig import Rig
 
+# row 4 * i + j holds the coefficient of q[j] in d(rotation)/dq[i], over the
+# nine matrix entries
+_DR_DQ = np.stack([quat_rotation_jacobians(e) for e in np.eye(4)], axis=1).reshape(16, 9)
+_ONES3 = np.ones(3)
+
+
+def rotation_gradient(dldx, s, q_unit) -> np.ndarray:
+    """d/dq of sum(dldx * (s @ R(q).T)) at a unit quaternion, dldx held fixed:
+    for each i, the sum over vertices of dldx . (dR/dq[i] @ s)."""
+    return (_DR_DQ @ (dldx.T @ s).ravel()).reshape(4, 4) @ q_unit
+
 
 class FrameProblem:
     """One frame's objective; evaluate() returns its value and gradient.
 
-    Everything that stays constant across optimizer iterations (landmark
-    targets, flow targets, guidance index arrays, the image) is resolved once
-    here; evaluate() is the per-iteration hot path.
+    Everything that stays constant across optimizer iterations (the residual
+    rows and the image) is built once here; evaluate() is the per-iteration
+    hot path.
 
     obs supplies the landmarks and the image; landmark ids the rig does not
     bind are skipped. Its raw flow grids are not read: flow_targets is the
@@ -57,20 +84,34 @@ class FrameProblem:
         self.b0 = rig.neutral.vertices
         self.d2 = rig.deltas.reshape(rig.viseme_count, -1)
         self.colors = rig.neutral.colors
-        self.w1, self.w2, self.w3, self.w4, self.w5, self.w6, self.w7 = (
-            float(x) for x in loss_weights
-        )
-        self.n_verts = rig.neutral.vertex_count
-        self.n_visemes = rig.viseme_count
+        w1, self.w2, w3, w4, w5, w6, self.w7 = (float(x) for x in loss_weights)
+        self.n_pixels = 2 * rig.neutral.vertex_count
+        nv = rig.viseme_count
 
-        # Pixel-target blocks are (weight, vertex indices, target x, target y,
-        # per-point scale), or None when the set is empty. Flow's scale is all
-        # ones, so it shares the landmark arithmetic exactly.
+        # (entries of u, targets, coefficients) of each term's rows, after an
+        # empty part that fixes the dtypes when no term has rows; a
+        # coefficient that overflows is inf, and evaluate then reports the
+        # non-finite objective
+        parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
         rows, vidx = rig.landmark_rows(obs.landmark_ids)
-        self.landmarks = None
         if rows.size:
-            tx, ty = obs.landmark_points[rows].T.copy()
-            self.landmarks = (self.w1, vidx, tx, ty, obs.landmark_betas[rows])
+            with np.errstate(over="ignore"):
+                coef = w1 / rows.size * obs.landmark_betas[rows]
+            parts.append(_pixel_rows(vidx, obs.landmark_points[rows], coef))
+        if flow_targets is not None and len(flow_targets[0]):
+            vidx = np.asarray(flow_targets[0], dtype=np.int64)
+            targets = np.asarray(flow_targets[1], dtype=np.float64).reshape(-1, 2)
+            parts.append(_pixel_rows(vidx, targets, np.full(vidx.size, w5 / vidx.size)))
+        sup, act = (guidance.suppress, guidance.activate) if guidance is not None else ((), ())
+        for scale, members in ((w3, sup), (-w4, act)):
+            if members:
+                k = len(members)
+                idx = self.n_pixels + np.array(sorted(members))
+                parts.append((idx, np.zeros(k), np.full(k, scale / k)))
+        if neighbor_weights is not None:
+            targets = np.asarray(neighbor_weights, dtype=np.float64).reshape(nv)
+            parts.append((self.n_pixels + np.arange(nv), targets, np.full(nv, w6 / nv)))
+        self.rows = tuple(np.concatenate(a) for a in zip(*parts))
 
         # kept as given (a uint8 frame stays uint8): bilinear_sample converts
         # only the cells it reads
@@ -78,121 +119,73 @@ class FrameProblem:
         if obs.image is not None and self.colors is not None:
             self.image = np.asarray(obs.image)
 
-        self.flow = None
-        if flow_targets is not None and len(flow_targets[0]):
-            vidx, targets = flow_targets
-            tx, ty = np.asarray(targets, dtype=np.float64).reshape(-1, 2).T.copy()
-            self.flow = (self.w5, np.asarray(vidx, dtype=np.int64), tx, ty, np.ones(len(tx)))
-
-        sup, act = (guidance.suppress, guidance.activate) if guidance is not None else ((), ())
-        self.sup_idx = np.array(sorted(sup), dtype=np.int64)
-        self.act_idx = np.array(sorted(act), dtype=np.int64)
-
-        self.neighbor = None
-        if neighbor_weights is not None:
-            self.neighbor = np.asarray(neighbor_weights, dtype=np.float64)
-
     def evaluate(self, w, q, t):
         """Objective value and its gradient (gw, gq, gt) at (w, q, t).
 
         q need not be unit; it is normalized on entry and the reported
         gradient is the exact derivative through that normalization.
 
-        Every reduction keeps the rounding of the plain formulas: a mean is
-        written sum / count (as numpy computes it), never a multiply by a
-        precomputed reciprocal, and every gradient coefficient is
-        weight * 2.0 / count. Terms add in a fixed order: landmark,
-        photometric, flow, then the weight rows.
+        Every term is a weighted sum of squares, so the gradients are
+        accumulated halved and their common factor 2 is applied once, where
+        they are chained to (w, q, t). Terms add in a fixed order: residual
+        rows, photometric, then range.
         """
-        n = self.n_verts
         w = np.asarray(w, dtype=np.float64)
         q = np.asarray(q, dtype=np.float64)
         q_norm = math.sqrt(q @ q)
         if q_norm == 0.0 or not math.isfinite(q_norm):
             raise NumericError("degenerate quaternion during evaluation")
         qn = q / q_norm
-        q_unit = qn.tolist()
-        s = self.b0 + (w @ self.d2).reshape(n, 3)
-        rot = quat_to_matrix(q_unit)
+        rot = quat_to_matrix(qn.tolist())
+        s = self.b0 + (w @ self.d2).reshape(self.b0.shape)
         x = s @ rot.T + np.asarray(t, dtype=np.float64)
-        z = x[:, 2]
-        if z.min() <= 0.0:
-            bad = int(np.argmin(z))
-            raise NumericError(f"behind-camera vertex {bad} (depth {z[bad]:.6g})")
-        f, cx, cy = self.intrinsics
-        inv_z = 1.0 / z
-        px = f * x[:, 0] * inv_z + cx
-        py = f * x[:, 1] * inv_z + cy
+        p, inv_z = pinhole(x, self.intrinsics)
 
-        val = 0.0
-        dpx = np.zeros(n)
-        dpy = np.zeros(n)
-        gw = np.zeros(self.n_visemes)
-
-        if self.landmarks is not None:
-            val += _pixel_term(self.landmarks, px, py, dpx, dpy)
+        u = np.concatenate((p.ravel(), w))
+        idx, targets, coef = self.rows
+        r = u.take(idx) - targets
+        g = coef * r
+        val = float(np.vdot(g, r))
+        # with no rows at all, bincount counts in integers
+        du = np.bincount(idx, g, u.size).astype(np.float64, copy=False)
+        dp = du[: self.n_pixels].reshape(p.shape)
+        gw = du[self.n_pixels :]
 
         if self.image is not None:
             h, wd = self.image.shape[:2]
-            inb = (px >= 0.0) & (px <= wd - 1.0) & (py >= 0.0) & (py <= h - 1.0)
-            fidx = np.flatnonzero(inb)
+            fidx = np.flatnonzero(images.in_bounds(p, wd, h))
             if fidx.size == 0:
                 raise NumericError("all vertices project outside the image")
-            pts = np.stack([px[fidx], py[fidx]], axis=1)
-            vals, gx, gy = images.bilinear_sample(self.image, pts, with_grad=True)
-            rr = vals - self.colors[fidx]
-            nf = fidx.size
-            val += self.w2 * float((rr * rr).sum() / nf)
-            c = self.w2 * 2.0 / nf
-            dpx[fidx] += c * (rr * gx).sum(axis=1)
-            dpy[fidx] += c * (rr * gy).sum(axis=1)
+            vals, gx, gy = images.bilinear_sample(self.image, p.take(fidx, axis=0), with_grad=True)
+            rr = vals - self.colors.take(fidx, axis=0)
+            val += self.w2 * (float(np.vdot(rr, rr)) / fidx.size)
+            # per-vertex dot products over the three channels
+            grad = np.stack(((rr * gx) @ _ONES3, (rr * gy) @ _ONES3), axis=1)
+            dp[fidx] += (self.w2 / fidx.size) * grad
 
-        if self.flow is not None:
-            val += _pixel_term(self.flow, px, py, dpx, dpy)
-
-        # weight rows (weight, index into w, residual): suppress, activate,
-        # temporal, then the range term's upper and lower parts
-        sup, act = self.sup_idx, self.act_idx
-        rows = [(self.w3, sup, w[sup]), (-self.w4, act, w[act])]
-        if self.neighbor is not None:
-            rows.append((self.w6, slice(None), w - self.neighbor))
-        upper = w > 1.0
-        lower = w < 0.0
-        rows += [(self.w7, upper, w[upper] - 1.0), (self.w7, lower, w[lower])]
-        for weight, idx, r in rows:
-            if len(r):
-                val += weight * float((r * r).sum() / len(r))
-                gw[idx] += (weight * 2.0 / len(r)) * r
+        for r in (np.minimum(w, 0.0), np.maximum(w, 1.0) - 1.0):
+            k = np.count_nonzero(r)
+            if k:
+                val += self.w7 * (float(np.vdot(r, r)) / k)
+                gw += (self.w7 / k) * r
 
         if not math.isfinite(val):
             raise NumericError("non-finite objective value")
 
-        # chain pixel-space gradients to (w, q, t) through the projection
-        a = dpx * f * inv_z
-        b = dpy * f * inv_z
-        dldx = np.empty((n, 3))
-        dldx[:, 0] = a
-        dldx[:, 1] = b
-        dldx[:, 2] = -(a * x[:, 0] + b * x[:, 1]) * inv_z
+        # chain the halved pixel gradients to (w, q, t) through the projection
+        fz = (2.0 * self.intrinsics[0]) * inv_z
+        dldx = np.empty_like(x)
+        np.multiply(dp, fz[:, None], out=dldx[:, :2])
+        dldx[:, 2] = (dldx[:, 0] * x[:, 0] + dldx[:, 1] * x[:, 1]) * -inv_z
         gt = dldx.sum(axis=0)
-        gw += self.d2 @ (dldx @ rot).ravel()
-        drdq = quat_rotation_jacobians(q_unit)
-        # sum over vertices of dldx * (s @ drdq[i].T), for all four i at once
-        gq_unit = (dldx * (s @ drdq.transpose(0, 2, 1))).reshape(4, -1).sum(axis=1)
+        gw = 2.0 * gw + self.d2 @ (dldx @ rot).ravel()
+        gq_unit = rotation_gradient(dldx, s, qn)
         gq = (gq_unit - qn * float(qn @ gq_unit)) / q_norm
         return val, gw, gq, gt
 
 
-def _pixel_term(block, px, py, dpx, dpy) -> float:
-    """Add one pixel-target block's gradient to (dpx, dpy); return its value.
-
-    The value is weight * mean of scale * squared pixel distance. np.add.at
-    accumulates every point, so two targets on one vertex both count.
-    """
-    weight, vidx, tx, ty, scale = block
-    rx = px[vidx] - tx
-    ry = py[vidx] - ty
-    c = (weight * 2.0 / len(vidx)) * scale
-    np.add.at(dpx, vidx, c * rx)
-    np.add.at(dpy, vidx, c * ry)
-    return weight * float((scale * (rx * rx + ry * ry)).sum() / len(vidx))
+def _pixel_rows(vidx, targets, coef):
+    """Rows for target pixels (k, 2) of vertices vidx: two entries of u per
+    target, both with the target's coefficient."""
+    entries = (2 * vidx[:, None] + np.arange(2)).ravel()
+    return entries, targets.ravel(), np.repeat(coef, 2)

@@ -336,7 +336,9 @@ def test_fit_warnings_name_clip_and_frame(scene_dir, tmp_path, caplog):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_fit_numeric_error_names_clip_and_frame(scene_dir, tmp_path, workers):
     clips = _two_clips(scene_dir, tmp_path)
-    # a learning rate this large throws the head behind the camera at once
+    # frame 0 starts at its exact solution (its landmarks are projections of
+    # the starting pose), so its gradient is zero; a learning rate this large
+    # throws the head behind the camera on frame 1, the first with a gradient
     cfg = parse_fit_config((scene_dir / "fast.cfg").read_text(encoding="utf-8"))
     (tmp_path / "wild.cfg").write_text(
         serialize_fit_config(dataclasses.replace(cfg, lr0=50.0)), encoding="utf-8"
@@ -362,10 +364,10 @@ def test_fit_numeric_error_names_clip_and_frame(scene_dir, tmp_path, workers):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert code == 3, err
     assert len(errors) == 1, err
-    assert errors[0].startswith(f"error: {clips / 'a'}: frame 0: "), err
+    assert errors[0].startswith(f"error: {clips / 'a'}: frame 1: "), err
     assert "Traceback" not in err
     # b is still fitted, and its own failure is one warning line
-    later = [line for line in err.splitlines() if line.startswith(f"{clips / 'b'}: frame 0: ")]
+    later = [line for line in err.splitlines() if line.startswith(f"{clips / 'b'}: frame 1: ")]
     assert len(later) == 1, err
 
 

@@ -7,8 +7,8 @@ from visemefit.camera import Pose, project, quat_rotation_jacobians
 from visemefit.errors import DataError, NumericError
 from visemefit.fitting import FitConfig
 from visemefit.guidance import GuidanceSets
-from visemefit.images import bilinear_sample
-from visemefit.losses import FrameProblem
+from visemefit.images import bilinear_sample, in_bounds
+from visemefit.losses import FrameProblem, rotation_gradient
 from visemefit.observations import RawObservation
 from visemefit.rig import blend_vertices
 
@@ -181,19 +181,82 @@ def test_total_loss_equals_sum_of_standalone_terms(rng):
         rig, pose, w, obs, guidance, flow, prev, nb = _full_setup(rng, shared_vertex=shared_vertex)
         prob = _problem(rig, obs, guidance, flow, prev, nb)
         got, _, _, _ = prob.evaluate(w, pose.rotation, pose.translation)
-
         lw = FitConfig().loss_weights
-        lms = list(zip(obs.landmark_ids, obs.landmark_points, obs.landmark_betas))
-        expect = (
-            lw[0] * loss_lmk(pose, w, rig, lms)
-            + lw[1] * loss_rgb(pose, w, rig, obs.image)
-            + lw[2] * loss_sup(w, guidance)
-            + lw[3] * loss_act(w, guidance)
-            + lw[4] * loss_flow(pose, w, prev[1], prev[0], rig, flow)
-            + lw[5] * loss_diff(w, nb)
-            + lw[6] * loss_range(w)
-        )
+        expect = _oracle_total(lw, rig, pose, w, obs, guidance, flow, prev, nb)
         assert abs(got - expect) < 1e-9
+
+
+def _oracle_total(lw, rig, pose, w, obs, guidance, flow, prev, nb):
+    """The seven terms of loss_oracle, weighted by lw and summed; prev is
+    (weights, pose) of the frame the flow starts from."""
+    lms = list(zip(obs.landmark_ids, obs.landmark_points, obs.landmark_betas))
+    return (
+        lw[0] * (loss_lmk(pose, w, rig, lms) if lms else 0.0)
+        + lw[1] * (0.0 if obs.image is None else loss_rgb(pose, w, rig, obs.image))
+        + lw[2] * loss_sup(w, guidance)
+        + lw[3] * loss_act(w, guidance)
+        + lw[4] * loss_flow(pose, w, prev[1], prev[0], rig, flow)
+        + lw[5] * loss_diff(w, nb)
+        + lw[6] * loss_range(w)
+    )
+
+
+def test_evaluate_matches_oracle_over_seeded_problems():
+    # the stacked residual rows against the seven plain terms, over problems
+    # that vary which terms are present and how rows share an entry
+    rng = np.random.default_rng(4242)
+    seen = dict.fromkeys(
+        (
+            "landmark and flow on one vertex", "two landmarks on one vertex",
+            "weights past both ends", "no landmarks", "no neighbor", "empty suppress",
+            "empty activate", "vertices outside image", "no residual rows",
+        ),
+        0,
+    )
+    for i in range(200):
+        rig = make_rig(rng, n_verts=8, n_visemes=4)
+        if i % 2:
+            rig = dataclasses.replace(rig, landmark_bindings={**rig.landmark_bindings, 7: 0})
+        pose = random_pose(rng, scale=0.02)
+        w = rng.uniform(-0.5, 1.5, 4) if i % 3 == 0 else rng.uniform(0.0, 1.0, 4)
+        n_lmk = 0 if i % 5 == 0 else 8
+        gt_proj = project(blend_vertices(rig, rng.uniform(0.0, 1.0, 4)), pose)
+        obs = RawObservation(
+            landmark_ids=np.arange(n_lmk),
+            landmark_points=gt_proj[:n_lmk] + rng.normal(0.0, 1.0, (n_lmk, 2)),
+            landmark_betas=rng.uniform(1.0, 5.0, n_lmk),
+            image=rng.uniform(0.0, 1.0, (64, 64, 3) if i % 4 else (48, 40, 3)) if i % 7 else None,
+        )
+        flow = (rng.integers(0, 8, 3), rng.normal(0.0, 2.0, (3, 2))) if i % 6 and i % 20 else None
+        order = rng.permutation(4)
+        k_sup, k_act = rng.integers(0, 3, 2) if i % 20 else (0, 0)
+        guidance = GuidanceSets(
+            suppress=frozenset(order[:k_sup].tolist()),
+            activate=frozenset(order[k_sup : k_sup + k_act].tolist()),
+        )
+        prev = (rng.uniform(0.0, 1.0, 4), random_pose(rng, scale=0.02))
+        nb = None if i % 4 == 1 or i % 20 == 0 else rng.uniform(0.0, 1.0, 4)
+        lw = tuple(np.array(FitConfig().loss_weights) * rng.uniform(0.5, 2.0, 7))
+
+        targets = None if flow is None else flow_targets(rig, *flow, *prev)
+        prob = FrameProblem(rig, lw, guidance, INTR, obs, flow_targets=targets, neighbor_weights=nb)
+        got, _, _, _ = prob.evaluate(w, pose.rotation, pose.translation)
+        expect = _oracle_total(lw, rig, pose, w, obs, guidance, flow, prev, nb)
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
+
+        proj = project(blend_vertices(rig, w), pose)
+        seen["landmark and flow on one vertex"] += n_lmk > 0 and flow is not None
+        seen["two landmarks on one vertex"] += n_lmk > 0 and i % 2
+        seen["weights past both ends"] += w.min() < 0.0 and w.max() > 1.0
+        seen["no landmarks"] += n_lmk == 0
+        seen["no neighbor"] += nb is None
+        seen["empty suppress"] += k_sup == 0
+        seen["empty activate"] += k_act == 0
+        no_rows = n_lmk == 0 and flow is None and k_sup + k_act == 0 and nb is None
+        seen["no residual rows"] += no_rows
+        if obs.image is not None:
+            seen["vertices outside image"] += not in_bounds(proj, *obs.image.shape[1::-1]).all()
+    assert min(seen.values()) >= 10, seen
 
 
 def test_total_loss_skips_absent_terms(rng):
@@ -240,15 +303,24 @@ def test_gradient_matches_finite_differences(rng):
 
 
 def test_frame_problem_skips_unbound_landmarks(rng, cam_pose):
+    # an unbound id changes nothing: value and gradients equal those of the
+    # same frame observed without it
     rig = make_rig(rng)
-    obs = RawObservation(
-        landmark_ids=np.array([0, 42]),  # 42 unbound
-        landmark_points=np.array([[30.0, 30.0], [10.0, 10.0]]),
-        landmark_betas=np.array([1.0, 1.0]),
-    )
-    prob = FrameProblem(rig, FitConfig().loss_weights, None, INTR, obs)
-    # the landmark block is (weight, vertex indices, x, y, betas)
-    assert prob.landmarks is not None and len(prob.landmarks[1]) == 1
+    w = rng.uniform(0.0, 1.0, rig.viseme_count)
+    results = []
+    for ids, points in (([0, 42], [[30.0, 30.0], [10.0, 10.0]]), ([0], [[30.0, 30.0]])):
+        obs = RawObservation(
+            landmark_ids=np.array(ids),  # 42 unbound
+            landmark_points=np.array(points),
+            landmark_betas=np.ones(len(ids)),
+        )
+        prob = FrameProblem(rig, FitConfig().loss_weights, None, INTR, obs)
+        results.append(prob.evaluate(w, cam_pose.rotation, cam_pose.translation))
+    (val, gw, gq, gt), (val0, gw0, gq0, gt0) = results
+    assert val == val0 and val > 0.0
+    np.testing.assert_array_equal(gw, gw0)
+    np.testing.assert_array_equal(gq, gq0)
+    np.testing.assert_array_equal(gt, gt0)
 
 
 def test_behind_camera_projection_raises(tiny_rig):
@@ -281,17 +353,17 @@ def test_uint8_frame_evaluates_like_its_float64_copy(rng):
 
 
 def test_quaternion_gradient_contraction_matches_loop(rng):
-    # evaluate contracts the four rotation jacobians in one product; the
-    # per-jacobian loop is the reference, and the rounding must not change
+    # evaluate contracts the four rotation jacobians through one constant
+    # matrix; the per-jacobian loop is the reference
     for _ in range(300):
         n = int(rng.integers(1, 130))
         dldx = rng.normal(0.0, 10.0, (n, 3))
         s = rng.normal(0.0, 1.0, (n, 3))
         q = rng.normal(0.0, 1.0, 4)
-        drdq = quat_rotation_jacobians((q / np.linalg.norm(q)).tolist())
+        q_unit = q / np.linalg.norm(q)
+        drdq = quat_rotation_jacobians(q_unit.tolist())
         loop = np.array([(dldx * (s @ drdq[i].T)).sum() for i in range(4)])
-        fused = (dldx * (s @ drdq.transpose(0, 2, 1))).reshape(4, -1).sum(axis=1)
-        np.testing.assert_array_equal(fused, loop)
+        np.testing.assert_allclose(rotation_gradient(dldx, s, q_unit), loop, rtol=1e-12, atol=0.0)
 
 
 # FrameProblem.evaluate's own failure paths, each with its message
