@@ -29,7 +29,7 @@ from .evaluation import (
 )
 from .fitting import FitConfig, fit_clip, read_fit_config, read_poses, write_poses
 from .mesh import write_obj
-from .observations import ObservationDir, read_landmarks
+from .observations import ObservationDir, is_observation_dir, landmarks_path, read_landmarks
 from .procedural import generate_procedural, read_rules
 from .rig import bake_mesh_sequence, load_rig_manifest
 from .timeline import read_alignment, read_viseme_map
@@ -49,14 +49,6 @@ def _cmd_gen_proc(args) -> int:
     return curve.frame_count
 
 
-def _is_clip_dir(path: str) -> bool:
-    if os.path.exists(os.path.join(path, "landmarks.csv")):
-        return True
-    return any(
-        name.endswith((".ppm", ".flo")) for name in os.listdir(path)
-    )
-
-
 def _fit_one(rig, align_path, obs_path, cfg, vmap, rules, fps, out_dir):
     timeline = read_alignment(align_path)
     observations = ObservationDir(obs_path)
@@ -72,10 +64,8 @@ def _cmd_fit(args) -> int:
     vmap = read_viseme_map(args.map, rig.viseme_labels)
     cfg = read_fit_config(args.config) if args.config else FitConfig()
     rules = read_rules(args.rules) if args.rules else None
-    if not os.path.isdir(args.obs):
-        raise DataError(f"observation directory {args.obs} does not exist")
 
-    if _is_clip_dir(args.obs):
+    if is_observation_dir(args.obs):
         if not args.align:
             raise UsageError("single-clip fit needs --align")
         jobs = [(args.align, args.obs, args.out)]
@@ -153,7 +143,7 @@ def _cmd_eval(args) -> int:
     # keypoint metric
     if not (args.obs and args.poses):
         raise UsageError("eval --metric keypoint needs --obs and --poses")
-    observations = read_landmarks(os.path.join(args.obs, "landmarks.csv"))
+    observations = read_landmarks(landmarks_path(args.obs))
     poses = read_poses(args.poses)
     subset = rig.mouth_landmark_ids if args.mouth_only else None
     series = keypoint_error(rig, curve, poses, observations, subset=subset)
@@ -226,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=("keypoint", "lip", "tv"), required=True)
     p.add_argument("--curve", required=True)
     p.add_argument("--rig", help="needed for keypoint and lip metrics")
-    p.add_argument("--obs", help="observation dir with landmarks.csv (keypoint)")
+    p.add_argument("--obs", help="observation dir with landmarks (keypoint)")
     p.add_argument("--poses", help="poses CSV from fit (keypoint)")
     p.add_argument("--mouth-only", action="store_true",
                    help="restrict keypoint error to the rig's mouth landmark ids")

@@ -31,6 +31,11 @@ from .timeline import PhonemeVisemeMap, Timeline
 
 log = logging.getLogger(__name__)
 
+# Largest accepted loss weight. Far above any useful weighting, it keeps a
+# weight from overflowing the objective, which would fail late with a numeric
+# error that names neither the config file nor the key.
+MAX_LOSS_WEIGHT = 1e12
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -64,8 +69,8 @@ class FitConfig:
 
     def __post_init__(self):
         for name in ("w1", "w2", "w3", "w4", "w5", "w6", "w7"):
-            if getattr(self, name) < 0:
-                raise DataError(f"loss weight {name} cannot be negative")
+            if not 0 <= getattr(self, name) <= MAX_LOSS_WEIGHT:
+                raise DataError(f"loss weight {name} must be in [0, {MAX_LOSS_WEIGHT:g}]")
         if self.n > self.m:
             raise DataError(f"activate size n={self.n} cannot exceed suppress rank m={self.m}")
         if self.m < 0 or self.n < 0 or self.radius < 0:
@@ -219,16 +224,19 @@ def fit_clip(
                     else:
                         prev_proj = _safe_project(rig, params[j - 1], cfg, j - 1)
                         fwd, bwd = obs.flow
-                        vidx, disp = screen_flow(fwd, bwd, prev_proj, cfg.tau_flow)
+                        try:
+                            vidx, disp = screen_flow(fwd, bwd, prev_proj, cfg.tau_flow)
+                        except DataError as exc:
+                            raise DataError(f"{clip}: frame {j}: {exc}") from exc
                         if vidx.size:
                             flow_targets = (vidx, prev_proj[vidx] + disp)
-                if forward and obs.image is not None and rig.neutral.colors is None:
-                    missing_rgb += 1
                 problem = FrameProblem(
                     rig, cfg.loss_weights, sets[j], cfg.intrinsics, obs,
                     flow_targets=flow_targets,
                     neighbor_weights=None if prev is None else params[prev, :nv],
                 )
+                if forward and obs.image is not None and problem.image is None:
+                    missing_rgb += 1
                 params[j] = _optimize_frame(problem, params[j], cfg, j)
                 prev = j
 

@@ -75,7 +75,8 @@ def screen_flow(
     projected rig vertices). For each candidate p the forward displacement u is
     sampled at p; the correspondence survives if p + u stays in bounds and
     ``|u + backward(p + u)| < tau``. Returns (indices into prev_points,
-    displacements u) for the survivors.
+    displacements u) for the survivors. A non-finite value in a cell that is
+    sampled raises DataError; cells that are not sampled are not checked.
     """
     fwd = np.asarray(forward)
     bwd = np.asarray(backward)
@@ -88,13 +89,23 @@ def screen_flow(
     idx = np.flatnonzero(in_bounds(p, w, h))
     if idx.size == 0:
         return idx, np.zeros((0, 2))
-    u = bilinear_sample(fwd, p[idx])
+    u = _sample_finite(fwd, p[idx], "forward")
     q = p[idx] + u
     ok = in_bounds(q, w, h)
     idx, u, q = idx[ok], u[ok], q[ok]
     if idx.size == 0:
         return idx, np.zeros((0, 2))
-    back = bilinear_sample(bwd, q)
+    back = _sample_finite(bwd, q, "backward")
     resid = np.linalg.norm(u + back, axis=1)
     keep = resid < tau
     return idx[keep], u[keep]
+
+
+def _sample_finite(grid: np.ndarray, points: np.ndarray, which: str) -> np.ndarray:
+    # a nan or inf corner makes every value it touches non-finite (inf - inf
+    # is nan), so checking the values checks the cells that were read
+    with np.errstate(invalid="ignore"):
+        values = bilinear_sample(grid, points)
+    if not np.isfinite(values).all():
+        raise DataError(f"{which} flow holds a non-finite value at a sampled cell")
+    return values

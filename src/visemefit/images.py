@@ -93,7 +93,7 @@ def read_ppm(path) -> np.ndarray:
 
 
 def in_bounds(points: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Mask of (x, y) points inside the bilinear-sampling domain."""
+    """Mask of (x, y) points inside the bilinear-sampling domain (NaN is outside)."""
     p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     return ((p >= 0.0) & (p <= (width - 1.0, height - 1.0))).all(axis=1)
 
@@ -124,9 +124,9 @@ def bilinear_sample(grid: np.ndarray, points: np.ndarray, with_grad: bool = Fals
     g = np.asarray(grid)
     h, w = g.shape[0], g.shape[1]
     p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    px, py = p[:, 0], p[:, 1]
-    if p.size and (px.min() < 0 or px.max() > w - 1 or py.min() < 0 or py.max() > h - 1):
+    if not in_bounds(p, w, h).all():
         raise DataError("bilinear sample point outside the grid")
+    px, py = p[:, 0], p[:, 1]
     # the points are non-negative here, so truncation is floor
     x0 = np.minimum(px.astype(np.int64), max(w - 2, 0))
     y0 = np.minimum(py.astype(np.int64), max(h - 2, 0))

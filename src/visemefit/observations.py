@@ -98,6 +98,26 @@ def frame_flow_name(frame: int) -> str:
     return f"{frame:06d}.flo"
 
 
+def landmarks_path(obs_dir) -> str:
+    """Where an observation directory keeps its landmark rows."""
+    return os.path.join(str(obs_dir), "landmarks.csv")
+
+
+def _frame_numbers(obs_dir) -> list[int]:
+    """Frame numbers of the frame and flow files (digit-named .ppm and .flo) in obs_dir."""
+    if not os.path.isdir(obs_dir):
+        raise DataError(f"observation directory {obs_dir} does not exist")
+    names = (os.path.splitext(name) for name in os.listdir(obs_dir))
+    return [int(stem) for stem, ext in names
+            if ext in (".ppm", ".flo") and stem.isascii() and stem.isdigit()]
+
+
+def is_observation_dir(path) -> bool:
+    """Whether path is one clip's observation directory: it holds landmarks
+    or a frame or flow file (a stray preview.ppm does not count)."""
+    return os.path.exists(landmarks_path(path)) or bool(_frame_numbers(path))
+
+
 class ObservationDir:
     """Lazy per-frame loader over an observation directory.
 
@@ -107,18 +127,9 @@ class ObservationDir:
 
     def __init__(self, path):
         self.path = str(path)
-        if not os.path.isdir(self.path):
-            raise DataError(f"observation directory {self.path} does not exist")
-        lm_path = os.path.join(self.path, "landmarks.csv")
-        self._landmarks: dict[int, RawObservation] = {}
-        if os.path.exists(lm_path):
-            self._landmarks = read_landmarks(lm_path)
-        n = max(self._landmarks, default=-1) + 1
-        for name in os.listdir(self.path):
-            stem, ext = os.path.splitext(name)
-            if ext in (".ppm", ".flo") and stem.isdigit():
-                n = max(n, int(stem) + 1)
-        self._n = n
+        lm_path = landmarks_path(self.path)
+        self._landmarks = read_landmarks(lm_path) if os.path.exists(lm_path) else {}
+        self._n = max((*self._landmarks, *_frame_numbers(self.path)), default=-1) + 1
 
     def __len__(self) -> int:
         return self._n

@@ -76,32 +76,31 @@ def smoothstep(u):
     return u * u * (3.0 - 2.0 * u)
 
 
-def _window(frac: float, minimum: float, duration: float) -> float:
-    return min(max(frac * duration, minimum), MAX_TRANSITION_S)
-
-
-def envelope(t_rel: float, seg_duration: float, rule: EnvelopeRule) -> float:
-    """Envelope value at time t_rel measured from segment start.
+def envelope(t_rel, seg_duration: float, rule: EnvelopeRule):
+    """Envelope value at t_rel, a time or an array of times measured from
+    segment start.
 
     Rises from zero at start - onset to the apex by start + min(onset, d/4),
     holds, then falls symmetrically around the segment end, reaching zero at
     end + offset. The in-segment portion of each transition is capped at a
-    quarter of the segment so the central half is always a flat apex.
+    quarter of the segment so the central half is always a flat apex. Both
+    windows are at most MAX_TRANSITION_S, and the envelope is zero beyond.
     """
     if seg_duration <= 0:
         raise DataError(f"segment duration must be positive, got {seg_duration}")
     d = seg_duration
-    onset = _window(rule.onset_frac, rule.min_onset, d)
-    offset = _window(rule.offset_frac, rule.min_offset, d)
+    onset = min(max(rule.onset_frac * d, rule.min_onset), MAX_TRANSITION_S)
+    offset = min(max(rule.offset_frac * d, rule.min_offset), MAX_TRANSITION_S)
     rise_end = min(onset, d / 4.0)
     fall_start = d - min(offset, d / 4.0)
-    if t_rel < rise_end:
-        u = (t_rel + onset) / (onset + rise_end)
-        return float(rule.apex_amplitude * smoothstep(u))
-    if t_rel <= fall_start:
-        return float(rule.apex_amplitude)
-    u = (t_rel - fall_start) / (d + offset - fall_start)
-    return float(rule.apex_amplitude * (1.0 - smoothstep(u)))
+    t = np.asarray(t_rel, dtype=np.float64)
+    shape = np.ones(t.shape)
+    rise, fall = t < rise_end, t > fall_start
+    # a window that underflows to zero length divides by zero: a step to 0
+    with np.errstate(divide="ignore"):
+        shape[rise] = smoothstep((t[rise] + onset) / (onset + rise_end))
+        shape[fall] = 1.0 - smoothstep((t[fall] - fall_start) / (d + offset - fall_start))
+    return rule.apex_amplitude * shape
 
 
 def generate_procedural(
@@ -110,26 +109,17 @@ def generate_procedural(
     """Procedural curve sampled at frame centers, co-articulated by max."""
     rules = rules or EnvelopeRules()
     n = frame_count(timeline.duration, fps)
-    v = len(vmap.labels)
-    weights = np.zeros((n, v))
+    weights = np.zeros((n, len(vmap.labels)))
     for seg in timeline.segments:
         vi = viseme_of(seg.phoneme, vmap)
         if vi is None:
             continue
-        rule = rules.for_viseme(vmap.labels[vi])
-        d = seg.duration
-        onset = _window(rule.onset_frac, rule.min_onset, d)
-        offset = _window(rule.offset_frac, rule.min_offset, d)
-        # frames whose center falls inside the envelope's support
-        j0 = max(0, int(np.floor((seg.start - onset) * fps - 0.5)))
-        j1 = min(n - 1, int(np.ceil((seg.end + offset) * fps - 0.5)) + 1)
-        for j in range(j0, j1 + 1):
-            if j >= n:
-                break
-            t = (j + 0.5) / fps - seg.start
-            val = envelope(t, d, rule)
-            if val > weights[j, vi]:
-                weights[j, vi] = val
+        # every frame whose center can fall inside the envelope's support
+        j0 = max(0, int(np.floor((seg.start - MAX_TRANSITION_S) * fps - 0.5)))
+        j1 = min(n, int(np.ceil((seg.end + MAX_TRANSITION_S) * fps - 0.5)) + 2)
+        t = (np.arange(j0, j1) + 0.5) / fps - seg.start
+        val = envelope(t, seg.duration, rules.for_viseme(vmap.labels[vi]))
+        weights[j0:j1, vi] = np.maximum(weights[j0:j1, vi], val)
     return Curve(fps=fps, labels=vmap.labels, weights=weights)
 
 

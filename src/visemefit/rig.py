@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomicio import write_text
 from .errors import DataError
 from .frozen import frozen_array
-from .mesh import Mesh, read_obj
+from .mesh import Mesh, read_obj, write_obj
 from .records import read_text, split_records
 
 
@@ -218,3 +219,22 @@ def load_rig_manifest(path) -> Rig:
             raise DataError(f"{path}: lip_horizontal and lip_vertical must both be given")
         lip_pairs = (lip_h, lip_v)
     return load_rig(neutral_path, viseme_paths, labels, bindings, lip_pairs, mouth_ids)
+
+
+def write_rig(rig: Rig, rig_dir) -> str:
+    """Write rig into rig_dir in the layout load_rig_manifest reads: its
+    meshes as neutral.obj and <LABEL>.obj, and the manifest rig.txt, whose
+    path is returned."""
+    os.makedirs(rig_dir, exist_ok=True)
+    write_obj(rig.neutral, os.path.join(rig_dir, "neutral.obj"))
+    lines = ["neutral=neutral.obj"]
+    for label, mesh in zip(rig.viseme_labels, rig.visemes):
+        write_obj(mesh, os.path.join(rig_dir, f"{label}.obj"))
+        lines.append(f"viseme.{label}={label}.obj")
+    lines += [f"L{lid}={vi}" for lid, vi in sorted(rig.landmark_bindings.items())]
+    for key, (a, b) in zip(("lip_horizontal", "lip_vertical"), rig.lip_pairs or ()):
+        lines.append(f"{key}={a},{b}")
+    lines.append("mouth=" + ",".join(str(i) for i in sorted(rig.mouth_landmark_ids)))
+    manifest = os.path.join(rig_dir, "rig.txt")
+    write_text(manifest, "\n".join(lines) + "\n")
+    return manifest

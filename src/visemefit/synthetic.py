@@ -26,10 +26,16 @@ from .errors import DataError
 from .fitting import FitConfig, serialize_fit_config
 from .flow import flow_cells, write_flow_pair
 from .images import quantize, write_ppm
-from .mesh import Mesh, write_obj
-from .observations import RawObservation, frame_flow_name, frame_image_name, serialize_landmarks
+from .mesh import Mesh
+from .observations import (
+    RawObservation,
+    frame_flow_name,
+    frame_image_name,
+    landmarks_path,
+    serialize_landmarks,
+)
 from .procedural import generate_procedural
-from .rig import Rig, blend_vertices, default_viseme_labels
+from .rig import Rig, blend_vertices, default_viseme_labels, write_rig
 from .timeline import PhonemeSegment, PhonemeVisemeMap, Timeline, frame_count
 
 GRID = 8
@@ -358,19 +364,6 @@ def _splat(points, values, size, sigma, window, bg_value, bg_weight, encode):
     return grid.reshape(size, size, -1)
 
 
-def _serialize_manifest(rig: Rig) -> str:
-    lines = ["neutral=neutral.obj"]
-    for lab in rig.viseme_labels:
-        lines.append(f"viseme.{lab}={lab}.obj")
-    for lid in sorted(rig.landmark_bindings):
-        lines.append(f"L{lid}={rig.landmark_bindings[lid]}")
-    (ha, hb), (va, vb) = rig.lip_pairs
-    lines.append(f"lip_horizontal={ha},{hb}")
-    lines.append(f"lip_vertical={va},{vb}")
-    lines.append("mouth=" + ",".join(str(i) for i in sorted(rig.mouth_landmark_ids)))
-    return "\n".join(lines) + "\n"
-
-
 def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
     """Write the scene to disk in the layouts the fitting pipeline reads."""
     import os
@@ -379,17 +372,11 @@ def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
     from .timeline import serialize_timeline
 
     out = str(out_dir)
-    rig_dir = os.path.join(out, "rig")
     obs_dir = os.path.join(out, "obs")
-    os.makedirs(rig_dir, exist_ok=True)
     os.makedirs(obs_dir, exist_ok=True)
 
     rig = scene.rig
-    write_obj(rig.neutral, os.path.join(rig_dir, "neutral.obj"))
-    for lab, mesh in zip(rig.viseme_labels, rig.visemes):
-        write_obj(mesh, os.path.join(rig_dir, f"{lab}.obj"))
-    manifest = os.path.join(rig_dir, "rig.txt")
-    write_text(manifest, _serialize_manifest(rig))
+    manifest = write_rig(rig, os.path.join(out, "rig"))
 
     align = os.path.join(out, "align.tsv")
     write_text(align, serialize_timeline(scene.timeline))
@@ -400,7 +387,7 @@ def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
     gt_path = os.path.join(out, "gt.csv")
     write_curve(scene.gt_curve, gt_path)
 
-    write_text(os.path.join(obs_dir, "landmarks.csv"), serialize_landmarks(scene.landmarks))
+    write_text(landmarks_path(obs_dir), serialize_landmarks(scene.landmarks))
 
     if scene.write_rasters:
         colors = rig.neutral.colors

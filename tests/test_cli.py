@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
 import logging
 import os
 import random
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +15,15 @@ import pytest
 
 import visemefit
 from visemefit.atomicio import atomic_path
+from visemefit.camera import project
 from visemefit.cli import main
 from visemefit.curves import parse_curve, read_curve, serialize_curve
 from visemefit.flow import write_flow_pair
 from visemefit.fitting import parse_fit_config, serialize_fit_config
-from visemefit.observations import frame_flow_name, read_landmarks
+from visemefit.observations import frame_flow_name, frame_image_name, read_landmarks
 from visemefit.procedural import generate_procedural
-from visemefit.rig import load_rig_manifest
+from visemefit.rig import blend_vertices, load_rig_manifest
+from visemefit.synthetic import build_scene, write_scene
 from visemefit.timeline import read_alignment, read_viseme_map
 
 BONES_CSV = """bone,pose_label,qx,qy,qz,qw,tx,ty,tz,sx,sy,sz
@@ -388,6 +392,38 @@ def test_fit_empty_clip_directory_exits_2(scene_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("align", [False, True], ids=["no-align", "align"])
+def test_fit_directory_with_a_stray_frame_file_fits_every_clip(
+    scene_dir, clean_batch, tmp_path, align
+):
+    """A preview.ppm beside the clip directories does not make the directory
+    one clip: both clips are fitted in directory mode, with or without
+    --align."""
+    clips = _two_clips(scene_dir, tmp_path)
+    (clips / "preview.ppm").write_bytes(b"P6\n1 1\n255\n\0\0\0")
+    extra = ("--align", str(clips / "a" / "align.tsv")) if align else ()
+    assert _fit_clips(scene_dir, clips, tmp_path / "out", extra=extra) == 0
+    assert _tree(tmp_path / "out") == _tree(clean_batch[1])
+
+
+def test_fit_directory_of_non_frame_files_exits_2(scene_dir, tmp_path, capsys):
+    """Frame files are digit-named: a directory holding only other .ppm and
+    .flo names is neither a clip nor a directory of clips."""
+    obs = tmp_path / "obs"
+    obs.mkdir()
+    for name in ("preview.ppm", "frame_a.flo", "\u00b2.ppm"):
+        (obs / name).write_bytes(b"")
+    scene = scene_dir / "scene"
+    capsys.readouterr()
+    code = main(["fit", "--rig", str(scene / "rig" / "rig.txt"), "--map", str(scene / "map.txt"),
+                 "--align", str(scene / "align.tsv"), "--obs", str(obs),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {obs} holds neither observations nor clip directories"
+    ]
+
+
 def test_atomic_write_cleans_up_on_failure(tmp_path):
     target = tmp_path / "out.txt"
     with pytest.raises(RuntimeError):
@@ -427,6 +463,7 @@ BAD_INPUTS = [
     pytest.param("fit", "config.txt", "w1=nan\n", "w1", id="config-w1-nan"),
     pytest.param("fit", "config.txt", "focal=inf\n", "focal", id="config-focal-inf"),
     pytest.param("fit", "config.txt", "cx=nan\n", "cx", id="config-cx-nan"),
+    pytest.param("fit", "config.txt", "w1=1e308\n", "w1", id="config-w1-huge"),
     pytest.param("fit", "config.txt", "w1 0.5\n", "key=value", id="config-no-equals"),
     pytest.param("fit", "config.txt", "focal=-1\n", "focal", id="config-focal-negative"),
     pytest.param("fit", "config.txt", "iters=250\niters=80\n", ":2: duplicate config key 'iters'",
@@ -681,3 +718,109 @@ def test_mutated_inputs_exit_cleanly(scene_dir, tmp_path, capsys, caplog):
 def test_non_finite_frame_count_exits_2(scene_dir, tmp_path, capsys, command, fps, name, content):
     error, _ = _run_probe(scene_dir, tmp_path, capsys, command, fps, name, content)
     assert "fps" in error
+
+
+@pytest.fixture(scope="module")
+def raster_scene(tmp_path_factory):
+    """A 3-frame scene with PPM frames and FLO flow and a 2-step fit config,
+    plus each frame's ground-truth vertex projections."""
+    root = tmp_path_factory.mktemp("raster_scene")
+    scene = build_scene(seed=5, n_frames=3)
+    write_scene(scene, root)
+    cfg = dataclasses.replace(scene.config, iters=2)
+    (root / "config.txt").write_text(serialize_fit_config(cfg), encoding="utf-8")
+    proj = [
+        project(blend_vertices(scene.rig, scene.gt_curve.weights[j]), scene.poses[j])
+        for j in range(scene.frame_count)
+    ]
+    return root, proj
+
+
+@contextlib.contextmanager
+def _replaced(path, data):
+    """path holds data inside the block and its own bytes again after it.
+    Each write makes a new file, so no memory map of the old bytes sees it."""
+    original = path.read_bytes()
+    path.unlink()
+    path.write_bytes(data)
+    try:
+        yield
+    finally:
+        path.unlink()
+        path.write_bytes(original)
+
+
+def test_fit_non_finite_flow_cell_exits_2_naming_clip_and_frame(raster_scene, capsys):
+    s, _ = raster_scene
+    flo = s / "obs" / frame_flow_name(2)
+    data = flo.read_bytes()
+    nan_cells = np.full((len(data) - 12) // 4, np.nan, dtype="<f4").tobytes()
+    with _replaced(flo, data[:12] + nan_cells):
+        capsys.readouterr()
+        assert main(_probe_argv("fit", s, "30")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {s / 'obs'}: frame 2: forward flow holds a non-finite value at a sampled cell"
+    ]
+
+
+def _mutate_frame_file(data: bytes, name: str, proj, rnd: random.Random):
+    """One random mutation of a PPM frame or a FLO flow pair, a description
+    of it, and whether the fit must exit 2 because it samples a non-finite
+    cell. proj holds each frame's vertex projections."""
+    flow = name.endswith(".flo")
+    kinds = ["truncate", "flip", "resize", "empty"] + ["non-finite"] * flow
+    kind = rnd.choice(kinds)
+    header = 12 if flow else data.index(b"255\n") + 4
+    if kind == "truncate":
+        cut = rnd.randrange(len(data))
+        return data[:cut], f"truncate at byte {cut}", False
+    if kind == "flip":
+        at, bit = rnd.randrange(header), 1 << rnd.randrange(8)
+        flipped = data[:at] + bytes([data[at] ^ bit]) + data[at + 1:]
+        return flipped, f"flip {bit:#x} at byte {at}", False
+    if kind == "empty":
+        return b"", "empty", False
+    w, h = struct.unpack("<II", data[4:12]) if flow else map(int, data[:header].split()[1:3])
+    if kind == "resize":
+        w, h = rnd.choice([(w + 1, h), (w, h - 1), (0, h), (w // 2, 2 * h), (2**31, 2**31)])
+        head = b"FLO1" + struct.pack("<II", w, h) if flow else b"P6\n%d %d\n255\n" % (w, h)
+        return head + data[header:], f"size {w}x{h}", False
+    # a cell window around every vertex of the pair's two frames, in one grid
+    frame = int(name[:6])
+    grids = np.frombuffer(data, dtype="<f4", offset=12).reshape(2, h, w, 2).copy()
+    g, value = rnd.randrange(2), rnd.choice([np.nan, np.inf, -np.inf])
+    for x, y in np.rint(np.concatenate([proj[frame - 1], proj[frame]])).astype(int):
+        grids[g, max(y - 12, 0):y + 13, max(x - 12, 0):x + 13] = value
+    return data[:12] + grids.tobytes(), f"{value} around the vertices in grid {g}", True
+
+
+def test_mutated_frame_files_exit_cleanly(raster_scene, capsys, caplog):
+    """Seeded mutations of the PPM frames and FLO flow pairs of a small scene:
+    truncation, a flipped header bit, changed width or height, an empty
+    file, and for flow nan or inf in the cells around the projected
+    vertices. Each fit exits 0, 2 or 3, no exception or numpy warning
+    escapes main, and a failing fit prints exactly one error line. A
+    non-finite sampled flow cell exits 2."""
+    s, proj = raster_scene
+    names = [frame_image_name(0), frame_image_name(2), frame_flow_name(1), frame_flow_name(2)]
+    assert main(_probe_argv("fit", s, "30")) == 0
+    rnd = random.Random(14)
+    for _ in range(60):
+        name = rnd.choice(names)
+        path = s / "obs" / name
+        data, what, must_fail = _mutate_frame_file(path.read_bytes(), name, proj, rnd)
+        capsys.readouterr()
+        caplog.clear()
+        with _replaced(path, data):
+            try:
+                code = main(_probe_argv("fit", s, "30"))
+            except Exception as exc:  # a warning turned error by the pytest config lands here too
+                pytest.fail(f"fit with {name} ({what}) raised {exc!r}")
+        err = capsys.readouterr().err
+        context = f"fit with {name} ({what}): exit {code}, stderr {err!r}"
+        assert code == 2 if must_fail else code in (0, 2, 3), context
+        if code:
+            *warnings, last = err.splitlines() or [""]
+            assert last.startswith("error: "), context
+            warnings += [record.getMessage() for record in caplog.records]
+            assert all(line.startswith(f"{s / 'obs'}: ") for line in warnings), context

@@ -144,6 +144,6 @@ def test_bilinear_sample_equals_whole_grid_conversion(rng, shape, dtype):
 
 def test_bilinear_sample_keeps_its_bounds_check():
     grid = np.zeros((4, 4, 3), dtype=np.uint8)
-    for bad in ([-0.001, 1.0], [3.001, 1.0], [1.0, -0.5], [1.0, 3.5]):
+    for bad in ([-0.001, 1.0], [3.001, 1.0], [1.0, -0.5], [1.0, 3.5], [np.nan, 1.0], [1.0, np.nan]):
         with pytest.raises(DataError):
             bilinear_sample(grid, np.array([bad]))

@@ -10,7 +10,13 @@ from visemefit.procedural import (
     parse_rules,
     smoothstep,
 )
-from visemefit.timeline import PhonemeSegment, Timeline, parse_viseme_map
+from visemefit.timeline import (
+    PhonemeSegment,
+    Timeline,
+    frame_count,
+    parse_viseme_map,
+    viseme_of,
+)
 
 VMAP = parse_viseme_map("m=MBP\ns=SSS\na=V04\nsilence=sil\n", labels=("MBP", "SSS", "V04"))
 
@@ -46,6 +52,57 @@ def test_envelope_monotone_rise(rng):
 def test_envelope_rejects_bad_duration():
     with pytest.raises(DataError):
         envelope(0.0, 0.0, RULE)
+
+
+def test_envelope_on_arrays_equals_per_frame_scalars(rng):
+    """Seeded timelines whose first segment starts at 0 and whose last ends
+    at the clip's end, so both ends clip a support. envelope on a segment's
+    frame times equals its per-frame scalar values bit for bit, and so does
+    generate_procedural against a max over scalar values at every frame."""
+    for _ in range(20):
+        fps = float(rng.choice([24.0, 30.0, 60.0, 100.0]))
+        rules = EnvelopeRules(
+            base=EnvelopeRule(
+                onset_frac=rng.uniform(0.05, 0.5),
+                offset_frac=rng.uniform(0.05, 0.5),
+                apex_amplitude=rng.uniform(0.3, 1.0),
+                min_onset=rng.uniform(0.0, 0.08),
+                min_offset=rng.uniform(0.0, 0.08),
+            ),
+            apex_overrides={"SSS": 0.6},
+        )
+        segs, t = [], 0.0
+        for k in range(int(rng.integers(1, 8))):
+            t += 0.0 if k == 0 else rng.uniform(0.0, 0.1)
+            d = rng.uniform(0.03, 0.4)
+            segs.append(PhonemeSegment(str(rng.choice(["m", "s", "a", "sil"])), t, t + d))
+            t += d
+        tl = Timeline(segments=tuple(segs), duration=t)
+        n = frame_count(tl.duration, fps)
+        expected = np.zeros((n, 3))
+        for seg in segs:
+            vi = viseme_of(seg.phoneme, VMAP)
+            if vi is None:
+                continue
+            rule = rules.for_viseme(VMAP.labels[vi])
+            times = (np.arange(n) + 0.5) / fps - seg.start
+            scalars = [envelope(float(x), seg.duration, rule) for x in times]
+            np.testing.assert_array_equal(envelope(times, seg.duration, rule), scalars)
+            expected[:, vi] = np.maximum(expected[:, vi], scalars)
+        np.testing.assert_array_equal(generate_procedural(tl, fps, VMAP, rules).weights, expected)
+
+
+def test_envelope_with_vanishing_windows_steps():
+    """With zero minimum windows, a segment so short that its windows
+    underflow to zero length steps between 0 and the apex, with no
+    division by zero."""
+    rule = EnvelopeRule(min_onset=0.0, min_offset=0.0)
+    d = 5e-324
+    steps = envelope(np.array([-1e-300, 0.0, 1e-300]), d, rule)
+    np.testing.assert_array_equal(steps, [0.0, 0.8, 0.0])
+    tl = Timeline(segments=(PhonemeSegment("a", 0.0, d),), duration=0.5)
+    curve = generate_procedural(tl, 30.0, VMAP, EnvelopeRules(base=rule))
+    assert curve.weights.sum() == 0.0
 
 
 def test_generate_curve_shape_and_apex():

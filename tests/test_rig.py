@@ -12,7 +12,9 @@ from visemefit.rig import (
     check_weights,
     default_viseme_labels,
     load_rig_manifest,
+    write_rig,
 )
+from visemefit.synthetic import build_scene
 
 from conftest import make_rig
 
@@ -191,3 +193,24 @@ def test_manifest_comments_and_blanks_ignored(rng, tmp_path):
     path.write_text(text, encoding="utf-8")
     loaded = load_rig_manifest(path)
     assert loaded.viseme_labels == rig.viseme_labels
+
+
+def _assert_same_rig(a, b):
+    assert a.viseme_labels == b.viseme_labels
+    assert a.landmark_bindings == b.landmark_bindings
+    assert a.lip_pairs == b.lip_pairs
+    assert a.mouth_landmark_ids == b.mouth_landmark_ids
+    for x, y in zip((a.neutral, *a.visemes), (b.neutral, *b.visemes)):
+        np.testing.assert_array_equal(x.vertices, y.vertices)
+        np.testing.assert_array_equal(x.triangles, y.triangles)
+    np.testing.assert_array_equal(a.neutral.colors, b.neutral.colors)
+
+
+def test_write_rig_output_rebuilds_the_rig(rng, tmp_path):
+    """load_rig_manifest of write_rig's files gives back the synth rig, and a
+    rig without lip pairs, exactly."""
+    scene_rig = build_scene(seed=7, n_frames=2).rig
+    _assert_same_rig(load_rig_manifest(write_rig(scene_rig, tmp_path / "synth")), scene_rig)
+    plain = make_rig(rng)
+    assert plain.lip_pairs is None
+    _assert_same_rig(load_rig_manifest(write_rig(plain, tmp_path / "plain")), plain)
