@@ -104,17 +104,18 @@ def landmarks_path(obs_dir) -> str:
 
 
 def _frame_numbers(obs_dir) -> list[int]:
-    """Frame numbers of the frame and flow files (digit-named .ppm and .flo) in obs_dir."""
+    """Frame numbers of the frame and flow files in obs_dir: the names
+    frame_image_name and frame_flow_name give, which are the ones loaded."""
     if not os.path.isdir(obs_dir):
         raise DataError(f"observation directory {obs_dir} does not exist")
-    names = (os.path.splitext(name) for name in os.listdir(obs_dir))
-    return [int(stem) for stem, ext in names
-            if ext in (".ppm", ".flo") and stem.isascii() and stem.isdigit()]
+    return [int(stem) for name in os.listdir(obs_dir)
+            if (stem := os.path.splitext(name)[0]).isascii() and stem.isdigit()
+            and name in (frame_image_name(int(stem)), frame_flow_name(int(stem)))]
 
 
 def is_observation_dir(path) -> bool:
     """Whether path is one clip's observation directory: it holds landmarks
-    or a frame or flow file (a stray preview.ppm does not count)."""
+    or a frame or flow file (a stray preview.ppm or 7.ppm does not count)."""
     return os.path.exists(landmarks_path(path)) or bool(_frame_numbers(path))
 
 

@@ -396,11 +396,12 @@ def test_fit_empty_clip_directory_exits_2(scene_dir, tmp_path, capsys):
 def test_fit_directory_with_a_stray_frame_file_fits_every_clip(
     scene_dir, clean_batch, tmp_path, align
 ):
-    """A preview.ppm beside the clip directories does not make the directory
-    one clip: both clips are fitted in directory mode, with or without
-    --align."""
+    """A preview.ppm or a 7.ppm (not the six-digit name a frame is loaded
+    from) beside the clip directories does not make the directory one clip:
+    both clips are fitted in directory mode, with or without --align."""
     clips = _two_clips(scene_dir, tmp_path)
-    (clips / "preview.ppm").write_bytes(b"P6\n1 1\n255\n\0\0\0")
+    for name in ("preview.ppm", "7.ppm", "0000007.flo"):
+        (clips / name).write_bytes(b"P6\n1 1\n255\n\0\0\0")
     extra = ("--align", str(clips / "a" / "align.tsv")) if align else ()
     assert _fit_clips(scene_dir, clips, tmp_path / "out", extra=extra) == 0
     assert _tree(tmp_path / "out") == _tree(clean_batch[1])

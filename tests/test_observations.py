@@ -112,6 +112,15 @@ def test_observation_dir(tmp_path, rng):
         obs_dir[3]
 
 
+def test_observation_dir_counts_only_the_names_it_loads(tmp_path):
+    # 7.ppm and 0000009.flo are not the six-digit names frames are read from,
+    # so they add no frames that would never be loaded
+    (tmp_path / "landmarks.csv").write_text(CSV, encoding="utf-8")
+    for name in ("7.ppm", "0000009.flo", "preview.ppm"):
+        (tmp_path / name).write_bytes(b"")
+    assert len(ObservationDir(tmp_path)) == 3
+
+
 def test_observation_dir_flow_ignored_at_frame_zero(tmp_path, rng):
     # a pair file named 000000.flo has no predecessor frame; it is skipped
     fwd = rng.normal(0, 1, (4, 4, 2))
