@@ -211,17 +211,13 @@ _BLEND_BLOCK = 64
 
 def serialize_blended_poses(assets: BonePoseAssets, curve) -> str:
     """Per-frame blended bone poses as CSV rows
-    ``frame,bone,qx,qy,qz,qw,tx,ty,tz,sx,sy,sz``."""
-    try:
-        cols = [curve.labels.index(lab) for lab in assets.labels]
-    except ValueError:
-        missing = [lab for lab in assets.labels if lab not in curve.labels]
-        raise DataError(f"curve is missing viseme columns {missing}")
+    ``frame,bone,qx,qy,qz,qw,tx,ty,tz,sx,sy,sz``, the curve's columns bound
+    to the assets' visemes by label."""
+    weights = curve.weights_for(assets.labels)
     fmt = ",".join(["%.6f"] * len(_POSE_FIELDS))
     blocks = ["frame,bone," + ",".join(_POSE_FIELDS) + "\n"]
     for start in range(0, curve.frame_count, _BLEND_BLOCK):
-        w = curve.weights[start : start + _BLEND_BLOCK, cols]
-        rot, t, s = _blend(assets, w, first_frame=start)
+        rot, t, s = _blend(assets, weights[start : start + _BLEND_BLOCK], first_frame=start)
         # the normalization BonePose applies to what blend_bone_pose returns
         rot = _unit_rows(rot)
         rows = np.concatenate([rot, t, s], axis=2).tolist()

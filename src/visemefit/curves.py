@@ -17,9 +17,15 @@ from .records import read_text, split_records
 from .timeline import checked_frame_count
 
 
+def _repeated_label(labels) -> str | None:
+    """The first label that labels holds twice, or None."""
+    return next((lab for k, lab in enumerate(labels) if lab in labels[:k]), None)
+
+
 @dataclass(frozen=True)
 class Curve:
-    """Viseme weights (frames, V) at fps; weights is owned as frozen_array says."""
+    """Viseme weights (frames, V) at fps, one column per unique label; weights
+    is owned as frozen_array says."""
 
     fps: float
     labels: tuple[str, ...]
@@ -37,13 +43,24 @@ class Curve:
             )
         if not np.isfinite(w).all():
             raise DataError("curve weights must be finite")
-        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        if (dup := _repeated_label(self.labels)) is not None:
+            raise DataError(f"curve repeats viseme label {dup!r}")
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "fps", float(self.fps))
 
     @property
     def frame_count(self) -> int:
         return self.weights.shape[0]
+
+    def weights_for(self, labels) -> np.ndarray:
+        """The columns named by labels, in that order, as a new (frames,
+        len(labels)) float64 array: how every consumer binds columns to its
+        visemes. Columns not named are ignored; a missing one is a DataError."""
+        missing = [lab for lab in labels if lab not in self.labels]
+        if missing:
+            raise DataError(f"curve is missing viseme columns {missing}")
+        return self.weights[:, [self.labels.index(lab) for lab in labels]]
 
 
 def serialize_curve(curve: Curve) -> str:
@@ -68,6 +85,8 @@ def parse_curve(text: str, source: str = "<curve>") -> Curve:
     labels = tuple(cols[1:])
     if not labels:
         raise header.error("header lists no visemes")
+    if (dup := _repeated_label(labels)) is not None:
+        raise header.error(f"repeated viseme label {dup!r}")
     rows = []
     for line in lines:
         cols = line.text.split(",")

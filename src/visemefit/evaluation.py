@@ -2,8 +2,9 @@
 
 keypoint_error reports per-frame mean pixel distance between projected bound
 vertices and observed landmarks. lip_distance_curves tracks the horizontal
-and vertical lip openings on the baked mesh in model units. total_variation
-sums absolute frame-to-frame weight changes per viseme.
+and vertical lip openings on the baked mesh in model units. Both bind the
+curve's columns to the rig's visemes by label. total_variation sums absolute
+frame-to-frame weight changes per viseme.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ def keypoint_error(rig: Rig, curve: Curve, poses, observations, subset=None) -> 
     if len(poses) < n:
         raise DataError(f"curve has {n} frames but only {len(poses)} poses")
     wanted = None if subset is None else frozenset(int(i) for i in subset)
+    weights = curve.weights_for(rig.viseme_labels)
     values = np.zeros(n)
     for j in range(n):
         obs = observations.get(j)
@@ -54,7 +56,7 @@ def keypoint_error(rig: Rig, curve: Curve, poses, observations, subset=None) -> 
         if not rows.size:
             raise DataError(f"frame {j}: no observed landmarks for any bound id")
         pose: Pose = poses[j]
-        shaped = blend_vertices(rig, curve.weights[j])
+        shaped = blend_vertices(rig, weights[j])
         proj = project(shaped[verts], pose)
         # a finite but huge landmark or projection overflows to inf; report
         # the frame instead of a numpy warning
@@ -71,11 +73,12 @@ def lip_distance_curves(rig: Rig, curve: Curve) -> tuple[MetricSeries, MetricSer
     if rig.lip_pairs is None:
         raise DataError("rig manifest declares no lip pairs")
     (ha, hb), (va, vb) = rig.lip_pairs
+    weights = curve.weights_for(rig.viseme_labels)
     n = curve.frame_count
     horiz = np.zeros(n)
     vert = np.zeros(n)
     for j in range(n):
-        shaped = blend_vertices(rig, curve.weights[j])
+        shaped = blend_vertices(rig, weights[j])
         horiz[j] = abs(shaped[ha, 0] - shaped[hb, 0])
         vert[j] = abs(shaped[va, 1] - shaped[vb, 1])
     return (

@@ -3,7 +3,7 @@
 On disk an observation directory holds ``landmarks.csv``
 (``frame,landmark_id,x,y,beta`` rows), frames as ``NNNNNN.ppm`` and flow pairs
 as ``NNNNNN.flo`` (the pair frame N-1 -> N). Any piece may be absent; fitting
-degrades gracefully.
+degrades gracefully. Every frame and flow grid of one clip has one size.
 """
 
 from __future__ import annotations
@@ -123,7 +123,9 @@ class ObservationDir:
     """Lazy per-frame loader over an observation directory.
 
     Landmark rows are read once; images and flow pairs are loaded on access so
-    long clips do not need the whole sequence in memory.
+    long clips do not need the whole sequence in memory. Each image and flow
+    grid must have the size of the first raster loaded: a mismatch is a
+    DataError naming the directory, the frame and both sizes.
     """
 
     def __init__(self, path):
@@ -131,6 +133,7 @@ class ObservationDir:
         lm_path = landmarks_path(self.path)
         self._landmarks = read_landmarks(lm_path) if os.path.exists(lm_path) else {}
         self._n = max((*self._landmarks, *_frame_numbers(self.path)), default=-1) + 1
+        self._size: tuple[int, int] | None = None  # (H, W) of the first raster loaded
 
     def __len__(self) -> int:
         return self._n
@@ -140,8 +143,17 @@ class ObservationDir:
             raise IndexError(frame)
         img_path = os.path.join(self.path, frame_image_name(frame))
         flow_path = os.path.join(self.path, frame_flow_name(frame))
-        return replace(
-            self._landmarks.get(frame) or RawObservation(),
-            image=read_ppm(img_path) if os.path.exists(img_path) else None,
-            flow=read_flow_pair(flow_path) if frame > 0 and os.path.exists(flow_path) else None,
-        )
+        image = read_ppm(img_path) if os.path.exists(img_path) else None
+        flow = read_flow_pair(flow_path) if frame > 0 and os.path.exists(flow_path) else None
+        for what, raster in (("image", image), ("flow", None if flow is None else flow[0])):
+            if raster is None:
+                continue
+            h, w = raster.shape[:2]
+            if self._size is None:
+                self._size = (h, w)
+            elif self._size != (h, w):
+                raise DataError(
+                    f"{self.path}: frame {frame}: {what} is {w}x{h}, but the clip's"
+                    f" first raster is {self._size[1]}x{self._size[0]}"
+                )
+        return replace(self._landmarks.get(frame) or RawObservation(), image=image, flow=flow)

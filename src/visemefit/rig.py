@@ -1,7 +1,8 @@
 """Blendshape rigs: a neutral mesh plus one target mesh per viseme.
 
 Blending is linear in the per-viseme vertex deltas. Weight vectors are plain
-float arrays of length V ordered like ``viseme_labels``.
+float arrays of length V ordered like ``viseme_labels``; a curve's columns
+are bound to that order by label (``Curve.weights_for``).
 """
 
 from __future__ import annotations
@@ -135,30 +136,9 @@ def blend_mesh(rig: Rig, weights) -> Mesh:
 
 
 def bake_mesh_sequence(rig: Rig, curve) -> list[Mesh]:
-    """One blended mesh per curve frame."""
-    if curve.weights.shape[1] != rig.viseme_count:
-        raise DataError(
-            f"curve has {curve.weights.shape[1]} visemes, rig has {rig.viseme_count}"
-        )
-    return [blend_mesh(rig, curve.weights[j]) for j in range(curve.weights.shape[0])]
-
-
-def load_rig(
-    neutral_path,
-    viseme_paths,
-    labels,
-    bindings=(),
-    lip_pairs=None,
-    mouth_ids=(),
-) -> Rig:
-    return Rig(
-        neutral=read_obj(neutral_path),
-        visemes=[read_obj(p) for p in viseme_paths],
-        viseme_labels=labels,
-        landmark_bindings=bindings,
-        lip_pairs=lip_pairs,
-        mouth_landmark_ids=mouth_ids,
-    )
+    """One blended mesh per curve frame, the curve's columns bound to the
+    rig's visemes by label."""
+    return [blend_mesh(rig, w) for w in curve.weights_for(rig.viseme_labels)]
 
 
 def _parse_pair(line, key: str, value: str) -> tuple[int, int]:
@@ -218,7 +198,8 @@ def load_rig_manifest(path) -> Rig:
         if lip_h is None or lip_v is None:
             raise DataError(f"{path}: lip_horizontal and lip_vertical must both be given")
         lip_pairs = (lip_h, lip_v)
-    return load_rig(neutral_path, viseme_paths, labels, bindings, lip_pairs, mouth_ids)
+    return Rig(read_obj(neutral_path), [read_obj(p) for p in viseme_paths], labels,
+               bindings, lip_pairs, mouth_ids)
 
 
 def write_rig(rig: Rig, rig_dir) -> str:

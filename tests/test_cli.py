@@ -17,7 +17,7 @@ import visemefit
 from visemefit.atomicio import atomic_path
 from visemefit.camera import project
 from visemefit.cli import main
-from visemefit.curves import parse_curve, read_curve, serialize_curve
+from visemefit.curves import Curve, parse_curve, read_curve, serialize_curve, write_curve
 from visemefit.flow import write_flow_pair
 from visemefit.fitting import parse_fit_config, serialize_fit_config
 from visemefit.observations import frame_flow_name, frame_image_name, read_landmarks
@@ -515,6 +515,14 @@ BAD_INPUTS = [
                  id="curve-extra-column"),
     pytest.param("resample", "gt.csv", b"# fps=30\nframe,MBP\n0,\xff\n", "utf-8",
                  id="curve-not-utf8"),
+    pytest.param("bake", "gt.csv", "# fps=30\nframe,MBP,MBP\n0,0.5,0.5\n",
+                 ":2: repeated viseme label 'MBP'", id="curve-repeated-label-bake"),
+    pytest.param("bones", "gt.csv", "# fps=30\nframe,MBP,MBP\n0,0.5,0.5\n",
+                 ":2: repeated viseme label 'MBP'", id="curve-repeated-label-bones"),
+    pytest.param("resample", "gt.csv", "# fps=30\nframe,MBP,MBP\n0,0.5,0.5\n",
+                 ":2: repeated viseme label 'MBP'", id="curve-repeated-label-resample"),
+    pytest.param("eval-tv", "gt.csv", "# fps=30\nframe,MBP,MBP\n0,0.5,0.5\n",
+                 ":2: repeated viseme label 'MBP'", id="curve-repeated-label-eval-tv"),
     pytest.param("eval", "poses.csv", POSES_CSV.replace("# cx=512.0", "# cx=nan"), "cx",
                  id="poses-cx-nan"),
     pytest.param("eval", "poses.csv", POSES_CSV.replace("# cy=512.0\n", ""), "# cy=",
@@ -612,6 +620,64 @@ def test_total_variation_overflow_exits_2_naming_the_viseme(scene_dir, tmp_path,
     assert capsys.readouterr().err.splitlines() == [
         "error: viseme MBP: total variation overflows (weights out of range)"
     ]
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_reversed_curve_columns_bake_and_eval_like_rig_order(scene_dir, tmp_path):
+    """Curve columns bind to the rig's visemes by label: a curve with its
+    columns and labels reversed bakes the same OBJs and gives the same lip
+    and keypoint metrics, byte for byte, as the rig-ordered curve."""
+    s = _scene_with_poses(scene_dir, tmp_path)
+    gt = read_curve(s / "gt.csv")
+    write_curve(Curve(fps=gt.fps, labels=gt.labels[::-1], weights=gt.weights[:, ::-1]),
+                s / "reversed.csv")
+    rig = s / "rig" / "rig.txt"
+    for name in ("gt", "reversed"):
+        curve, out = s / f"{name}.csv", tmp_path / name
+        for argv in (
+            ["bake", "--rig", rig, "--curve", curve, "--out", out / "baked"],
+            ["eval", "--metric", "lip", "--rig", rig, "--curve", curve, "--out", out / "metrics"],
+            ["eval", "--metric", "keypoint", "--rig", rig, "--curve", curve,
+             "--obs", s / "obs", "--poses", s / "poses.csv", "--out", out / "metrics"],
+        ):
+            assert main([str(a) for a in argv]) == 0, argv
+    baked = _tree_bytes(tmp_path / "gt")
+    assert len(baked) == gt.frame_count + 3
+    assert _tree_bytes(tmp_path / "reversed") == baked
+
+
+def test_gen_proc_without_rig_from_reversed_map_bakes_like_rig_order(scene_dir, tmp_path):
+    """gen-proc without --rig orders columns as the map first names them; bake
+    binds them by label, so a reversed map bakes what gen-proc --rig does."""
+    scene = scene_dir / "scene"
+    lines = (scene / "map.txt").read_text(encoding="utf-8").splitlines()
+    (tmp_path / "map.txt").write_text("\n".join(lines[::-1]) + "\n", encoding="utf-8")
+    rig = scene / "rig" / "rig.txt"
+    gen = ["gen-proc", "--align", str(scene / "align.tsv")]
+    assert main(gen + ["--map", str(tmp_path / "map.txt"), "--out", str(tmp_path / "rev.csv")]) == 0
+    assert main(gen + ["--map", str(scene / "map.txt"), "--rig", str(rig),
+                       "--out", str(tmp_path / "rig.csv")]) == 0
+    assert read_curve(tmp_path / "rev.csv").labels == read_curve(tmp_path / "rig.csv").labels[::-1]
+    for name in ("rev", "rig"):
+        assert main(["bake", "--rig", str(rig), "--curve", str(tmp_path / f"{name}.csv"),
+                     "--out", str(tmp_path / f"{name}_baked")]) == 0
+    assert _tree_bytes(tmp_path / "rev_baked") == _tree_bytes(tmp_path / "rig_baked")
+
+
+@pytest.mark.parametrize("metric", [None, "lip"], ids=["bake", "eval-lip"])
+def test_curve_missing_a_rig_label_exits_2_naming_it(scene_dir, tmp_path, capsys, metric):
+    s = scene_dir / "scene"
+    gt = read_curve(s / "gt.csv")
+    curve = tmp_path / "curve.csv"
+    write_curve(Curve(fps=gt.fps, labels=gt.labels[1:], weights=gt.weights[:, 1:]), curve)
+    command = ["bake"] if metric is None else ["eval", "--metric", metric]
+    capsys.readouterr()
+    assert main(command + ["--rig", str(s / "rig" / "rig.txt"), "--curve", str(curve),
+                           "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: curve is missing viseme columns ['MBP']"]
 
 
 def test_fit_landmark_overflow_exits_3_naming_clip_and_frame(scene_dir, tmp_path, capsys):
@@ -761,6 +827,29 @@ def test_fit_non_finite_flow_cell_exits_2_naming_clip_and_frame(raster_scene, ca
         assert main(_probe_argv("fit", s, "30")) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: {s / 'obs'}: frame 2: forward flow holds a non-finite value at a sampled cell"
+    ]
+
+
+@pytest.mark.parametrize("name", [frame_image_name(2), frame_flow_name(2)])
+def test_fit_frame_of_another_size_exits_2_naming_the_frame(raster_scene, capsys, name):
+    """A frame re-headed to half the width and twice the height keeps its byte
+    count, so it reads; the clip's size check names it."""
+    s, _ = raster_scene
+    path = s / "obs" / name
+    data = path.read_bytes()
+    if name.endswith(".flo"):
+        what, (w, h) = "flow", struct.unpack("<II", data[4:12])
+        resized = b"FLO1" + struct.pack("<II", w // 2, 2 * h) + data[12:]
+    else:
+        header = data.index(b"255\n") + 4
+        what, (w, h) = "image", map(int, data[:header].split()[1:3])
+        resized = b"P6\n%d %d\n255\n" % (w // 2, 2 * h) + data[header:]
+    with _replaced(path, resized):
+        capsys.readouterr()
+        assert main(_probe_argv("fit", s, "30")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {s / 'obs'}: frame 2: {what} is {w // 2}x{2 * h},"
+        f" but the clip's first raster is {w}x{h}"
     ]
 
 

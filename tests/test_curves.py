@@ -18,6 +18,19 @@ def test_validation():
         Curve(fps=30.0, labels=LABELS, weights=np.zeros((2, 2)))
     with pytest.raises(DataError):
         Curve(fps=30.0, labels=LABELS, weights=np.full((2, 3), np.nan))
+    with pytest.raises(DataError, match="repeats viseme label 'MBP'"):
+        Curve(fps=30.0, labels=("MBP", "SSS", "MBP"), weights=np.zeros((2, 3)))
+
+
+def test_weights_for_binds_columns_by_label(rng):
+    c = make_curve(rng, n=4)
+    np.testing.assert_array_equal(c.weights_for(LABELS), c.weights)
+    # any order, any subset; unnamed columns are ignored
+    np.testing.assert_array_equal(c.weights_for(("WWW", "MBP")), c.weights[:, [2, 0]])
+    w = c.weights_for(("SSS",))
+    assert w.shape == (4, 1) and w.dtype == np.float64
+    with pytest.raises(DataError, match=r"curve is missing viseme columns \['V04'\]"):
+        c.weights_for(("MBP", "V04"))
 
 
 def test_serialize_header_and_rows(rng):
@@ -52,6 +65,7 @@ def test_parse_rejects_malformed():
         "# fps=30.0\nframe,A\n0,0.5\n2,0.5\n",  # gap
         "# fps=30.0\nframe,A\n0,x\n",  # non-numeric
         "# fps=30.0\nframe,A\n0,0.5,0.7\n",  # extra column
+        "# fps=30.0\nframe,A,A\n0,0.5,0.7\n",  # repeated label
     ):
         with pytest.raises(DataError):
             parse_curve(bad)
