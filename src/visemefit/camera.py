@@ -105,16 +105,17 @@ def transform_points(points, pose: Pose) -> np.ndarray:
 def pinhole(points, intrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Pixels (N, 2) and inverse depths (N,) of camera-frame points (N, 3).
 
-    A pixel is f * X / z + c. If any point has non-positive depth, raises
-    NumericError naming the one of least depth.
+    A pixel is f * X / z + c. intrinsics is (f, cx, cy), a tuple or a float64
+    array; an array saves converting the principal point on every call. If
+    any point has non-positive depth, raises NumericError naming the one of
+    least depth.
     """
     z = points[:, 2]
     if z.size and z.min() <= 0.0:
         bad = int(np.argmin(z))
         raise NumericError(f"behind-camera vertex {bad} (depth {z[bad]:.6g})")
-    f, cx, cy = intrinsics
-    pixels = f * points[:, :2] / z[:, None]
-    pixels += (cx, cy)
+    pixels = intrinsics[0] * points[:, :2] / z[:, None]
+    pixels += intrinsics[1:]
     return pixels, 1.0 / z
 
 

@@ -7,14 +7,14 @@ then one row per frame with weights at exactly six decimal places.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
 from .frozen import frozen_array
 from .records import read_text, split_records
-from .timeline import checked_frame_count
+from .timeline import check_fps, checked_frame_count
 
 
 def _repeated_label(labels) -> str | None:
@@ -25,15 +25,16 @@ def _repeated_label(labels) -> str | None:
 @dataclass(frozen=True)
 class Curve:
     """Viseme weights (frames, V) at fps, one column per unique label; weights
-    is owned as frozen_array says."""
+    is owned as frozen_array says. source names the file a curve was read
+    from, for errors found later, such as a missing column."""
 
     fps: float
     labels: tuple[str, ...]
     weights: np.ndarray
+    source: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.fps < math.inf:
-            raise DataError(f"curve fps must be positive and finite, got {self.fps}")
+        check_fps(self.fps)
         w = frozen_array(self.weights, np.float64)
         if w.ndim != 2:
             raise DataError(f"curve weights must be 2-D, got shape {w.shape}")
@@ -59,7 +60,8 @@ class Curve:
         visemes. Columns not named are ignored; a missing one is a DataError."""
         missing = [lab for lab in labels if lab not in self.labels]
         if missing:
-            raise DataError(f"curve is missing viseme columns {missing}")
+            where = "" if self.source is None else f"{self.source}: "
+            raise DataError(f"{where}curve is missing viseme columns {missing}")
         return self.weights[:, [self.labels.index(lab) for lab in labels]]
 
 
@@ -76,6 +78,10 @@ def parse_curve(text: str, source: str = "<curve>") -> Curve:
     fps = records.header_number("fps")
     if fps is None:
         raise DataError(f"{source}: missing '# fps=' comment")
+    try:
+        check_fps(fps)
+    except DataError as exc:
+        raise records.header["fps"].error(str(exc)) from None
     if not records.body:
         raise DataError(f"{source}: missing header row")
     header, *lines = records.body
@@ -96,7 +102,7 @@ def parse_curve(text: str, source: str = "<curve>") -> Curve:
             raise line.error(f"frame {cols[0]} out of order")
         rows.append(line.numbers(cols[1:], labels))
     weights = np.array(rows, dtype=np.float64).reshape(len(rows), len(labels))
-    return Curve(fps=fps, labels=labels, weights=weights)
+    return Curve(fps=fps, labels=labels, weights=weights, source=source)
 
 
 def read_curve(path) -> Curve:

@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .errors import DataError
-from .images import bilinear_sample, in_bounds, map_file
+from .images import InBounds, bilinear_sample, map_file
 
 MAGIC = b"FLO1"
 
@@ -85,23 +85,24 @@ def screen_flow(
     if tau <= 0:
         raise DataError(f"flow consistency threshold must be positive, got {tau}")
     h, w = fwd.shape[:2]
-    p = np.asarray(prev_points, dtype=np.float64).reshape(-1, 2)
-    idx = np.flatnonzero(in_bounds(p, w, h))
-    if idx.size == 0:
+    # one bounds pass for each point set that is sampled
+    starts = InBounds(prev_points, w, h)
+    idx = np.arange(starts.count) if starts.index is None else starts.index
+    if starts.count == 0:
         return idx, np.zeros((0, 2))
-    u = _sample_finite(fwd, p[idx], "forward")
-    q = p[idx] + u
-    ok = in_bounds(q, w, h)
-    idx, u, q = idx[ok], u[ok], q[ok]
-    if idx.size == 0:
+    u = _sample_finite(fwd, starts, "forward")
+    ends = InBounds(starts.points + u, w, h)
+    if ends.index is not None:
+        idx, u = idx[ends.index], u[ends.index]
+    if ends.count == 0:
         return idx, np.zeros((0, 2))
-    back = _sample_finite(bwd, q, "backward")
+    back = _sample_finite(bwd, ends, "backward")
     resid = np.linalg.norm(u + back, axis=1)
     keep = resid < tau
     return idx[keep], u[keep]
 
 
-def _sample_finite(grid: np.ndarray, points: np.ndarray, which: str) -> np.ndarray:
+def _sample_finite(grid: np.ndarray, points: InBounds, which: str) -> np.ndarray:
     # a nan or inf corner makes every value it touches non-finite (inf - inf
     # is nan), so checking the values checks the cells that were read
     with np.errstate(invalid="ignore"):

@@ -10,6 +10,7 @@ valid sampling domain is 0 <= x <= W-1, 0 <= y <= H-1.
 
 from __future__ import annotations
 
+import functools
 import mmap
 import os
 
@@ -92,58 +93,101 @@ def read_ppm(path) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8, count=need, offset=pos).reshape(h, w, 3)
 
 
+@functools.lru_cache(maxsize=16)
+def _layout(width: int, height: int):
+    """Per-size integer constants of sampling an H x W grid, keyed by the
+    grid's shape and each a read-only array: the largest cell origin (x0, y0),
+    which is the last full cell, or 0 on a grid one cell wide or tall; the
+    strides of x and y in the flattened (H * W, C) grid; and the offsets there
+    of the corners (x0, y0), (x0, y1), (x1, y0), (x1, y1) from (x0, y0). On a
+    grid one cell wide or tall, every corner that would fall off the grid is
+    (x0, y0).
+    """
+    wide, tall = width > 1, height > 1
+    last_cell = np.array([max(width - 2, 0), max(height - 2, 0)])
+    strides = np.array([1, width])
+    offsets = np.array([[0], [tall * width], [wide], [(wide and tall) * (width + 1)]])
+    for a in (last_cell, strides, offsets):
+        a.flags.writeable = False
+    return last_cell, strides, offsets
+
+
+def _coordinates_in_bounds(p: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Mask of the coordinates of (M, 2) points that lie in the domain."""
+    return (p >= 0.0) & (p <= (width - 1.0, height - 1.0))
+
+
 def in_bounds(points: np.ndarray, width: int, height: int) -> np.ndarray:
     """Mask of (x, y) points inside the bilinear-sampling domain (NaN is outside)."""
     p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    return ((p >= 0.0) & (p <= (width - 1.0, height - 1.0))).all(axis=1)
+    return _coordinates_in_bounds(p, width, height).all(axis=1)
 
 
-# (row, column) offsets of the corners (x0, y0), (x1, y0), (x0, y1), (x1, y1),
-# keyed by (width > 1, height > 1); on a grid one cell wide or tall, every
-# corner that would fall off the grid is (x0, y0)
-_CORNER_OFFSETS = {
-    (wide, tall): (
-        np.array([[0], [0], [tall], [wide and tall]]),
-        np.array([[0], [wide], [0], [wide and tall]]),
-    )
-    for wide in (False, True)
-    for tall in (False, True)
-}
+class InBounds:
+    """The candidate (x, y) points inside the sampling domain of a W x H grid,
+    found by one bounds pass (the rule of in_bounds).
+
+    bilinear_sample takes an InBounds of its grid's size without checking the
+    points again, so a caller that must drop the points outside pays for one
+    bounds pass, not two. index holds the rows of the candidates that are
+    inside, and points those rows. When every candidate is inside, the usual
+    case, index is None and points is the candidates themselves, unselected:
+    they must not change before they are sampled.
+    """
+
+    __slots__ = ("size", "index", "points", "count")
+
+    def __init__(self, candidates, width: int, height: int):
+        p = np.asarray(candidates, dtype=np.float64).reshape(-1, 2)
+        ok = _coordinates_in_bounds(p, width, height)
+        self.size = (width, height)
+        if np.count_nonzero(ok) == ok.size:
+            self.index, self.points, self.count = None, p, len(p)
+        else:
+            self.index = np.flatnonzero(ok.all(axis=1))
+            self.points = p.take(self.index, axis=0)
+            self.count = self.index.size
 
 
-def bilinear_sample(grid: np.ndarray, points: np.ndarray, with_grad: bool = False):
+def bilinear_sample(grid: np.ndarray, points, with_grad: bool = False):
     """Bilinear interpolation of an (H, W, C) grid at (M, 2) points.
 
     Returns float64 values (M, C); with with_grad also the exact in-cell
-    derivatives d/dx and d/dy, each (M, C). Points must be in bounds (see
-    in_bounds); callers filter first. Only the four corner cells of each
+    derivatives d/dx and d/dy, each (M, C). points is an (M, 2) array, every
+    point of which must be in bounds (else DataError), or an InBounds of this
+    grid's size, whose points are sampled. Only the four corner cells of each
     point are read and converted to float64, so the grid may be a view over
     a file; a uint8 grid holds image bytes, and its corners are scaled by
     1/255 into [0, 1].
     """
     g = np.asarray(grid)
     h, w = g.shape[0], g.shape[1]
-    p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if not in_bounds(p, w, h).all():
-        raise DataError("bilinear sample point outside the grid")
-    px, py = p[:, 0], p[:, 1]
+    if not isinstance(points, InBounds):
+        points = InBounds(points, w, h)
+        if points.index is not None:
+            raise DataError("bilinear sample point outside the grid")
+    elif points.size != (w, h):
+        raise DataError(f"points bounded for a {points.size} grid, sampled on {(w, h)}")
+    p = points.points
+    last_cell, strides, offsets = _layout(w, h)
     # the points are non-negative here, so truncation is floor
-    x0 = np.minimum(px.astype(np.int64), max(w - 2, 0))
-    y0 = np.minimum(py.astype(np.int64), max(h - 2, 0))
-    fx = (px - x0)[:, None]
-    fy = (py - y0)[:, None]
-    row_offsets, col_offsets = _CORNER_OFFSETS[w > 1, h > 1]
-    corners = g[y0 + row_offsets, x0 + col_offsets]  # one gather of all four corners
+    cell = np.minimum(p.astype(np.int64), last_cell)
+    frac = p - cell
+    fx, fy = frac[:, :1], frac[:, 1:]
+    # one gather of all four corners from the flattened grid, a view of every
+    # C-contiguous grid
+    corners = g.reshape(h * w, -1).take(cell @ strides + offsets, axis=0)
     if corners.dtype == np.uint8:
         corners = corners / 255.0
     else:
         corners = corners.astype(np.float64)
-    g00, g10, g01, g11 = corners
-    top = g00 + (g10 - g00) * fx
-    bot = g01 + (g11 - g01) * fx
-    vals = top + (bot - top) * fy
+    # the left corners (g00, g01), and the steps to the right ones, for the
+    # top and bottom rows at once
+    left = corners[:2]
+    across = corners[2:] - left
+    top, bot = left + across * fx
+    dy = bot - top
+    vals = top + dy * fy
     if not with_grad:
         return vals
-    dx = (g10 - g00) * (1.0 - fy) + (g11 - g01) * fy
-    dy = bot - top
-    return vals, dx, dy
+    return vals, across[0] * (1.0 - fy) + across[1] * fy, dy

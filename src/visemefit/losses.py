@@ -80,7 +80,8 @@ class FrameProblem:
         flow_targets=None,
         neighbor_weights=None,
     ):
-        self.intrinsics = (float(intrinsics[0]), float(intrinsics[1]), float(intrinsics[2]))
+        # an array, so pinhole adds the principal point without converting it
+        self.intrinsics = np.array([float(intrinsics[0]), float(intrinsics[1]), float(intrinsics[2])])
         self.b0 = rig.neutral.vertices
         self.d2 = rig.deltas.reshape(rig.viseme_count, -1)
         self.colors = rig.neutral.colors
@@ -118,6 +119,7 @@ class FrameProblem:
         self.image = None
         if obs.image is not None and self.colors is not None:
             self.image = np.asarray(obs.image)
+            self._image_size = (self.image.shape[1], self.image.shape[0])
 
     def evaluate(self, w, q, t):
         """Objective value and its gradient (gw, gq, gt) at (w, q, t).
@@ -152,16 +154,24 @@ class FrameProblem:
         gw = du[self.n_pixels :]
 
         if self.image is not None:
-            h, wd = self.image.shape[:2]
-            fidx = np.flatnonzero(images.in_bounds(p, wd, h))
-            if fidx.size == 0:
+            inside = images.InBounds(p, *self._image_size)
+            if inside.count == 0:
                 raise NumericError("all vertices project outside the image")
-            vals, gx, gy = images.bilinear_sample(self.image, p.take(fidx, axis=0), with_grad=True)
-            rr = vals - self.colors.take(fidx, axis=0)
-            val += self.w2 * (float(np.vdot(rr, rr)) / fidx.size)
-            # per-vertex dot products over the three channels
-            grad = np.stack(((rr * gx) @ _ONES3, (rr * gy) @ _ONES3), axis=1)
-            dp[fidx] += (self.w2 / fidx.size) * grad
+            vals, gx, gy = images.bilinear_sample(self.image, inside, with_grad=True)
+            colors = self.colors if inside.index is None else self.colors.take(inside.index, axis=0)
+            rr = vals - colors
+            val += self.w2 * (float(np.vdot(rr, rr)) / inside.count)
+            # per-vertex dot products over the three channels, written into
+            # the columns of one array: stacking two results cost more here
+            # than both products
+            grad = np.empty((inside.count, 2))
+            np.matmul(rr * gx, _ONES3, out=grad[:, 0])
+            np.matmul(rr * gy, _ONES3, out=grad[:, 1])
+            grad *= self.w2 / inside.count
+            if inside.index is None:
+                dp += grad
+            else:
+                dp[inside.index] += grad
 
         for r in (np.minimum(w, 0.0), np.maximum(w, 1.0) - 1.0):
             k = np.count_nonzero(r)

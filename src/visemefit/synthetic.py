@@ -36,7 +36,7 @@ from .observations import (
 )
 from .procedural import generate_procedural
 from .rig import Rig, blend_vertices, default_viseme_labels, write_rig
-from .timeline import PhonemeSegment, PhonemeVisemeMap, Timeline, frame_count
+from .timeline import PhonemeSegment, PhonemeVisemeMap, Timeline, check_fps, frame_count
 
 GRID = 8
 IMAGE_SIZE = 1024
@@ -60,6 +60,12 @@ PHONE_TABLE = (
     ("n", "V12"), ("r", "V13"), ("sh", "V14"), ("ch", "V15"), ("y", "V16"),
 )
 SILENCE_TOKENS = ("sil", "sp")
+
+# The longest random timeline a scene may have. Its segments are drawn one
+# by one, so the duration, not the frame count, bounds the work: 2 frames at
+# 1e-300 fps would otherwise ask for 2e300 s of segments. An hour is far
+# past any synthetic clip, whose frames are 20 MB each on disk.
+MAX_SCENE_SECONDS = 3600.0
 
 _UPPER_LIP = np.arange(24, 32)  # row 3
 _LOWER_LIP = np.arange(32, 40)  # row 4
@@ -264,6 +270,16 @@ def build_scene(
     """
     if n_frames < 0:
         raise DataError(f"frame count cannot be negative, got {n_frames}")
+    check_fps(fps)
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
+    if not 0.0 <= landmark_noise < math.inf:
+        raise DataError(f"landmark noise must be finite and non-negative, got {landmark_noise}")
+    if not ambiguous and n_frames / fps > MAX_SCENE_SECONDS:
+        raise DataError(
+            f"{n_frames} frames at {fps} fps last {n_frames / fps:.6g} s,"
+            f" over the limit of {MAX_SCENE_SECONDS:g} s"
+        )
     rng = np.random.default_rng(seed)
     rig = _build_rig(rng, ambiguous)
 

@@ -169,7 +169,13 @@ def checked_frame_count(frames: float, what: str) -> int:
     return max(0, math.ceil(frames))
 
 
-def frame_count(duration: float, fps: float) -> int:
+def check_fps(fps: float) -> None:
+    """DataError unless fps is positive and finite: the rule for a rate that
+    makes frames."""
     if not 0 < fps < math.inf:
         raise DataError(f"fps must be positive and finite, got {fps}")
+
+
+def frame_count(duration: float, fps: float) -> int:
+    check_fps(fps)
     return checked_frame_count(duration * fps, f"{duration} s at {fps} fps")

@@ -509,6 +509,10 @@ BAD_INPUTS = [
                  id="alignment-overlap"),
     pytest.param("resample", "gt.csv", "# fps=inf\nframe,MBP\n0,0.5\n", "fps",
                  id="curve-fps-inf"),
+    pytest.param("resample", "gt.csv", "# fps=-1\nframe,MBP\n0,0.5\n", ":1: fps must be positive",
+                 id="curve-fps-negative"),
+    pytest.param("bake", "gt.csv", "frame,MBP\n0,0.5\n# fps=0\n", ":3: fps must be positive",
+                 id="curve-fps-zero"),
     pytest.param("resample", "gt.csv", "# fps=30\nframe,MBP\n0,nan\n", "MBP",
                  id="curve-weight-nan"),
     pytest.param("resample", "gt.csv", "# fps=30\nframe,MBP\n0,0.5,0.5\n", "columns",
@@ -667,17 +671,26 @@ def test_gen_proc_without_rig_from_reversed_map_bakes_like_rig_order(scene_dir, 
     assert _tree_bytes(tmp_path / "rev_baked") == _tree_bytes(tmp_path / "rig_baked")
 
 
-@pytest.mark.parametrize("metric", [None, "lip"], ids=["bake", "eval-lip"])
-def test_curve_missing_a_rig_label_exits_2_naming_it(scene_dir, tmp_path, capsys, metric):
-    s = scene_dir / "scene"
+@pytest.mark.parametrize("command", ["bake", "eval-lip", "bones", "eval-keypoint"])
+def test_curve_missing_a_rig_label_exits_2_naming_it(scene_dir, tmp_path, capsys, command):
+    # the rig and the bone assets both need MBP, the curve's first column
+    s = _scene_with_poses(scene_dir, tmp_path)
     gt = read_curve(s / "gt.csv")
     curve = tmp_path / "curve.csv"
     write_curve(Curve(fps=gt.fps, labels=gt.labels[1:], weights=gt.weights[:, 1:]), curve)
-    command = ["bake"] if metric is None else ["eval", "--metric", metric]
+    rig, out = s / "rig" / "rig.txt", tmp_path / "out"
+    argv = {
+        "bake": ["bake", "--rig", rig],
+        "eval-lip": ["eval", "--metric", "lip", "--rig", rig],
+        "bones": ["bones", "--bones", s / "bones.csv"],
+        "eval-keypoint": ["eval", "--metric", "keypoint", "--rig", rig, "--obs", s / "obs",
+                          "--poses", s / "poses.csv"],
+    }[command]
     capsys.readouterr()
-    assert main(command + ["--rig", str(s / "rig" / "rig.txt"), "--curve", str(curve),
-                           "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: curve is missing viseme columns ['MBP']"]
+    assert main([str(a) for a in argv + ["--curve", curve, "--out", out]]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {curve}: curve is missing viseme columns ['MBP']"
+    ]
 
 
 def test_fit_landmark_overflow_exits_3_naming_clip_and_frame(scene_dir, tmp_path, capsys):
@@ -785,6 +798,52 @@ def test_mutated_inputs_exit_cleanly(scene_dir, tmp_path, capsys, caplog):
 def test_non_finite_frame_count_exits_2(scene_dir, tmp_path, capsys, command, fps, name, content):
     error, _ = _run_probe(scene_dir, tmp_path, capsys, command, fps, name, content)
     assert "fps" in error
+
+
+@pytest.mark.parametrize(
+    "flag, value, names",
+    [
+        ("--fps", "0", "fps must be positive"),
+        ("--fps", "-1", "fps must be positive"),
+        ("--fps", "nan", "fps must be positive"),
+        ("--seed", "-1", "seed must be non-negative"),
+        ("--noise", "nan", "landmark noise"),
+        ("--noise", "-1", "landmark noise"),
+        ("--noise", "inf", "landmark noise"),
+        # 1801 frames at 0.5 fps: 3602 s of random timeline, just over the ceiling
+        ("--fps", "0.5", "over the limit of 3600 s"),
+    ],
+)
+def test_synth_checks_numeric_flags_before_any_work(tmp_path, capsys, flag, value, names):
+    out = tmp_path / "synth"
+    frames = "1801" if value == "0.5" else "2"
+    capsys.readouterr()
+    assert main(["synth", "--seed", "3", "--frames", frames, flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and names in err[0], err
+    assert not out.exists()
+
+
+def test_synth_tiny_fps_exits_2_in_a_bounded_child(tmp_path):
+    # 2 frames at 1e-300 fps once asked for 2e300 s of random timeline; the
+    # child's address space and run time are capped, so a regression fails
+    # here instead of exhausting the machine
+    cap = "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))"
+    code = f"import resource, sys; {cap}; from visemefit.cli import main; sys.exit(main(sys.argv[1:]))"
+    out = tmp_path / "synth"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "synth", "--seed", "3", "--frames", "2", "--fps", "1e-300",
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(visemefit.__file__).parents[1])},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: 2 frames at 1e-300 fps last 2e+300 s, over the limit of 3600 s"
+    ]
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

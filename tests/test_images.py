@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from visemefit import images
 from visemefit.errors import DataError
-from visemefit.images import bilinear_sample, in_bounds, quantize, read_ppm, write_ppm
+from visemefit.images import InBounds, bilinear_sample, in_bounds, quantize, read_ppm, write_ppm
 
 
 def test_bilinear_sample_hand_values():
@@ -147,3 +148,45 @@ def test_bilinear_sample_keeps_its_bounds_check():
     for bad in ([-0.001, 1.0], [3.001, 1.0], [1.0, -0.5], [1.0, 3.5], [np.nan, 1.0], [1.0, np.nan]):
         with pytest.raises(DataError):
             bilinear_sample(grid, np.array([bad]))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
+def test_bilinear_sample_on_strided_grids_equals_contiguous_copies(rng, dtype):
+    # the corners are gathered from a flattened view of the grid; a strided
+    # grid is flattened by a copy, and samples as its contiguous copy does
+    if dtype is np.uint8:
+        base = rng.integers(0, 256, (9, 11, 3), dtype=np.uint8)
+    else:
+        base = rng.normal(0.0, 3.0, (9, 11, 2)).astype(dtype)
+    for view in (base[:, ::-1], base.transpose(1, 0, 2)):
+        assert not view.flags.c_contiguous
+        pts = _sample_points(rng, *view.shape[:2])
+        got = bilinear_sample(view, pts, with_grad=True)
+        for a, b in zip(got, bilinear_sample(np.ascontiguousarray(view), pts, with_grad=True)):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_bilinear_sample_takes_in_bounds_points_of_its_grid_size(rng):
+    grid = rng.uniform(0.0, 1.0, (6, 8, 3))
+    pts = np.array([[1.5, 2.5], [-1.0, 2.0], [7.0, 5.0], [np.nan, 1.0], [7.5, 1.0], [0.0, 0.0]])
+    inside = InBounds(pts, 8, 6)
+    np.testing.assert_array_equal(inside.index, [0, 2, 5])
+    assert inside.count == 3
+    np.testing.assert_array_equal(bilinear_sample(grid, inside), bilinear_sample(grid, pts[[0, 2, 5]]))
+    every = InBounds(pts[[0, 2, 5]], 8, 6)
+    assert every.index is None and every.count == 3
+    # bounded for another grid size, the points are not sampled
+    for other in (InBounds(pts, 9, 6), InBounds(pts, 8, 7)):
+        with pytest.raises(DataError, match="bounded for a"):
+            bilinear_sample(grid, other)
+
+
+def test_bounds_with_float_sizes_leave_sampling_alone(rng):
+    # the bounds rule takes sizes as numbers; sampling's integer constants
+    # are keyed by the grid's shape and must not pick up a float size
+    images._layout.cache_clear()
+    grid = rng.uniform(0.0, 1.0, (6, 8, 3))
+    pts = np.array([[1.5, 2.5], [7.0, 5.0], [0.0, 0.0]])
+    assert in_bounds(pts, 8.0, 6.0).all()
+    assert InBounds(pts, 8.0, 6.0).index is None
+    np.testing.assert_array_equal(bilinear_sample(grid, pts), _reference_bilinear(grid, pts)[0])

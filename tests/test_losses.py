@@ -404,3 +404,48 @@ def test_evaluate_rejects_non_finite_objective(tiny_rig):
     prob = _bare_problem(tiny_rig, neighbor_weights=np.full(n, 1e200))
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="^non-finite objective"):
         prob.evaluate(np.zeros(n), _UNIT_Q, np.zeros(3))
+
+
+def test_evaluate_results_survive_a_later_call(rng):
+    # what one call returned must not change under the next call on the same
+    # problem: no returned array may be state the problem keeps and refills
+    rig, pose, w, obs, guidance, flow, prev, nb = _full_setup(rng)
+    prob = _problem(rig, obs, guidance, flow, prev, nb)
+    first = prob.evaluate(w, pose.rotation, pose.translation)
+    kept = [np.copy(a) for a in first]
+    later = random_pose(rng, scale=0.02)
+    second = prob.evaluate(rng.uniform(-0.5, 1.5, 3), later.rotation, later.translation)
+    assert second[0] != first[0]
+    for a, b, c in zip(first, kept, second):
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(b, c)
+
+
+def test_frame_partly_outside_the_image_matches_the_oracle(rng):
+    # the image is cropped just left of vertex 0, so the photometric term
+    # drops it and keeps some of the later vertices; value and gradients
+    # follow the oracle (gradients by central differences of its total)
+    rig, pose, w, obs, guidance, flow, prev, nb = _full_setup(rng)
+    proj = project(blend_vertices(rig, w), pose)
+    width = int(proj[0, 0])
+    obs = dataclasses.replace(obs, image=np.ascontiguousarray(obs.image[:, :width]))
+    inside = in_bounds(proj, width, obs.image.shape[0])
+    assert not inside[0] and inside.any()
+    prob = _problem(rig, obs, guidance, flow, prev, nb)
+    val, gw, gq, gt = prob.evaluate(w, pose.rotation, pose.translation)
+    lw = FitConfig().loss_weights
+
+    def oracle(wv, q, t):
+        p = Pose(rotation=q, translation=t, intrinsics=INTR)
+        return _oracle_total(lw, rig, p, wv, obs, guidance, flow, prev, nb)
+
+    q0, t0 = pose.rotation, pose.translation
+    np.testing.assert_allclose(val, oracle(w, q0, t0), rtol=1e-12, atol=0.0)
+    h = 1e-6
+    for grad, at in ((gw, lambda e: (w + e, q0, t0)), (gq, lambda e: (w, q0 + e, t0)),
+                     (gt, lambda e: (w, q0, t0 + e))):
+        for i in range(len(grad)):
+            e = np.zeros(len(grad))
+            e[i] = h
+            fd = (oracle(*at(e)) - oracle(*at(-e))) / (2 * h)
+            assert abs(fd - grad[i]) < 1e-3 * max(1.0, abs(fd))
