@@ -1,12 +1,15 @@
 """Atomic file writes: data lands under a temp name, then renames into place.
 
-A failed write never leaves a partial file at the destination.
+A failed write never leaves a partial file at the destination, and an
+OSError is reported as one DataError naming the destination.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+
+from .errors import DataError
 
 
 @contextmanager
@@ -17,11 +20,13 @@ def atomic_path(path):
     try:
         yield tmp
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import quat_norm_is_safe
-from .errors import DataError, NumericError
+from .camera import check_quat_norm
+from .errors import DataError
 from .frozen import frozen_array
 from .records import read_text, split_records
 
@@ -32,9 +32,10 @@ def slerp(q0, q1, t: float) -> np.ndarray:
     """
     a = np.asarray(q0, dtype=np.float64).reshape(4)
     b = np.asarray(q1, dtype=np.float64).reshape(4)
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise NumericError("slerp endpoint has zero norm")
+    with np.errstate(over="ignore"):
+        na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    check_quat_norm(na)
+    check_quat_norm(nb)
     a = a / na
     b = b / nb
     dot = float(a @ b)
@@ -52,8 +53,12 @@ def slerp(q0, q1, t: float) -> np.ndarray:
 
 
 def _unit_rows(r: np.ndarray) -> np.ndarray:
-    """r divided by its norms along the last axis."""
-    return r / np.linalg.norm(r, axis=-1)[..., None]
+    """r over its norms along the last axis; r itself when all are exactly 1.0,
+    since dividing by 1.0 changes no bit."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(r, axis=-1)
+    check_quat_norm(norms, DataError)
+    return r if (norms == 1.0).all() else r / norms[..., None]
 
 
 @dataclass(frozen=True)
@@ -68,13 +73,11 @@ class BonePose:
     scales: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rotations, dtype=np.float64).reshape(-1, 4)
+        r = frozen_array(self.rotations, np.float64, (-1, 4))
         t = frozen_array(self.translations, np.float64, (-1, 3))
         s = frozen_array(self.scales, np.float64, (-1, 3))
         if not (len(r) == len(t) == len(s)):
             raise DataError("bone pose arrays must agree on bone count")
-        if len(r) and np.linalg.norm(r, axis=1).min() == 0.0:
-            raise DataError("bone pose contains a zero-norm quaternion")
         object.__setattr__(self, "rotations", frozen_array(_unit_rows(r), np.float64))
         object.__setattr__(self, "translations", t)
         object.__setattr__(self, "scales", s)
@@ -169,8 +172,7 @@ def parse_bone_assets(text: str, source: str = "<bones>") -> BonePoseAssets:
             raise line.error(f"expected 12 columns, got {len(cols)}")
         bone, label = cols[0].strip(), cols[1].strip()
         nums = tuple(line.numbers(cols[2:], _POSE_FIELDS))
-        if not quat_norm_is_safe(nums[0:4]):
-            raise line.error("quaternion norm is zero or overflows")
+        check_quat_norm(sum(v * v for v in nums[0:4]), line.error)
         if bone not in rows:
             rows[bone] = {}
             bones.append(bone)

@@ -16,19 +16,25 @@ from .errors import DataError, NumericError
 from .frozen import frozen_array
 
 
-def quat_norm_is_safe(q) -> bool:
-    """Whether the squared norm of ``q`` is positive and finite, so
-    normalizing it neither divides by zero nor overflows."""
-    # Python floats overflow to inf without a numpy RuntimeWarning
-    squared = sum(float(v) * float(v) for v in q)
-    return 0.0 < squared < math.inf
+def check_quat_norm(norm, error=NumericError) -> None:
+    """The one rule for whether a quaternion can be normalized: its squared
+    norm (or its norm, which decides alike) is positive and finite, so zero,
+    NaN and overflow all fail; an array of row norms passes if every row does.
+    Otherwise raises error("quaternion norm ..."), and never a numpy warning."""
+    if isinstance(norm, np.ndarray):
+        with np.errstate(invalid="ignore"):
+            ok = bool(((norm > 0.0) & (norm < math.inf)).all())
+    else:
+        ok = 0.0 < norm < math.inf
+    if not ok:
+        raise error("quaternion norm is zero or not finite")
 
 
 def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64).reshape(4)
-    n = float(np.linalg.norm(q))
-    if n == 0.0 or not np.isfinite(n):
-        raise NumericError("cannot normalize a zero or non-finite quaternion")
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(q))
+    check_quat_norm(n)
     return q / n
 
 
@@ -85,14 +91,6 @@ class Pose:
         object.__setattr__(self, "rotation", q)
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "intrinsics", (float(f), float(cx), float(cy)))
-
-
-def identity_pose(intrinsics) -> Pose:
-    return Pose(
-        rotation=np.array([0.0, 0.0, 0.0, 1.0]),
-        translation=np.zeros(3),
-        intrinsics=intrinsics,
-    )
 
 
 def transform_points(points, pose: Pose) -> np.ndarray:

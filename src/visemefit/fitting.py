@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .adam import AdamState, adam_step, learning_rate
-from .camera import Pose, project, quat_norm_is_safe
+from .camera import Pose, check_quat_norm, project
 from .curves import Curve
 from .errors import DataError, NumericError
 from .flow import screen_flow
@@ -153,13 +153,12 @@ def _optimize_frame(problem: FrameProblem, p0, cfg: FitConfig, frame: int):
                 grad *= scale
                 lr = learning_rate(i, cfg.lr0, cfg.decay_every, cfg.decay_factor)
                 internal = adam_step(state, internal, grad, lr)
+                qseg = internal[nv : nv + 4] * cfg.pose_step_scale
+                norm = math.sqrt(qseg @ qseg)
+                check_quat_norm(norm)
+                internal[nv : nv + 4] = qseg / (norm * cfg.pose_step_scale)
             except NumericError as exc:
                 raise NumericError(f"frame {frame}: {exc}") from exc
-            qseg = internal[nv : nv + 4] * cfg.pose_step_scale
-            norm = math.sqrt(qseg @ qseg)
-            if norm == 0.0 or not math.isfinite(norm):
-                raise NumericError(f"frame {frame}: quaternion collapsed to zero")
-            internal[nv : nv + 4] = qseg / (norm * cfg.pose_step_scale)
     return internal * scale
 
 
@@ -304,15 +303,18 @@ def parse_poses(text: str, source: str = "<poses>") -> list[Pose]:
         if line.integer(cols[0], "frame") != len(rows):
             raise line.error("frames must be consecutive from 0")
         rows.append(line.numbers(cols[1:], _POSE_COLUMNS))
-        if not quat_norm_is_safe(rows[-1][0:4]):
-            raise line.error("quaternion norm is zero or overflows")
+        check_quat_norm(sum(v * v for v in rows[-1][0:4]), line.error)
     intrinsics = tuple(records.header_number(key) for key in ("focal", "cx", "cy"))
     if rows and None in intrinsics:
         raise DataError(f"{source}: needs '# focal=', '# cx=' and '# cy=' comments")
-    return [
-        Pose(rotation=np.array(r[0:4]), translation=np.array(r[4:7]), intrinsics=intrinsics)
-        for r in rows
-    ]
+    try:
+        return [
+            Pose(rotation=np.array(r[0:4]), translation=np.array(r[4:7]), intrinsics=intrinsics)
+            for r in rows
+        ]
+    except DataError as exc:
+        # every value is finite, so only the header's focal can be out of range
+        raise records.header["focal"].error(str(exc)) from None
 
 
 def write_poses(poses, path) -> None:

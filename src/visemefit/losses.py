@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from . import images
-from .camera import pinhole, quat_rotation_jacobians, quat_to_matrix
+from .camera import check_quat_norm, pinhole, quat_rotation_jacobians, quat_to_matrix
 from .errors import NumericError
 from .guidance import GuidanceSets
 from .observations import RawObservation
@@ -135,8 +135,7 @@ class FrameProblem:
         w = np.asarray(w, dtype=np.float64)
         q = np.asarray(q, dtype=np.float64)
         q_norm = math.sqrt(q @ q)
-        if q_norm == 0.0 or not math.isfinite(q_norm):
-            raise NumericError("degenerate quaternion during evaluation")
+        check_quat_norm(q_norm)
         qn = q / q_norm
         rot = quat_to_matrix(qn.tolist())
         s = self.b0 + (w @ self.d2).reshape(self.b0.shape)

@@ -66,6 +66,10 @@ SILENCE_TOKENS = ("sil", "sp")
 # 1e-300 fps would otherwise ask for 2e300 s of segments. An hour is far
 # past any synthetic clip, whose frames are 20 MB each on disk.
 MAX_SCENE_SECONDS = 3600.0
+# The largest landmark noise sigma, in pixels: the image's size. A larger
+# one only throws landmarks off the frame, and a huge one overflows the
+# objective of a later fit.
+MAX_LANDMARK_NOISE = float(IMAGE_SIZE)
 
 _UPPER_LIP = np.arange(24, 32)  # row 3
 _LOWER_LIP = np.arange(32, 40)  # row 4
@@ -249,12 +253,6 @@ def _wobble_pose(j: int, fps: float, intrinsics) -> Pose:
     return Pose(rotation=q, translation=trans, intrinsics=intrinsics)
 
 
-def default_map_text() -> str:
-    lines = [f"{tok}={label}" for tok, label in PHONE_TABLE]
-    lines.append("silence=" + ",".join(SILENCE_TOKENS))
-    return "\n".join(lines) + "\n"
-
-
 def build_scene(
     seed: int,
     n_frames: int = 100,
@@ -273,8 +271,10 @@ def build_scene(
     check_fps(fps)
     if seed < 0:
         raise DataError(f"seed must be non-negative, got {seed}")
-    if not 0.0 <= landmark_noise < math.inf:
-        raise DataError(f"landmark noise must be finite and non-negative, got {landmark_noise}")
+    if not 0.0 <= landmark_noise <= MAX_LANDMARK_NOISE:
+        raise DataError(
+            f"landmark noise must be in [0, {MAX_LANDMARK_NOISE:g}] px, got {landmark_noise}"
+        )
     if not ambiguous and n_frames / fps > MAX_SCENE_SECONDS:
         raise DataError(
             f"{n_frames} frames at {fps} fps last {n_frames / fps:.6g} s,"
@@ -385,7 +385,7 @@ def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
     import os
 
     from .atomicio import write_text
-    from .timeline import serialize_timeline
+    from .timeline import serialize_timeline, serialize_viseme_map
 
     out = str(out_dir)
     obs_dir = os.path.join(out, "obs")
@@ -397,7 +397,7 @@ def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
     align = os.path.join(out, "align.tsv")
     write_text(align, serialize_timeline(scene.timeline))
     map_path = os.path.join(out, "map.txt")
-    write_text(map_path, default_map_text())
+    write_text(map_path, serialize_viseme_map(scene.vmap))
     config_path = os.path.join(out, "config.txt")
     write_text(config_path, serialize_fit_config(scene.config))
     gt_path = os.path.join(out, "gt.csv")

@@ -140,6 +140,12 @@ def parse_viseme_map(text: str, labels=None, source: str = "<map>") -> PhonemeVi
     return PhonemeVisemeMap(labels=labels, entries=entries, silence=silence)
 
 
+def serialize_viseme_map(vmap: PhonemeVisemeMap) -> str:
+    """parse_viseme_map's format: entries in insertion order, then silence sorted."""
+    lines = [f"{tok}={vmap.labels[idx]}\n" for tok, idx in vmap.entries.items()]
+    return "".join(lines) + "silence=" + ",".join(sorted(vmap.silence)) + "\n"
+
+
 def read_viseme_map(path, labels=None) -> PhonemeVisemeMap:
     return parse_viseme_map(read_text(path, "viseme map"), labels=labels, source=str(path))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from visemefit.camera import Pose, identity_pose, project
+from visemefit.camera import Pose, project
 from visemefit.mesh import Mesh
 from visemefit.rig import Rig, blend_vertices, default_viseme_labels
 
@@ -45,7 +45,7 @@ def tiny_rig(rng):
 
 @pytest.fixture
 def cam_pose():
-    return identity_pose(INTR)
+    return Pose(rotation=[0.0, 0.0, 0.0, 1.0], translation=np.zeros(3), intrinsics=INTR)
 
 
 def random_pose(rng: np.random.Generator, scale: float = 0.05) -> Pose:

@@ -1,9 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from visemefit.bones import BonePose, slerp
 from visemefit.camera import (
     Pose,
-    identity_pose,
+    check_quat_norm,
     project,
     quat_normalize,
     quat_rotation_jacobians,
@@ -13,24 +17,26 @@ from visemefit.camera import (
 from visemefit.errors import DataError, NumericError
 
 INTR = (100.0, 10.0, 20.0)
+# frozen, so one identity pose serves every test
+IDENTITY = Pose(rotation=[0.0, 0.0, 0.0, 1.0], translation=np.zeros(3), intrinsics=INTR)
 
 
 def test_project_hand_values():
     # x' = f*X/Z + cx: 100*0.5/2 + 10 = 35, y' = 100*(-0.25)/2 + 20 = 7.5
-    p = identity_pose(INTR)
+    p = IDENTITY
     px = project(np.array([0.5, -0.25, 2.0]), p)
     np.testing.assert_allclose(px, [35.0, 7.5])
 
 
 def test_project_batch_shape():
-    p = identity_pose(INTR)
+    p = IDENTITY
     out = project(np.zeros((5, 3)) + [0.0, 0.0, 1.0], p)
     assert out.shape == (5, 2)
     np.testing.assert_allclose(out, [[10.0, 20.0]] * 5)
 
 
 def test_behind_camera_raises():
-    p = identity_pose(INTR)
+    p = IDENTITY
     with pytest.raises(NumericError):
         project(np.array([[0.0, 0.0, -1.0]]), p)
     with pytest.raises(NumericError):
@@ -74,6 +80,48 @@ def test_quat_normalize_rejects_zero():
         quat_normalize(np.zeros(4))
 
 
+UNNORMALIZABLE = {
+    "zero": [0.0, 0.0, 0.0, 0.0],
+    "overflow": [1e200, 0.0, 0.0, 0.0],
+    "nan": [np.nan, 0.0, 0.0, 1.0],
+    "inf": [np.inf, 0.0, 0.0, 1.0],
+}
+QUAT_NORM_MESSAGE = "^quaternion norm is zero or not finite$"
+
+
+@pytest.mark.parametrize("q", UNNORMALIZABLE.values(), ids=list(UNNORMALIZABLE))
+@pytest.mark.parametrize(
+    "error, call",
+    [
+        (NumericError, quat_normalize),
+        (NumericError, lambda q: slerp([0.0, 0.0, 0.0, 1.0], q, 0.5)),
+        (NumericError, lambda q: slerp(q, [0.0, 0.0, 0.0, 1.0], 0.5)),
+        (DataError, lambda q: BonePose(rotations=[[0.0, 0.0, 0.0, 1.0], q],
+                                       translations=np.zeros((2, 3)), scales=np.ones((2, 3)))),
+    ],
+    ids=["quat_normalize", "slerp-end", "slerp-start", "BonePose"],
+)
+def test_one_quaternion_rule_rejects_with_one_message_and_no_warning(error, call, q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=QUAT_NORM_MESSAGE):
+            call(np.array(q))
+
+
+def test_check_quat_norm_takes_norms_squared_norms_and_rows():
+    for ok in (1.0, 1e-300, 1e300):
+        check_quat_norm(ok)
+    check_quat_norm(np.array([1.0, 2.0, 1e-300]))
+    check_quat_norm(np.zeros(0))
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(NumericError, match=QUAT_NORM_MESSAGE):
+            check_quat_norm(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=QUAT_NORM_MESSAGE):
+                check_quat_norm(np.array([1.0, bad, 1.0]), DataError)
+
+
 def test_rotation_jacobians_match_fd(rng):
     # quat_to_matrix is the plain quadratic form with no normalization, so
     # central differences through it match the jacobian slices directly
@@ -90,7 +138,7 @@ def test_rotation_jacobians_match_fd(rng):
 
 
 def test_pose_is_immutable_and_validated():
-    p = identity_pose(INTR)
+    p = IDENTITY
     assert not p.rotation.flags.writeable
     with pytest.raises(DataError):
         Pose(rotation=np.array([0, 0, 0, np.nan]), translation=np.zeros(3), intrinsics=INTR)

@@ -435,6 +435,24 @@ def test_atomic_write_cleans_up_on_failure(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["gen-proc", "resample", "bones"])
+@pytest.mark.parametrize("missing", ["missing/x.csv", "gt.csv/x.csv"], ids=["no-dir", "not-a-dir"])
+def test_write_into_a_missing_directory_names_the_file(scene_dir, tmp_path, capsys,
+                                                       command, missing):
+    """A failed write exits 2 with one line naming the path asked for, not
+    its temporary sibling, and leaves nothing behind."""
+    s = _probe_scene(scene_dir, tmp_path)
+    argv = _probe_argv(command, s, "30")
+    out = s / missing
+    argv[argv.index("--out") + 1] = str(out)
+    before = sorted(s.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    reason = "No such file or directory" if missing.startswith("missing") else "Not a directory"
+    assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out}: {reason}"]
+    assert sorted(s.rglob("*")) == before
+
+
 def _probe_argv(command, s, fps):
     rig, curve = s / "rig" / "rig.txt", s / "gt.csv"
     argv = {
@@ -532,6 +550,8 @@ BAD_INPUTS = [
     pytest.param("eval", "poses.csv", POSES_CSV.replace("# cy=512.0\n", ""), "# cy=",
                  id="poses-missing-cy"),
     pytest.param("eval", "poses.csv", POSES_CSV + "1,0,0\n", "columns", id="poses-short-row"),
+    pytest.param("eval", "poses.csv", POSES_CSV.replace("# focal=1200.0", "# focal=-1"),
+                 ":1: focal length must be positive", id="poses-focal-negative"),
     pytest.param("eval", "poses.csv", POSES_CSV.replace("0,0,0,0,1,", "0,0,0,1e300,1,"),
                  ":5: quaternion norm", id="poses-quaternion-huge"),
     pytest.param("fit", "obs/landmarks.csv", LANDMARKS_HEADER + "0,0,nan,1.0,1.0\n", "x",
@@ -551,12 +571,18 @@ BAD_INPUTS = [
 ]
 
 
-def _run_probe(scene_dir, tmp_path, capsys, command, fps="30", name=None, content=None):
+def _probe_scene(scene_dir, tmp_path):
+    """A copy of the scene with the side files every probe command reads."""
     s = tmp_path / "s"
     shutil.copytree(scene_dir / "scene", s)
     (s / "rules.txt").write_text("onset_frac=0.3\n", encoding="utf-8")
     (s / "bones.csv").write_text(BONES_CSV, encoding="utf-8")
     (s / "poses.csv").write_text(POSES_CSV, encoding="utf-8")
+    return s
+
+
+def _run_probe(scene_dir, tmp_path, capsys, command, fps="30", name=None, content=None):
+    s = _probe_scene(scene_dir, tmp_path)
     if isinstance(content, bytes):
         (s / name).write_bytes(content)
     elif name is not None:
@@ -810,6 +836,9 @@ def test_non_finite_frame_count_exits_2(scene_dir, tmp_path, capsys, command, fp
         ("--noise", "nan", "landmark noise"),
         ("--noise", "-1", "landmark noise"),
         ("--noise", "inf", "landmark noise"),
+        # finite, but over the ceiling of the image size in pixels
+        ("--noise", "1025", "landmark noise must be in [0, 1024] px"),
+        ("--noise", "1e300", "landmark noise must be in [0, 1024] px"),
         # 1801 frames at 0.5 fps: 3602 s of random timeline, just over the ceiling
         ("--fps", "0.5", "over the limit of 3600 s"),
     ],
@@ -824,26 +853,73 @@ def test_synth_checks_numeric_flags_before_any_work(tmp_path, capsys, flag, valu
     assert not out.exists()
 
 
-def test_synth_tiny_fps_exits_2_in_a_bounded_child(tmp_path):
-    # 2 frames at 1e-300 fps once asked for 2e300 s of random timeline; the
-    # child's address space and run time are capped, so a regression fails
-    # here instead of exhausting the machine
+def _bounded_main(argv, timeout=60):
+    """main(argv) in a child process whose address space is capped at 2 GB
+    and whose run time is capped at timeout seconds, so a regression that
+    loops or allocates without bound fails the test instead of exhausting
+    the machine."""
     cap = "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))"
     code = f"import resource, sys; {cap}; from visemefit.cli import main; sys.exit(main(sys.argv[1:]))"
-    out = tmp_path / "synth"
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "synth", "--seed", "3", "--frames", "2", "--fps", "1e-300",
-         "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         env={**os.environ, "PYTHONPATH": str(Path(visemefit.__file__).parents[1])},
     )
+
+
+def test_synth_tiny_fps_exits_2_in_a_bounded_child(tmp_path):
+    # 2 frames at 1e-300 fps once asked for 2e300 s of random timeline
+    out = tmp_path / "synth"
+    proc = _bounded_main(["synth", "--seed", "3", "--frames", "2", "--fps", "1e-300",
+                          "--out", out])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.splitlines() == [
         "error: 2 frames at 1e-300 fps last 2e+300 s, over the limit of 3600 s"
     ]
     assert not out.exists()
+
+
+EDGE_VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300")
+
+# (command, flag): the exit code for each of EDGE_VALUES, in order. 1 is
+# argparse rejecting a non-integer; fit --fps 1e-300 fits, warning only that
+# flow is missing (the scene has no flow files).
+FLAG_OUTCOMES = {
+    ("gen-proc", "--fps"): "222202",
+    ("fit", "--fps"): "222202",
+    ("resample", "--fps"): "222202",
+    ("synth", "--fps"): "222202",
+    ("synth", "--seed"): "021111",
+    ("synth", "--frames"): "021111",
+    ("synth", "--noise"): "022202",
+}
+
+
+@pytest.mark.parametrize("index, value", list(enumerate(EDGE_VALUES)), ids=EDGE_VALUES)
+@pytest.mark.parametrize("command, flag", list(FLAG_OUTCOMES), ids=[c + f for c, f in FLAG_OUTCOMES])
+def test_numeric_flag_edge_values_end_cleanly(scene_dir, tmp_path, command, flag, index, value):
+    """Every numeric flag of every subcommand, at each edge value, on the
+    seed-3 ambiguous scene: exit 0; exit 2 with one error line; or exit 1
+    from argparse, with its usage and one error line. Never a traceback."""
+    if command == "synth":
+        # a second --seed overrides the first
+        argv = ["synth", "--seed", "3", "--ambiguous", flag, value, "--out", tmp_path / "synth"]
+    else:
+        argv = _probe_argv(command, _probe_scene(scene_dir, tmp_path), value)
+    proc = _bounded_main(argv)
+    lines = proc.stderr.splitlines()
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == int(FLAG_OUTCOMES[command, flag][index]), proc.stderr
+    if proc.returncode == 0:
+        assert not any("error:" in line for line in lines), proc.stderr
+    elif proc.returncode == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    else:
+        assert lines[0].startswith("usage: "), proc.stderr
+        assert [line for line in lines if ": error: " in line] == lines[-1:], proc.stderr
+        assert lines[-1].startswith(f"visemefit {command}: error: argument {flag}:"), proc.stderr
 
 
 @pytest.fixture(scope="module")

@@ -111,7 +111,7 @@ REBUILT = {
     "bone-pose": (
         lambda: BonePose(rotations=[[0, 0, 0, 1]], translations=np.ones((1, 3)), scales=np.ones((1, 3))),
         lambda b: BonePose(rotations=b.rotations, translations=b.translations, scales=b.scales),
-        ("translations", "scales"),
+        ("rotations", "translations", "scales"),
     ),
     "metric": (
         lambda: MetricSeries(name="m", fps=30.0, values=np.ones(4)),

@@ -20,7 +20,7 @@ from visemefit.synthetic import (
     build_scene,
     write_scene,
 )
-from visemefit.timeline import read_alignment
+from visemefit.timeline import read_alignment, read_viseme_map
 
 from splat_oracle import splat as dense_splat
 
@@ -97,6 +97,7 @@ def test_write_scene_inventory(tmp_path):
     np.testing.assert_allclose(rig.neutral.vertices, scene.rig.neutral.vertices, atol=5e-7)
     timeline = read_alignment(paths["align"])
     assert timeline.segments == scene.timeline.segments
+    assert read_viseme_map(paths["map"], rig.viseme_labels) == scene.vmap
     gt = parse_curve((tmp_path / "gt.csv").read_text(encoding="utf-8"))
     assert gt.frame_count == 2
     obs = paths["obs"]

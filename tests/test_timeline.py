@@ -6,12 +6,14 @@ import pytest
 from visemefit.errors import DataError
 from visemefit.timeline import (
     PhonemeSegment,
+    PhonemeVisemeMap,
     Timeline,
     frame_count,
     parse_alignment,
     parse_viseme_map,
     read_alignment,
     serialize_timeline,
+    serialize_viseme_map,
     viseme_of,
 )
 
@@ -114,3 +116,17 @@ def test_viseme_map_rejects_token_both_mapped_and_silence():
 def test_viseme_map_collects_labels_in_first_appearance_order():
     vmap = parse_viseme_map(MAP)
     assert vmap.labels == ("MBP", "SSS")
+
+
+def test_serialize_viseme_map_roundtrip():
+    """Entries keep their order, silence tokens are sorted, and a label no
+    entry uses survives through the labels argument."""
+    m = PhonemeVisemeMap(
+        labels=("WWW", "MBP", "SSS"),
+        entries={"s": 2, "m": 1, "b": 1},
+        silence={"sp", "sil"},
+    )
+    text = serialize_viseme_map(m)
+    assert text == "s=SSS\nm=MBP\nb=MBP\nsilence=sil,sp\n"
+    assert parse_viseme_map(text, labels=m.labels) == m
+    assert serialize_viseme_map(parse_viseme_map(MAP)) == MAP
