@@ -1,7 +1,8 @@
 """Atomic file writes: data lands under a temp name, then renames into place.
 
 A failed write never leaves a partial file at the destination, and an
-OSError is reported as one DataError naming the destination.
+OSError is reported as one DataError naming the destination; make_dirs
+reports a directory it cannot make the same way.
 """
 
 from __future__ import annotations
@@ -26,8 +27,22 @@ def atomic_path(path):
         except OSError:
             pass
         if isinstance(exc, OSError):
-            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
+            raise _cannot_write(path, exc) from None
         raise
+
+
+def make_dirs(path) -> None:
+    """os.makedirs(path, exist_ok=True); an OSError is the DataError that a
+    failed file write gives, naming path."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+
+
+def _cannot_write(path, exc: OSError) -> DataError:
+    # an OSError's own text repeats the path; its strerror does not
+    return DataError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def write_text(path, text: str) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import check_quat_norm
-from .errors import DataError
+from .errors import DataError, located
 from .frozen import frozen_array
 from .records import read_text, split_records
 
@@ -137,12 +137,10 @@ def _blend(assets: BonePoseAssets, w: np.ndarray, first_frame: int | None = None
     bad = np.flatnonzero(~(rot_ok & np.isfinite(t).all(axis=(1, 2)) & np.isfinite(s).all(axis=(1, 2))))
     if bad.size:
         row = int(bad[0])
-        where = "" if first_frame is None else f"frame {first_frame + row}: "
-        if not rot_ok[row]:
-            raise DataError(f"{where}blended rotation overflows: weights out of range")
-        raise DataError(
-            f"{where}blended translation or scale overflows: weights or poses out of range"
-        )
+        with located(None if first_frame is None else f"frame {first_frame + row}"):
+            if not rot_ok[row]:
+                raise DataError("blended rotation overflows: weights out of range")
+            raise DataError("blended translation or scale overflows: weights or poses out of range")
     return rot, t, s
 
 

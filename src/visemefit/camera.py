@@ -30,6 +30,13 @@ def check_quat_norm(norm, error=NumericError) -> None:
         raise error("quaternion norm is zero or not finite")
 
 
+def check_focal(f) -> None:
+    """The one rule for a focal length in pixels: positive and finite, so
+    zero, a negative value, NaN and inf all fail with one message."""
+    if not 0 < f < math.inf:
+        raise DataError(f"focal length must be positive and finite, got {f}")
+
+
 def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64).reshape(4)
     with np.errstate(over="ignore"):
@@ -86,8 +93,7 @@ class Pose:
         if not (np.isfinite(q).all() and np.isfinite(t).all()):
             raise DataError("pose components must be finite")
         f, cx, cy = self.intrinsics
-        if not f > 0:
-            raise DataError(f"focal length must be positive, got {f}")
+        check_focal(f)
         object.__setattr__(self, "rotation", q)
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "intrinsics", (float(f), float(cx), float(cy)))

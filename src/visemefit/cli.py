@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .atomicio import write_text
+from .atomicio import make_dirs, write_text
 from .bones import read_bone_assets, serialize_blended_poses
 from .curves import read_curve, resample_curve, write_curve
 from .errors import DataError, NumericError, UsageError
@@ -53,7 +53,7 @@ def _fit_one(rig, align_path, obs_path, cfg, vmap, rules, fps, out_dir):
     timeline = read_alignment(align_path)
     observations = ObservationDir(obs_path)
     result = fit_clip(rig, timeline, observations, cfg, vmap, rules=rules, fps=fps, clip=obs_path)
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     write_curve(result.curve, os.path.join(out_dir, "curve.csv"))
     write_poses(result.poses, os.path.join(out_dir, "poses.csv"))
     return result.curve.frame_count
@@ -107,7 +107,7 @@ def _cmd_bake(args) -> int:
     rig = load_rig_manifest(args.rig)
     curve = read_curve(args.curve)
     meshes = bake_mesh_sequence(rig, curve)
-    os.makedirs(args.out, exist_ok=True)
+    make_dirs(args.out)
     for j, mesh in enumerate(meshes):
         write_obj(mesh, os.path.join(args.out, f"{j:06d}.obj"))
     return len(meshes)
@@ -129,7 +129,7 @@ def _cmd_resample(args) -> int:
 
 def _cmd_eval(args) -> int:
     curve = read_curve(args.curve)
-    os.makedirs(args.out, exist_ok=True)
+    make_dirs(args.out)
     if args.metric == "tv":
         tv = total_variation(curve)
         write_text(os.path.join(args.out, "total_variation.csv"), serialize_total_variation(tv))

@@ -6,12 +6,11 @@ then one row per frame with weights at exactly six decimal places.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, located
 from .frozen import frozen_array
 from .records import read_text, split_records
 from .timeline import check_fps, checked_frame_count
@@ -60,8 +59,8 @@ class Curve:
         visemes. Columns not named are ignored; a missing one is a DataError."""
         missing = [lab for lab in labels if lab not in self.labels]
         if missing:
-            where = "" if self.source is None else f"{self.source}: "
-            raise DataError(f"{where}curve is missing viseme columns {missing}")
+            with located(self.source):
+                raise DataError(f"curve is missing viseme columns {missing}")
         return self.weights[:, [self.labels.index(lab) for lab in labels]]
 
 
@@ -78,10 +77,8 @@ def parse_curve(text: str, source: str = "<curve>") -> Curve:
     fps = records.header_number("fps")
     if fps is None:
         raise DataError(f"{source}: missing '# fps=' comment")
-    try:
+    with located(records.header["fps"].where):
         check_fps(fps)
-    except DataError as exc:
-        raise records.header["fps"].error(str(exc)) from None
     if not records.body:
         raise DataError(f"{source}: missing header row")
     header, *lines = records.body
@@ -121,8 +118,7 @@ def resample_curve(curve: Curve, fps_out: float) -> Curve:
     Output length preserves the clip span: ceil(n * fps_out / fps_in), with a
     tiny slack so integer rate ratios stay exact.
     """
-    if not 0 < fps_out < math.inf:
-        raise DataError(f"target fps must be positive and finite, got {fps_out}")
+    check_fps(fps_out)
     n = curve.frame_count
     if n == 0:
         return Curve(fps=fps_out, labels=curve.labels, weights=np.zeros((0, len(curve.labels))))

@@ -1,5 +1,7 @@
 """Exception taxonomy. The CLI maps these onto exit codes."""
 
+from contextlib import contextmanager
+
 
 class VisemefitError(Exception):
     """Base class for package errors."""
@@ -17,3 +19,15 @@ class NumericError(VisemefitError):
 
 class UsageError(VisemefitError):
     """Command-line misuse."""
+
+
+@contextmanager
+def located(where):
+    """The one rule for naming where an error happened: a DataError or NumericError
+    raised inside comes out as its own class, prefixed ``"<where>: "`` unless where is None."""
+    try:
+        yield
+    except (DataError, NumericError) as exc:
+        if where is None:
+            raise
+        raise type(exc)(f"{where}: {exc}") from None

@@ -16,7 +16,7 @@ import numpy as np
 
 from .camera import Pose, project
 from .curves import Curve
-from .errors import DataError
+from .errors import DataError, located
 from .frozen import frozen_array
 from .rig import Rig, blend_vertices
 
@@ -51,19 +51,20 @@ def keypoint_error(rig: Rig, curve: Curve, poses, observations, subset=None) -> 
     weights = curve.weights_for(rig.viseme_labels)
     values = np.zeros(n)
     for j in range(n):
-        obs = observations.get(j)
-        rows, verts = rig.landmark_rows(() if obs is None else obs.landmark_ids, wanted)
-        if not rows.size:
-            raise DataError(f"frame {j}: no observed landmarks for any bound id")
-        pose: Pose = poses[j]
-        shaped = blend_vertices(rig, weights[j])
-        proj = project(shaped[verts], pose)
-        # a finite but huge landmark or projection overflows to inf; report
-        # the frame instead of a numpy warning
-        with np.errstate(over="ignore"):
-            values[j] = float(np.linalg.norm(proj - obs.landmark_points[rows], axis=1).mean())
-        if not math.isfinite(values[j]):
-            raise DataError(f"frame {j}: keypoint error overflows (landmark or pose out of range)")
+        with located(f"frame {j}"):
+            obs = observations.get(j)
+            rows, verts = rig.landmark_rows(() if obs is None else obs.landmark_ids, wanted)
+            if not rows.size:
+                raise DataError("no observed landmarks for any bound id")
+            pose: Pose = poses[j]
+            shaped = blend_vertices(rig, weights[j])
+            proj = project(shaped[verts], pose)
+            # a finite but huge landmark or projection overflows to inf;
+            # report the frame instead of a numpy warning
+            with np.errstate(over="ignore"):
+                values[j] = float(np.linalg.norm(proj - obs.landmark_points[rows], axis=1).mean())
+            if not math.isfinite(values[j]):
+                raise DataError("keypoint error overflows (landmark or pose out of range)")
     return MetricSeries(name="keypoint_error", fps=curve.fps, values=values)
 
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .adam import AdamState, adam_step, learning_rate
-from .camera import Pose, check_quat_norm, project
+from .camera import Pose, check_focal, check_quat_norm, project
 from .curves import Curve
-from .errors import DataError, NumericError
+from .errors import DataError, located
 from .flow import screen_flow
 from .guidance import GuidanceSets, guidance_sets
 from .losses import FrameProblem
@@ -83,8 +83,7 @@ class FitConfig:
             raise DataError("tau_flow must be positive and eps_act non-negative")
         if self.pose_step_scale <= 0:
             raise DataError("pose_step_scale must be positive")
-        if self.focal <= 0:
-            raise DataError("focal length must be positive")
+        check_focal(self.focal)
 
     @property
     def loss_weights(self):
@@ -106,10 +105,8 @@ def parse_fit_config(text: str, source: str = "<config>") -> FitConfig:
         if key not in known:
             raise line.error(f"unknown config key {key!r}")
         values[key] = line.integer(value, key) if key in _INT_KEYS else line.number(value, key)
-    try:
+    with located(source):
         return FitConfig(**values)
-    except DataError as exc:
-        raise DataError(f"{source}: {exc}") from None
 
 
 def read_fit_config(path) -> FitConfig:
@@ -142,23 +139,20 @@ def _optimize_frame(problem: FrameProblem, p0, cfg: FitConfig, frame: int):
     params = np.empty_like(internal)
     # a finite but huge observation overflows inside evaluate; the finite
     # checks on the objective and the gradient report it with the frame
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), located(f"frame {frame}"):
         for i in range(cfg.iters):
             # evaluate keeps no reference to w, q or t, so one buffer serves
             # every iteration
             np.multiply(internal, scale, out=params)
-            try:
-                _, gw, gq, gt = problem.evaluate(params[:nv], params[nv : nv + 4], params[nv + 4 :])
-                grad = np.concatenate([gw, gq, gt])
-                grad *= scale
-                lr = learning_rate(i, cfg.lr0, cfg.decay_every, cfg.decay_factor)
-                internal = adam_step(state, internal, grad, lr)
-                qseg = internal[nv : nv + 4] * cfg.pose_step_scale
-                norm = math.sqrt(qseg @ qseg)
-                check_quat_norm(norm)
-                internal[nv : nv + 4] = qseg / (norm * cfg.pose_step_scale)
-            except NumericError as exc:
-                raise NumericError(f"frame {frame}: {exc}") from exc
+            _, gw, gq, gt = problem.evaluate(params[:nv], params[nv : nv + 4], params[nv + 4 :])
+            grad = np.concatenate([gw, gq, gt])
+            grad *= scale
+            lr = learning_rate(i, cfg.lr0, cfg.decay_every, cfg.decay_factor)
+            internal = adam_step(state, internal, grad, lr)
+            qseg = internal[nv : nv + 4] * cfg.pose_step_scale
+            norm = math.sqrt(qseg @ qseg)
+            check_quat_norm(norm)
+            internal[nv : nv + 4] = qseg / (norm * cfg.pose_step_scale)
     return internal * scale
 
 
@@ -177,8 +171,8 @@ def fit_clip(
     observations is indexable per frame (a list of RawObservation or an
     ObservationDir); its length fixes the frame count. The procedural guide
     curve is generated from the timeline and zero-padded to that length.
-    clip names the clip (its observation directory) in warnings and in a
-    NumericError.
+    clip names the clip (its observation directory) in warnings and in the
+    errors its frames raise.
     """
     n_frames = len(observations)
     labels = vmap.labels
@@ -194,6 +188,9 @@ def fit_clip(
     guide = np.zeros((n_frames, nv))
     upto = min(n_frames, proc.frame_count)
     guide[:upto] = proc.weights[:upto]
+    if upto < n_frames:
+        log.warning("%s: guide curve has %d frames at %g fps, clip has %d; the rest get a zero guide",
+                    clip, upto, fps, n_frames)
 
     sets: list[GuidanceSets] = [
         guidance_sets(guide, j, cfg.m, cfg.n, cfg.radius, cfg.eps_act)
@@ -208,25 +205,28 @@ def fit_clip(
     missing_flow: list[int] = []
     missing_rgb = 0
 
-    # a numeric failure names the clip as well as the frame
-    try:
-        for order in (range(n_frames), range(n_frames - 1, -1, -1)):
-            forward = order.step == 1
-            prev = None
-            for j in order:
-                obs: RawObservation = observations[j]
+    def pose(row):
+        return Pose(rotation=row[nv : nv + 4], translation=row[nv + 4 :], intrinsics=cfg.intrinsics)
+
+    for order in (range(n_frames), range(n_frames - 1, -1, -1)):
+        forward = order.step == 1
+        prev = None
+        for j in order:
+            # loaded outside located(clip): an ObservationDir error names the clip
+            obs: RawObservation = observations[j]
+            with located(clip):
                 flow_targets = None
                 if forward and j > 0:
                     params[j, nv:] = params[j - 1, nv:]
                     if obs.flow is None:
                         missing_flow.append(j)
                     else:
-                        prev_proj = _safe_project(rig, params[j - 1], cfg, j - 1)
+                        last = params[j - 1]
+                        with located(f"frame {j - 1}"):
+                            prev_proj = project(blend_vertices(rig, last[:nv]), pose(last))
                         fwd, bwd = obs.flow
-                        try:
+                        with located(f"frame {j}"):
                             vidx, disp = screen_flow(fwd, bwd, prev_proj, cfg.tau_flow)
-                        except DataError as exc:
-                            raise DataError(f"{clip}: frame {j}: {exc}") from exc
                         if vidx.size:
                             flow_targets = (vidx, prev_proj[vidx] + disp)
                 problem = FrameProblem(
@@ -237,38 +237,23 @@ def fit_clip(
                 if forward and obs.image is not None and problem.image is None:
                     missing_rgb += 1
                 params[j] = _optimize_frame(problem, params[j], cfg, j)
-                prev = j
+            prev = j
 
-            if forward and missing_flow:
-                log.warning(
-                    "%s: flow missing for %d of %d frame pairs, first at frame %d;"
-                    " flow term skipped there",
-                    clip, len(missing_flow), n_frames - 1, missing_flow[0],
-                )
-            if forward and missing_rgb:
-                log.warning(
-                    "%s: rig has no vertex colors; photometric term skipped (%d frames have images)",
-                    clip, missing_rgb,
-                )
-    except NumericError as exc:
-        raise NumericError(f"{clip}: {exc}") from exc
+        if forward and missing_flow:
+            log.warning(
+                "%s: flow missing for %d of %d frame pairs, first at frame %d;"
+                " flow term skipped there",
+                clip, len(missing_flow), n_frames - 1, missing_flow[0],
+            )
+        if forward and missing_rgb:
+            log.warning(
+                "%s: rig has no vertex colors; photometric term skipped (%d frames have images)",
+                clip, missing_rgb,
+            )
 
     weights = np.clip(params[:, :nv], 0.0, 1.0)
-    poses = [
-        Pose(rotation=row[nv : nv + 4], translation=row[nv + 4 :], intrinsics=cfg.intrinsics)
-        for row in params
-    ]
+    poses = [pose(row) for row in params]
     return FitResult(curve=Curve(fps=fps, labels=labels, weights=weights), poses=poses)
-
-
-def _safe_project(rig, row, cfg, frame):
-    """Projected rig vertices for a packed (w, q, t) row."""
-    nv = rig.viseme_count
-    pose = Pose(rotation=row[nv : nv + 4], translation=row[nv + 4 :], intrinsics=cfg.intrinsics)
-    try:
-        return project(blend_vertices(rig, row[:nv]), pose)
-    except NumericError as exc:
-        raise NumericError(f"frame {frame}: {exc}") from exc
 
 
 _POSE_COLUMNS = ("qx", "qy", "qz", "qw", "tx", "ty", "tz")
@@ -305,16 +290,16 @@ def parse_poses(text: str, source: str = "<poses>") -> list[Pose]:
         rows.append(line.numbers(cols[1:], _POSE_COLUMNS))
         check_quat_norm(sum(v * v for v in rows[-1][0:4]), line.error)
     intrinsics = tuple(records.header_number(key) for key in ("focal", "cx", "cy"))
-    if rows and None in intrinsics:
+    if not rows:
+        return []
+    if None in intrinsics:
         raise DataError(f"{source}: needs '# focal=', '# cx=' and '# cy=' comments")
-    try:
+    # every value is finite, so only the header's focal can be out of range
+    with located(records.header["focal"].where):
         return [
             Pose(rotation=np.array(r[0:4]), translation=np.array(r[4:7]), intrinsics=intrinsics)
             for r in rows
         ]
-    except DataError as exc:
-        # every value is finite, so only the header's focal can be out of range
-        raise records.header["focal"].error(str(exc)) from None
 
 
 def write_poses(poses, path) -> None:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, located
 from .frozen import frozen_array
 from .records import read_text, split_records
 
@@ -84,15 +84,16 @@ def parse_obj(text: str, source: str = "<obj>") -> Mesh:
             triangles.append([i - 1 for i in idx])
         else:
             raise line.error(f"unsupported directive {tok[0]!r}")
-    if colors and len(colors) != len(vertices):
-        raise DataError(f"{source}: {len(colors)} colored of {len(vertices)} vertices")
-    if not vertices:
-        raise DataError(f"{source}: no vertices")
-    return Mesh(
-        vertices=np.array(vertices, dtype=np.float64),
-        triangles=np.array(triangles, dtype=np.int64),
-        colors=np.array(colors, dtype=np.float64) if colors else None,
-    )
+    with located(source):
+        if colors and len(colors) != len(vertices):
+            raise DataError(f"{len(colors)} colored of {len(vertices)} vertices")
+        if not vertices:
+            raise DataError("no vertices")
+        return Mesh(
+            vertices=np.array(vertices, dtype=np.float64),
+            triangles=np.array(triangles, dtype=np.int64),
+            colors=np.array(colors, dtype=np.float64) if colors else None,
+        )
 
 
 def read_obj(path) -> Mesh:

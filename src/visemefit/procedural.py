@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curves import Curve
-from .errors import DataError
+from .errors import DataError, located
 from .records import read_text, split_records
 from .timeline import PhonemeVisemeMap, Timeline, frame_count, viseme_of
 
@@ -111,7 +111,8 @@ def generate_procedural(
     n = frame_count(timeline.duration, fps)
     weights = np.zeros((n, len(vmap.labels)))
     for seg in timeline.segments:
-        vi = viseme_of(seg.phoneme, vmap)
+        with located(timeline.source):
+            vi = viseme_of(seg.phoneme, vmap)
         if vi is None:
             continue
         # every frame whose center can fall inside the envelope's support
@@ -145,10 +146,8 @@ def parse_rules(text: str, source: str = "<rules>") -> EnvelopeRules:
             overrides[label] = num
         else:
             raise line.error(f"unknown rules key {key!r}")
-    try:
+    with located(source):
         base_rule = EnvelopeRule(**base)
-    except DataError as exc:
-        raise DataError(f"{source}: {exc}") from None
     return EnvelopeRules(base=base_rule, apex_overrides=overrides)
 
 

@@ -32,8 +32,12 @@ class Line(NamedTuple):
     lineno: int
     text: str
 
+    @property
+    def where(self) -> str:
+        return f"{self.source}:{self.lineno}"
+
     def error(self, message: str) -> DataError:
-        return DataError(f"{self.source}:{self.lineno}: {message}")
+        return DataError(f"{self.where}: {message}")
 
     def key_value(self) -> tuple[str, str]:
         key, sep, value = self.text.partition("=")

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atomicio import write_text
-from .errors import DataError
+from .atomicio import make_dirs, write_text
+from .errors import DataError, located
 from .frozen import frozen_array
 from .mesh import Mesh, read_obj, write_obj
 from .records import read_text, split_records
@@ -193,20 +193,20 @@ def load_rig_manifest(path) -> Rig:
         raise DataError(f"{path}: manifest has no neutral entry")
     if not viseme_paths:
         raise DataError(f"{path}: manifest lists no visemes")
-    lip_pairs = None
-    if lip_h is not None or lip_v is not None:
-        if lip_h is None or lip_v is None:
-            raise DataError(f"{path}: lip_horizontal and lip_vertical must both be given")
-        lip_pairs = (lip_h, lip_v)
-    return Rig(read_obj(neutral_path), [read_obj(p) for p in viseme_paths], labels,
-               bindings, lip_pairs, mouth_ids)
+    if (lip_h is None) != (lip_v is None):
+        raise DataError(f"{path}: lip_horizontal and lip_vertical must both be given")
+    # read outside located(path): a mesh error names the mesh's own file
+    neutral, *visemes = [read_obj(p) for p in [neutral_path, *viseme_paths]]
+    with located(path):
+        return Rig(neutral, visemes, labels, bindings,
+                   None if lip_h is None else (lip_h, lip_v), mouth_ids)
 
 
 def write_rig(rig: Rig, rig_dir) -> str:
     """Write rig into rig_dir in the layout load_rig_manifest reads: its
     meshes as neutral.obj and <LABEL>.obj, and the manifest rig.txt, whose
     path is returned."""
-    os.makedirs(rig_dir, exist_ok=True)
+    make_dirs(rig_dir)
     write_obj(rig.neutral, os.path.join(rig_dir, "neutral.obj"))
     lines = ["neutral=neutral.obj"]
     for label, mesh in zip(rig.viseme_labels, rig.visemes):

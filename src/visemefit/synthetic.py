@@ -384,12 +384,12 @@ def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
     """Write the scene to disk in the layouts the fitting pipeline reads."""
     import os
 
-    from .atomicio import write_text
+    from .atomicio import make_dirs, write_text
     from .timeline import serialize_timeline, serialize_viseme_map
 
     out = str(out_dir)
     obs_dir = os.path.join(out, "obs")
-    os.makedirs(obs_dir, exist_ok=True)
+    make_dirs(obs_dir)
 
     rig = scene.rig
     manifest = write_rig(rig, os.path.join(out, "rig"))

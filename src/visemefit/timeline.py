@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DataError
+from .errors import DataError, located
 from .records import read_text, split_records
 
 
@@ -27,8 +27,11 @@ class PhonemeSegment:
 
 @dataclass(frozen=True)
 class Timeline:
+    """Segments sorted by start, in seconds; source names the file read, for later errors."""
+
     segments: tuple[PhonemeSegment, ...]
     duration: float
+    source: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -69,10 +72,8 @@ def parse_alignment(text: str, source: str = "<alignment>") -> Timeline:
     duration = records.header_number("duration")
     if duration is None:
         duration = segments[-1].end if segments else 0.0
-    try:
-        return Timeline(tuple(segments), duration)
-    except DataError as exc:
-        raise DataError(f"{source}: {exc}") from None
+    with located(source):
+        return Timeline(tuple(segments), duration, source)
 
 
 def serialize_timeline(t: Timeline) -> str:
@@ -133,11 +134,12 @@ def parse_viseme_map(text: str, labels=None, source: str = "<map>") -> PhonemeVi
         labels = tuple(labels)
     index = {label: i for i, label in enumerate(labels)}
     entries: dict[str, int] = {}
-    for tok, label in raw_entries:
-        if label not in index:
-            raise DataError(f"{source}: viseme label {label!r} not in the configured label set")
-        entries[tok] = index[label]
-    return PhonemeVisemeMap(labels=labels, entries=entries, silence=silence)
+    with located(source):
+        for tok, label in raw_entries:
+            if label not in index:
+                raise DataError(f"viseme label {label!r} not in the configured label set")
+            entries[tok] = index[label]
+        return PhonemeVisemeMap(labels=labels, entries=entries, silence=silence)
 
 
 def serialize_viseme_map(vmap: PhonemeVisemeMap) -> str:

@@ -15,6 +15,7 @@ from visemefit.camera import (
     transform_points,
 )
 from visemefit.errors import DataError, NumericError
+from visemefit.fitting import FitConfig
 
 INTR = (100.0, 10.0, 20.0)
 # frozen, so one identity pose serves every test
@@ -106,6 +107,15 @@ def test_one_quaternion_rule_rejects_with_one_message_and_no_warning(error, call
         warnings.simplefilter("error")
         with pytest.raises(error, match=QUAT_NORM_MESSAGE):
             call(np.array(q))
+
+
+@pytest.mark.parametrize("focal", [0.0, -1.0, math.nan, math.inf])
+def test_fit_config_and_pose_share_one_focal_rule(focal):
+    message = f"^focal length must be positive and finite, got {focal}$"
+    with pytest.raises(DataError, match=message):
+        FitConfig(focal=focal)
+    with pytest.raises(DataError, match=message):
+        Pose(rotation=[0, 0, 0, 1], translation=[0, 0, 2], intrinsics=(focal, 0.0, 0.0))
 
 
 def test_check_quat_norm_takes_norms_squared_norms_and_rows():

@@ -337,6 +337,20 @@ def test_fit_warnings_name_clip_and_frame(scene_dir, tmp_path, caplog):
     ]
 
 
+def test_fit_warns_when_the_guide_is_shorter_than_the_clip(scene_dir, caplog):
+    """At 1e-300 fps the alignment is one guide frame: fit still fits every
+    observed frame, and one warning names the clip, both frame counts and
+    the rate."""
+    obs = scene_dir / "scene" / "obs"
+    frames = len(read_landmarks(obs / "landmarks.csv"))
+    with caplog.at_level(logging.WARNING, logger="visemefit.fitting"):
+        assert _fit(scene_dir, "fit_tiny_fps", ["--fps", "1e-300"]) == 0
+    guide = [r.getMessage() for r in caplog.records if "guide" in r.getMessage()]
+    assert guide == [f"{obs}: guide curve has 1 frames at 1e-300 fps, clip has {frames};"
+                     " the rest get a zero guide"]
+    assert read_curve(scene_dir / "fit_tiny_fps" / "curve.csv").frame_count == frames
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_fit_numeric_error_names_clip_and_frame(scene_dir, tmp_path, workers):
     clips = _two_clips(scene_dir, tmp_path)
@@ -435,21 +449,33 @@ def test_atomic_write_cleans_up_on_failure(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["gen-proc", "resample", "bones"])
-@pytest.mark.parametrize("missing", ["missing/x.csv", "gt.csv/x.csv"], ids=["no-dir", "not-a-dir"])
+# (command, --out path, the path the error names): file outputs into a
+# missing or non-directory parent, and output directories under a file
+WRITE_FAILURES = [
+    *(pytest.param(command, out, out, id=f"{kind}-{command}")
+      for kind, out in (("no-dir", "missing/x.csv"), ("not-a-dir", "gt.csv/x.csv"))
+      for command in ("bones", "gen-proc", "resample")),
+    *(pytest.param(command, "gt.csv/x", "gt.csv/x", id=f"not-a-dir-{command}")
+      for command in ("bake", "eval", "fit")),
+    # synth makes its obs directory first
+    pytest.param("synth", "gt.csv/x", "gt.csv/x/obs", id="not-a-dir-synth"),
+]
+
+
+@pytest.mark.parametrize("command, missing, named", WRITE_FAILURES)
 def test_write_into_a_missing_directory_names_the_file(scene_dir, tmp_path, capsys,
-                                                       command, missing):
-    """A failed write exits 2 with one line naming the path asked for, not
-    its temporary sibling, and leaves nothing behind."""
+                                                       command, missing, named):
+    """A failed write, of a file or of an output directory, exits 2 with one
+    line naming the path asked for, not a temporary sibling, and leaves
+    nothing behind."""
     s = _probe_scene(scene_dir, tmp_path)
     argv = _probe_argv(command, s, "30")
-    out = s / missing
-    argv[argv.index("--out") + 1] = str(out)
+    argv[argv.index("--out") + 1] = str(s / missing)
     before = sorted(s.rglob("*"))
     capsys.readouterr()
     assert main(argv) == 2
     reason = "No such file or directory" if missing.startswith("missing") else "Not a directory"
-    assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out}: {reason}"]
+    assert capsys.readouterr().err.splitlines() == [f"error: cannot write {s / named}: {reason}"]
     assert sorted(s.rglob("*")) == before
 
 
@@ -476,7 +502,9 @@ def _probe_argv(command, s, fps):
 
 
 # (command, file written into a copy of the scene, its content, text the error
-# must name). One non-finite field and one malformed line per text format.
+# must name). The error names the file written, or the second path of a
+# (written, named) pair. One non-finite field and one malformed line per text
+# format.
 BAD_INPUTS = [
     pytest.param("fit", "config.txt", "lr0=nan\n", "lr0", id="config-lr0-nan"),
     pytest.param("fit", "config.txt", "w1=nan\n", "w1", id="config-w1-nan"),
@@ -505,6 +533,16 @@ BAD_INPUTS = [
     pytest.param("bake", "rig/rig.txt",
                  "neutral=neutral.obj\nviseme.MBP=MBP.obj\nviseme.MBP=MBP.obj\n",
                  ":3: duplicate manifest key 'viseme.MBP'", id="manifest-duplicate-viseme"),
+    pytest.param("bake", "rig/rig.txt", "neutral=neutral.obj\nviseme.MBP=MBP.obj\nL0=999\n",
+                 "landmark L0 bound to out-of-range vertex 999", id="manifest-binding-out-of-range"),
+    pytest.param("bake", "rig/rig.txt",
+                 "neutral=neutral.obj\nviseme.MBP=MBP.obj\nlip_horizontal=0,999\nlip_vertical=0,1\n",
+                 "lip pair vertex 999 out of range", id="manifest-lip-pair-out-of-range"),
+    # the manifest binds the label to the mesh, so the rig's check names it
+    pytest.param("bake", ("rig/MBP.obj", "rig/rig.txt"), "v 0 0 0\n",
+                 "viseme 'MBP' has 1 vertices, neutral has", id="obj-viseme-vertex-count"),
+    pytest.param("bake", "rig/neutral.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99\n",
+                 "triangle refers to a vertex index out of range", id="obj-face-out-of-range"),
     pytest.param("bake", "rig/neutral.obj", "v 0 0 nan\n", "z", id="obj-vertex-nan"),
     pytest.param("bake", "rig/neutral.obj", "v 0 0\n", "vertex", id="obj-short-vertex"),
     pytest.param("bake", "rig/neutral.obj", "# caf\u00e9\nv 0 0 0\n", "ascii",
@@ -513,6 +551,8 @@ BAD_INPUTS = [
     pytest.param("gen-proc", "map.txt", "m=MBP\njusttext\n", "key=value", id="map-no-equals"),
     pytest.param("gen-proc", "map.txt", "m=MBP\nm=SSS\n", ":2: duplicate map key 'm'",
                  id="map-duplicate-phoneme"),
+    pytest.param("gen-proc", "map.txt", "m=MBP\nsilence=m\n", "token 'm' is both mapped and silence",
+                 id="map-mapped-and-silence"),
     pytest.param("gen-proc", "align.tsv", "# duration=nan\nm\t0.0\t0.5\n", "duration",
                  id="alignment-duration-nan"),
     pytest.param("gen-proc", "align.tsv", "# duration=inf\nm\t0.0\t0.5\n", "duration",
@@ -600,8 +640,9 @@ def _run_probe(scene_dir, tmp_path, capsys, command, fps="30", name=None, conten
 @pytest.mark.parametrize("command, name, content, names", BAD_INPUTS)
 def test_bad_text_input_exits_2_with_one_line(scene_dir, tmp_path, capsys,
                                               command, name, content, names):
+    name, named = name if isinstance(name, tuple) else (name, name)
     error, s = _run_probe(scene_dir, tmp_path, capsys, command, name=name, content=content)
-    assert str(s / name) in error
+    assert str(s / named) in error
     assert names in error
 
 
@@ -768,10 +809,11 @@ def _mutate(data: bytes, rnd: random.Random) -> tuple[bytes, str]:
 def test_mutated_inputs_exit_cleanly(scene_dir, tmp_path, capsys, caplog):
     """Seeded single mutations of every input of gen-proc, bake, bones,
     resample, eval and fit: each run exits 0, 2 or 3, no exception or numpy
-    warning escapes main, and a failing run prints exactly one error line.
-    A failing fit may print warnings before it, each naming the clip: this
-    scene has no flow, so every fit warns. Under pytest the warnings reach
-    caplog rather than stderr, so both are checked."""
+    warning escapes main, and a failing run prints exactly one error line,
+    which names a path the command was given or read, or a frame. A failing
+    fit may print warnings before it, each naming the clip: this scene has
+    no flow, so every fit warns. Under pytest the warnings reach caplog
+    rather than stderr, so both are checked."""
     s = _scene_with_poses(scene_dir, tmp_path)
     cfg = parse_fit_config((s / "config.txt").read_text(encoding="utf-8"))
     (s / "config.txt").write_text(serialize_fit_config(dataclasses.replace(cfg, iters=2)),
@@ -799,6 +841,9 @@ def test_mutated_inputs_exit_cleanly(scene_dir, tmp_path, capsys, caplog):
         if code:
             *warnings, last = err.splitlines() or [""]
             assert last.startswith("error: "), context
+            # every file a command is given or reads (a mesh the manifest
+            # lists too) lies in the scene copy s
+            assert str(s) in last or re.match(r"error: frame \d+: ", last), context
             warnings += logged
             if command == "fit":
                 assert all(line.startswith(clip_warning) for line in warnings), context
@@ -884,8 +929,9 @@ def test_synth_tiny_fps_exits_2_in_a_bounded_child(tmp_path):
 EDGE_VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300")
 
 # (command, flag): the exit code for each of EDGE_VALUES, in order. 1 is
-# argparse rejecting a non-integer; fit --fps 1e-300 fits, warning only that
-# flow is missing (the scene has no flow files).
+# argparse rejecting a non-integer; fit --fps 1e-300 fits with a zero guide
+# past the guide curve's one frame, and warns of that and of the missing flow
+# (the scene has no flow files).
 FLAG_OUTCOMES = {
     ("gen-proc", "--fps"): "222202",
     ("fit", "--fps"): "222202",
@@ -1047,5 +1093,8 @@ def test_mutated_frame_files_exit_cleanly(raster_scene, capsys, caplog):
         if code:
             *warnings, last = err.splitlines() or [""]
             assert last.startswith("error: "), context
+            # every file a command is given or reads (a mesh the manifest
+            # lists too) lies in the scene copy s
+            assert str(s) in last or re.match(r"error: frame \d+: ", last), context
             warnings += [record.getMessage() for record in caplog.records]
             assert all(line.startswith(f"{s / 'obs'}: ") for line in warnings), context

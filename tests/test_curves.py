@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -99,5 +101,7 @@ def test_resample_clamps_past_the_end():
 
 
 def test_resample_rejects_bad_fps(rng):
-    with pytest.raises(DataError):
-        resample_curve(make_curve(rng), -1.0)
+    # timeline.check_fps is the one fps rule, message included
+    for fps in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(DataError, match=f"^fps must be positive and finite, got {fps}$"):
+            resample_curve(make_curve(rng), fps)
