@@ -45,7 +45,15 @@ def _cannot_write(path, exc: OSError) -> DataError:
     return DataError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def write_text(path, text: str) -> None:
+@contextmanager
+def atomic_text(path):
+    """Yield a UTF-8 text file open on a sibling temp path; on success it is
+    closed and renamed onto ``path``, as atomic_path does."""
     with atomic_path(path) as tmp:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+
+
+def write_text(path, text: str) -> None:
+    with atomic_text(path) as fh:
+        fh.write(text)

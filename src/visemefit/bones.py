@@ -202,28 +202,21 @@ def read_bone_assets(path) -> BonePoseAssets:
     return parse_bone_assets(read_text(path, "bone assets"), source=str(path))
 
 
-# Frames blended at once: enough to amortize the numpy calls of the
-# per-viseme loop, few enough that a block's arrays and row lists stay small
-# next to the output text (blending 900 frames in one block raised the
-# process's peak RSS by about 2.6 MB).
-_BLEND_BLOCK = 64
-
-
-def serialize_blended_poses(assets: BonePoseAssets, curve) -> str:
-    """Per-frame blended bone poses as CSV rows
+def serialize_blended_poses(assets: BonePoseAssets, curve, out) -> None:
+    """Write per-frame blended bone poses to the text stream out as CSV rows
     ``frame,bone,qx,qy,qz,qw,tx,ty,tz,sx,sy,sz``, the curve's columns bound
-    to the assets' visemes by label."""
-    weights = curve.weights_for(assets.labels)
+    to the assets' visemes by label. Each block of frames is written as soon
+    as it is formatted, so the text never exists whole."""
+    blocks = curve.blocks(assets.labels)
     fmt = ",".join(["%.6f"] * len(_POSE_FIELDS))
-    blocks = ["frame,bone," + ",".join(_POSE_FIELDS) + "\n"]
-    for start in range(0, curve.frame_count, _BLEND_BLOCK):
-        rot, t, s = _blend(assets, weights[start : start + _BLEND_BLOCK], first_frame=start)
+    out.write("frame,bone," + ",".join(_POSE_FIELDS) + "\n")
+    for start, block in blocks:
+        rot, t, s = _blend(assets, block.weights, first_frame=start)
         # the normalization BonePose applies to what blend_bone_pose returns
         rot = _unit_rows(rot)
         rows = np.concatenate([rot, t, s], axis=2).tolist()
-        blocks.append("".join(
+        out.write("".join(
             f"{j},{bone},{fmt % tuple(nums)}\n"
             for j, frame in enumerate(rows, start)
             for bone, nums in zip(assets.bones, frame)
         ))
-    return "".join(blocks)

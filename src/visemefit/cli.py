@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .atomicio import make_dirs, write_text
+from .atomicio import atomic_text, make_dirs, write_text
 from .bones import read_bone_assets, serialize_blended_poses
 from .curves import read_curve, resample_curve, write_curve
 from .errors import DataError, NumericError, UsageError
@@ -106,17 +106,21 @@ def _cmd_fit(args) -> int:
 def _cmd_bake(args) -> int:
     rig = load_rig_manifest(args.rig)
     curve = read_curve(args.curve)
-    meshes = bake_mesh_sequence(rig, curve)
+    blocks = curve.blocks(rig.viseme_labels)
     make_dirs(args.out)
-    for j, mesh in enumerate(meshes):
-        write_obj(mesh, os.path.join(args.out, f"{j:06d}.obj"))
-    return len(meshes)
+    # a block's meshes are written before the next block is blended, so
+    # memory does not grow with the take
+    for start, block in blocks:
+        for j, mesh in enumerate(bake_mesh_sequence(rig, block), start):
+            write_obj(mesh, os.path.join(args.out, f"{j:06d}.obj"))
+    return curve.frame_count
 
 
 def _cmd_bones(args) -> int:
     assets = read_bone_assets(args.bones)
     curve = read_curve(args.curve)
-    write_text(args.out, serialize_blended_poses(assets, curve))
+    with atomic_text(args.out) as out:
+        serialize_blended_poses(assets, curve, out)
     return curve.frame_count
 
 
@@ -146,7 +150,7 @@ def _cmd_eval(args) -> int:
     observations = read_landmarks(landmarks_path(args.obs))
     poses = read_poses(args.poses)
     subset = rig.mouth_landmark_ids if args.mouth_only else None
-    series = keypoint_error(rig, curve, poses, observations, subset=subset)
+    series = keypoint_error(rig, curve, poses, observations, subset=subset, poses_source=args.poses)
     write_text(os.path.join(args.out, "keypoint_error.csv"), serialize_metric(series))
     return len(series.values)
 

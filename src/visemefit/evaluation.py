@@ -36,17 +36,20 @@ class MetricSeries:
         object.__setattr__(self, "values", v)
 
 
-def keypoint_error(rig: Rig, curve: Curve, poses, observations, subset=None) -> MetricSeries:
+def keypoint_error(rig: Rig, curve: Curve, poses, observations, subset=None,
+                   poses_source=None) -> MetricSeries:
     """Mean Euclidean pixel error of bound landmarks, one value per frame.
 
     observations maps frame index to an object with parallel landmark_ids and
     landmark_points arrays. subset restricts to those landmark ids; landmarks
     missing from a frame are skipped, and a frame where every requested id is
-    missing (or unbound) is an error.
+    missing (or unbound) is an error. poses_source names the file the poses
+    were read from, which a short pose list's error names after the curve's.
     """
     n = curve.frame_count
     if len(poses) < n:
-        raise DataError(f"curve has {n} frames but only {len(poses)} poses")
+        with located(curve.source), located(poses_source):
+            raise DataError(f"curve has {n} frames but only {len(poses)} poses")
     wanted = None if subset is None else frozenset(int(i) for i in subset)
     weights = curve.weights_for(rig.viseme_labels)
     values = np.zeros(n)
@@ -72,7 +75,8 @@ def lip_distance_curves(rig: Rig, curve: Curve) -> tuple[MetricSeries, MetricSer
     """Per-frame |dx| of the horizontal lip pair and |dy| of the vertical pair
     measured on the blended mesh."""
     if rig.lip_pairs is None:
-        raise DataError("rig manifest declares no lip pairs")
+        with located(rig.source):
+            raise DataError("rig manifest declares no lip pairs")
     (ha, hb), (va, vb) = rig.lip_pairs
     weights = curve.weights_for(rig.viseme_labels)
     n = curve.frame_count

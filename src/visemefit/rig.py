@@ -38,7 +38,9 @@ class Rig:
     ``eval --mouth-only`` reads it (the fit weights each landmark by its
     observed beta). The visemes, labels, bindings, lip pairs and mouth ids
     are copied and the cached deltas are owned as frozen_array says, so later
-    writes to what the caller passed change no rig.
+    writes to what the caller passed change no rig. source names the
+    manifest a rig was loaded from, for errors found later, such as missing
+    lip pairs.
     """
 
     neutral: Mesh
@@ -47,6 +49,7 @@ class Rig:
     landmark_bindings: dict[int, int] = field(default_factory=dict)
     lip_pairs: tuple[tuple[int, int], tuple[int, int]] | None = None
     mouth_landmark_ids: frozenset[int] = frozenset()
+    source: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "visemes", tuple(self.visemes))
@@ -199,7 +202,7 @@ def load_rig_manifest(path) -> Rig:
     neutral, *visemes = [read_obj(p) for p in [neutral_path, *viseme_paths]]
     with located(path):
         return Rig(neutral, visemes, labels, bindings,
-                   None if lip_h is None else (lip_h, lip_v), mouth_ids)
+                   None if lip_h is None else (lip_h, lip_v), mouth_ids, str(path))
 
 
 def write_rig(rig: Rig, rig_dir) -> str:

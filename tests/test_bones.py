@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -200,6 +201,13 @@ def test_read_bone_assets_roundtrip(tmp_path):
         read_bone_assets(tmp_path / "nope.csv")
 
 
+def _blended(assets, curve) -> str:
+    """What serialize_blended_poses writes for curve."""
+    out = io.StringIO()
+    serialize_blended_poses(assets, curve, out)
+    return out.getvalue()
+
+
 def test_serialize_blended_poses_resolves_curve_columns():
     assets = _assets()
     # curve orders columns differently and carries an extra viseme
@@ -208,7 +216,7 @@ def test_serialize_blended_poses_resolves_curve_columns():
         labels=("WWW", "XTRA", "MBP"),
         weights=np.array([[0.0, 0.7, 0.0], [1.0, 0.2, 0.0]]),
     )
-    text = serialize_blended_poses(assets, curve)
+    text = _blended(assets, curve)
     lines = text.splitlines()
     assert lines[0] == "frame,bone,qx,qy,qz,qw,tx,ty,tz,sx,sy,sz"
     assert len(lines) == 1 + 2 * 2
@@ -223,14 +231,14 @@ def test_serialize_blended_poses_resolves_curve_columns():
 
     missing = Curve(fps=30.0, labels=("MBP",), weights=np.zeros((1, 1)))
     with pytest.raises(DataError):
-        serialize_blended_poses(assets, missing)
+        serialize_blended_poses(assets, missing, io.StringIO())
 
 
 def test_serialize_blended_poses_overflow_names_the_frame():
     # a finite but huge weight overflows the rotation sum's norm
     curve = Curve(fps=30.0, labels=("MBP", "WWW"), weights=np.array([[0.0, 0.0], [1e160, 0.0]]))
     with pytest.raises(DataError, match="^frame 1: blended rotation overflows"):
-        serialize_blended_poses(_assets(), curve)
+        serialize_blended_poses(_assets(), curve, io.StringIO())
     # a huge pose scale at an ordinary weight overflows the blended scale
     assets = _assets()
     huge = BonePose(rotations=np.array([IDENT, IDENT]), translations=np.zeros((2, 3)),
@@ -239,7 +247,7 @@ def test_serialize_blended_poses_overflow_names_the_frame():
                             viseme_poses=(assets.viseme_poses[0], huge))
     curve = Curve(fps=30.0, labels=("MBP", "WWW"), weights=np.array([[0.0, 0.5], [0.0, 2.0]]))
     with pytest.raises(DataError, match="^frame 1: blended translation or scale overflows"):
-        serialize_blended_poses(assets, curve)
+        serialize_blended_poses(assets, curve, io.StringIO())
 
 
 def _reference_rows(assets: BonePoseAssets, weights) -> list[str]:
@@ -287,7 +295,7 @@ def test_serialize_blended_poses_matches_per_frame_blend(rng):
     def curve(w):
         return Curve(fps=30.0, labels=assets.labels, weights=w.copy())
 
-    lines = serialize_blended_poses(assets, curve(weights)).splitlines()
+    lines = _blended(assets, curve(weights)).splitlines()
     assert lines[0] == "frame,bone,qx,qy,qz,qw,tx,ty,tz,sx,sy,sz"
     assert lines[1:] == _reference_rows(assets, weights)
     assert lines[1 + cancelled * n_bones].startswith(f"{cancelled},b0,0.000000,0.000000,0.000000,1.000000,")
@@ -297,4 +305,4 @@ def test_serialize_blended_poses_matches_per_frame_blend(rng):
     weights[70, 2] = 1e160
     weights[75, 3] = 1e160
     with pytest.raises(DataError, match="^frame 70: blended rotation overflows"):
-        serialize_blended_poses(assets, curve(weights))
+        serialize_blended_poses(assets, curve(weights), io.StringIO())

@@ -22,7 +22,8 @@ from visemefit.flow import write_flow_pair
 from visemefit.fitting import parse_fit_config, serialize_fit_config
 from visemefit.observations import frame_flow_name, frame_image_name, read_landmarks
 from visemefit.procedural import generate_procedural
-from visemefit.rig import blend_vertices, load_rig_manifest
+from visemefit.mesh import serialize_obj
+from visemefit.rig import blend_mesh, blend_vertices, load_rig_manifest
 from visemefit.synthetic import build_scene, write_scene
 from visemefit.timeline import read_alignment, read_viseme_map
 
@@ -494,6 +495,8 @@ def _probe_argv(command, s, fps):
         "resample": ["resample", "--curve", curve, "--fps", fps, "--out", s / "r.csv"],
         "eval": ["eval", "--metric", "keypoint", "--curve", curve, "--rig", rig,
                  "--obs", s / "obs", "--poses", s / "poses.csv", "--out", s / "metrics"],
+        "eval-lip": ["eval", "--metric", "lip", "--curve", curve, "--rig", rig,
+                     "--out", s / "metrics"],
         "eval-tv": ["eval", "--metric", "tv", "--curve", curve, "--out", s / "metrics"],
         "synth": ["synth", "--seed", "1", "--frames", "3", "--ambiguous", "--fps", fps,
                   "--out", s / "synth"],
@@ -594,6 +597,11 @@ BAD_INPUTS = [
                  ":1: focal length must be positive", id="poses-focal-negative"),
     pytest.param("eval", "poses.csv", POSES_CSV.replace("0,0,0,0,1,", "0,0,0,1e300,1,"),
                  ":5: quaternion norm", id="poses-quaternion-huge"),
+    # the pose count is checked against the curve, so both files are named
+    pytest.param("eval", ("poses.csv", "gt.csv"), POSES_CSV + "1,0,0,0,1,0,0,2\n",
+                 "poses.csv: curve has 18 frames but only 2 poses", id="poses-fewer-than-frames"),
+    pytest.param("eval-lip", "rig/rig.txt", "neutral=neutral.obj\nviseme.MBP=MBP.obj\n",
+                 "rig manifest declares no lip pairs", id="manifest-no-lip-pairs"),
     pytest.param("fit", "obs/landmarks.csv", LANDMARKS_HEADER + "0,0,nan,1.0,1.0\n", "x",
                  id="landmarks-x-nan"),
     pytest.param("eval", "obs/landmarks.csv", LANDMARKS_HEADER + "0,0,1.0,1.0,inf\n", "beta",
@@ -758,6 +766,61 @@ def test_curve_missing_a_rig_label_exits_2_naming_it(scene_dir, tmp_path, capsys
     assert capsys.readouterr().err.splitlines() == [
         f"error: {curve}: curve is missing viseme columns ['MBP']"
     ]
+    # bake and bones bind the curve's columns before they make --out
+    if command in ("bake", "bones"):
+        assert not out.exists()
+
+
+def test_bake_writes_every_block_and_an_empty_curve(scene_dir, tmp_path, capsys):
+    """bake blends and writes 64 frames at a time: 130 frames (blocks of 64,
+    64 and 2) give 130 OBJs, each the one mesh blended from its frame, and a
+    0-frame curve writes nothing and reports frames=0."""
+    rig_path = scene_dir / "scene" / "rig" / "rig.txt"
+    rig = load_rig_manifest(rig_path)
+    labels = rig.viseme_labels
+    weights = np.random.default_rng(5).uniform(0.0, 1.0, (130, len(labels)))
+    write_curve(Curve(fps=30.0, labels=labels, weights=weights), tmp_path / "c130.csv")
+    write_curve(Curve(fps=30.0, labels=labels, weights=np.zeros((0, len(labels)))),
+                tmp_path / "c0.csv")
+    for name, frames in (("c130", 130), ("c0", 0)):
+        capsys.readouterr()
+        assert main(["bake", "--rig", str(rig_path), "--curve", str(tmp_path / f"{name}.csv"),
+                     "--out", str(tmp_path / name)]) == 0
+        assert capsys.readouterr().out.startswith(f"OK bake frames={frames} ")
+    assert list((tmp_path / "c0").iterdir()) == []
+    baked = sorted((tmp_path / "c130").iterdir())
+    assert [p.name for p in baked] == [f"{j:06d}.obj" for j in range(130)]
+    read = read_curve(tmp_path / "c130.csv").weights_for(labels)
+    for path, w in zip(baked, read):
+        assert path.read_text(encoding="ascii") == serialize_obj(blend_mesh(rig, w))
+
+
+def test_bones_overflow_in_a_later_block_leaves_no_file(scene_dir, tmp_path, capsys):
+    """bones writes each 64-frame block into its temporary file as it goes;
+    an overflow at frame 100, in the second block, exits 2 naming the frame
+    and leaves no --out file and no temporary file, or an existing --out
+    file as it was."""
+    s = _probe_scene(scene_dir, tmp_path)
+    weights = np.full((130, 1), 0.5)
+    weights[100, 0] = 1e160
+    write_curve(Curve(fps=30.0, labels=("MBP",), weights=weights), s / "huge.csv")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["bones", "--bones", str(s / "bones.csv"), "--curve", str(s / "huge.csv"),
+            "--out", str(out / "track.csv")]
+    for before in (None, b"an earlier track\n"):
+        if before is not None:
+            (out / "track.csv").write_bytes(before)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: frame 100: blended rotation overflows: weights out of range"
+        ]
+        if before is None:
+            assert list(out.iterdir()) == []
+        else:
+            assert [p.name for p in out.iterdir()] == ["track.csv"]
+            assert (out / "track.csv").read_bytes() == before
 
 
 def test_fit_landmark_overflow_exits_3_naming_clip_and_frame(scene_dir, tmp_path, capsys):

@@ -35,6 +35,21 @@ def test_weights_for_binds_columns_by_label(rng):
         c.weights_for(("MBP", "V04"))
 
 
+def test_blocks_bind_like_weights_for(rng):
+    c = make_curve(rng, n=130)
+    labels = ("WWW", "MBP")
+    blocks = list(c.blocks(labels))
+    assert [start for start, _ in blocks] == [0, 64, 128]
+    assert all(b.labels == labels and b.fps == c.fps for _, b in blocks)
+    np.testing.assert_array_equal(np.concatenate([b.weights for _, b in blocks]),
+                                  c.weights_for(labels))
+    assert list(make_curve(rng, n=0).blocks(labels)) == []
+    # a missing column raises when the blocks are asked for, not when the
+    # first one is made
+    with pytest.raises(DataError, match=r"curve is missing viseme columns \['V04'\]"):
+        make_curve(rng, n=0).blocks(("MBP", "V04"))
+
+
 def test_serialize_header_and_rows(rng):
     c = make_curve(rng, n=2)
     text = serialize_curve(c)
