@@ -50,9 +50,12 @@ def _cmd_gen_proc(args) -> int:
 
 
 def _fit_one(rig, align_path, obs_path, cfg, vmap, rules, fps, out_dir):
+    if not is_observation_dir(obs_path):
+        raise DataError(f"{obs_path} holds no observations (no landmarks.csv, frame or flow file)")
     timeline = read_alignment(align_path)
     observations = ObservationDir(obs_path)
-    result = fit_clip(rig, timeline, observations, cfg, vmap, rules=rules, fps=fps, clip=obs_path)
+    result = fit_clip(rig, timeline, observations, cfg, vmap, rules=rules, fps=fps, clip=obs_path,
+                      flows=observations.flow)
     make_dirs(out_dir)
     write_curve(result.curve, os.path.join(out_dir, "curve.csv"))
     write_poses(result.poses, os.path.join(out_dir, "poses.csv"))
@@ -132,27 +135,31 @@ def _cmd_resample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # every output is computed before --out is made, so a failing eval
+    # leaves no directory behind
     curve = read_curve(args.curve)
-    make_dirs(args.out)
+    frames = curve.frame_count
     if args.metric == "tv":
-        tv = total_variation(curve)
-        write_text(os.path.join(args.out, "total_variation.csv"), serialize_total_variation(tv))
-        return curve.frame_count
-    rig = load_rig_manifest(args.rig)
-    if args.metric == "lip":
-        horiz, vert = lip_distance_curves(rig, curve)
-        write_text(os.path.join(args.out, "lip_horizontal.csv"), serialize_metric(horiz))
-        write_text(os.path.join(args.out, "lip_vertical.csv"), serialize_metric(vert))
-        return curve.frame_count
-    # keypoint metric
-    if not (args.obs and args.poses):
-        raise UsageError("eval --metric keypoint needs --obs and --poses")
-    observations = read_landmarks(landmarks_path(args.obs))
-    poses = read_poses(args.poses)
-    subset = rig.mouth_landmark_ids if args.mouth_only else None
-    series = keypoint_error(rig, curve, poses, observations, subset=subset, poses_source=args.poses)
-    write_text(os.path.join(args.out, "keypoint_error.csv"), serialize_metric(series))
-    return len(series.values)
+        outputs = {"total_variation.csv": serialize_total_variation(total_variation(curve))}
+    elif args.metric == "lip":
+        horiz, vert = lip_distance_curves(load_rig_manifest(args.rig), curve)
+        outputs = {"lip_horizontal.csv": serialize_metric(horiz),
+                   "lip_vertical.csv": serialize_metric(vert)}
+    else:  # keypoint metric
+        rig = load_rig_manifest(args.rig)
+        if not (args.obs and args.poses):
+            raise UsageError("eval --metric keypoint needs --obs and --poses")
+        observations = read_landmarks(landmarks_path(args.obs))
+        poses = read_poses(args.poses)
+        subset = rig.mouth_landmark_ids if args.mouth_only else None
+        series = keypoint_error(rig, curve, poses, observations, subset=subset,
+                                poses_source=args.poses)
+        outputs = {"keypoint_error.csv": serialize_metric(series)}
+        frames = len(series.values)
+    make_dirs(args.out)
+    for name, text in outputs.items():
+        write_text(os.path.join(args.out, name), text)
+    return frames
 
 
 def _cmd_synth(args) -> int:

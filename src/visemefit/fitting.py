@@ -165,12 +165,14 @@ def fit_clip(
     rules: EnvelopeRules | None = None,
     fps: float = 30.0,
     clip: str = "<clip>",
+    flows=None,
 ) -> FitResult:
     """Fit viseme weights and rigid pose to every frame of a clip.
 
     observations is indexable per frame (a list of RawObservation or an
-    ObservationDir); its length fixes the frame count. The procedural guide
-    curve is generated from the timeline and zero-padded to that length.
+    ObservationDir); its length fixes the frame count. flows (ObservationDir.flow
+    or None, when every pair is missing) gives the forward sweep the flow pair
+    ending at each frame j > 0. The guide curve is zero-padded to that length.
     clip names the clip (its observation directory) in warnings and in the
     errors its frames raise.
     """
@@ -214,17 +216,18 @@ def fit_clip(
         for j in order:
             # loaded outside located(clip): an ObservationDir error names the clip
             obs: RawObservation = observations[j]
+            pair = flows(j) if forward and j > 0 and flows is not None else None
             with located(clip):
                 flow_targets = None
                 if forward and j > 0:
                     params[j, nv:] = params[j - 1, nv:]
-                    if obs.flow is None:
+                    if pair is None:
                         missing_flow.append(j)
                     else:
                         last = params[j - 1]
                         with located(f"frame {j - 1}"):
                             prev_proj = project(blend_vertices(rig, last[:nv]), pose(last))
-                        fwd, bwd = obs.flow
+                        fwd, bwd = pair
                         with located(f"frame {j}"):
                             vidx, disp = screen_flow(fwd, bwd, prev_proj, cfg.tau_flow)
                         if vidx.size:

@@ -64,9 +64,8 @@ class FrameProblem:
     hot path.
 
     obs supplies the landmarks and the image; landmark ids the rig does not
-    bind are skipped. Its raw flow grids are not read: flow_targets is the
-    screened (vertex indices, target pixels) pair, the previous frame's
-    projections advected by the flow.
+    bind are skipped. flow_targets is the screened (vertex indices, target
+    pixels) pair, the previous frame's projections advected by the flow.
     """
 
     def __init__(

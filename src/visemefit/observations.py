@@ -25,16 +25,14 @@ class RawObservation:
     """Observation for one frame, the input of a FrameProblem.
 
     landmark arrays are parallel: ids (L,), points (L, 2), betas (L,); they
-    default to empty and are owned as frozen_array says. flow holds the
-    (forward, backward) grids for the pair ending at this frame, or None;
-    fitting screens them into flow targets.
+    default to empty and are owned as frozen_array says. Flow belongs to a
+    frame pair, not to one frame: ObservationDir.flow reads it.
     """
 
     landmark_ids: np.ndarray = ()
     landmark_points: np.ndarray = ()
     landmark_betas: np.ndarray = ()
     image: np.ndarray | None = None
-    flow: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         ids = frozen_array(self.landmark_ids, np.int64, -1)
@@ -50,7 +48,7 @@ class RawObservation:
 
 
 def parse_landmarks(text: str, source: str = "<landmarks>") -> dict[int, RawObservation]:
-    """Landmark CSV to {frame: RawObservation} (images and flow left unset)."""
+    """Landmark CSV to {frame: RawObservation} (images left unset)."""
     per_frame: dict[int, dict[int, tuple[float, float, float]]] = {}
     for line in split_records(text, source).rows("frame"):
         cols = line.text.split(",")
@@ -122,10 +120,10 @@ def is_observation_dir(path) -> bool:
 class ObservationDir:
     """Lazy per-frame loader over an observation directory.
 
-    Landmark rows are read once; images and flow pairs are loaded on access so
-    long clips do not need the whole sequence in memory. Each image and flow
-    grid must have the size of the first raster loaded: a mismatch is a
-    DataError naming the directory, the frame and both sizes.
+    Landmark rows are read once; images (by index) and flow pairs (by flow)
+    are loaded on access, so long clips need not sit in memory. Each image and
+    flow grid must have the size of the first raster loaded, as _sized checks:
+    a mismatch is a DataError naming the directory, the frame and both sizes.
     """
 
     def __init__(self, path):
@@ -141,19 +139,26 @@ class ObservationDir:
     def __getitem__(self, frame: int) -> RawObservation:
         if not 0 <= frame < self._n:
             raise IndexError(frame)
-        img_path = os.path.join(self.path, frame_image_name(frame))
-        flow_path = os.path.join(self.path, frame_flow_name(frame))
-        image = read_ppm(img_path) if os.path.exists(img_path) else None
-        flow = read_flow_pair(flow_path) if frame > 0 and os.path.exists(flow_path) else None
-        for what, raster in (("image", image), ("flow", None if flow is None else flow[0])):
-            if raster is None:
-                continue
-            h, w = raster.shape[:2]
-            if self._size is None:
-                self._size = (h, w)
-            elif self._size != (h, w):
-                raise DataError(
-                    f"{self.path}: frame {frame}: {what} is {w}x{h}, but the clip's"
-                    f" first raster is {self._size[1]}x{self._size[0]}"
-                )
-        return replace(self._landmarks.get(frame) or RawObservation(), image=image, flow=flow)
+        path = os.path.join(self.path, frame_image_name(frame))
+        image = self._sized(frame, "image", read_ppm(path)) if os.path.exists(path) else None
+        return replace(self._landmarks.get(frame) or RawObservation(), image=image)
+
+    def flow(self, frame: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The (forward, backward) pair ending at frame, or None (always at 0)."""
+        path = os.path.join(self.path, frame_flow_name(frame))
+        if frame == 0 or not os.path.exists(path):
+            return None
+        pair = read_flow_pair(path)
+        self._sized(frame, "flow", pair[0])
+        return pair
+
+    def _sized(self, frame: int, what: str, raster: np.ndarray) -> np.ndarray:
+        h, w = raster.shape[:2]
+        if self._size is None:
+            self._size = (h, w)
+        elif self._size != (h, w):
+            raise DataError(
+                f"{self.path}: frame {frame}: {what} is {w}x{h}, but the clip's"
+                f" first raster is {self._size[1]}x{self._size[0]}"
+            )
+        return raster

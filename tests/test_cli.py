@@ -20,6 +20,7 @@ from visemefit.cli import main
 from visemefit.curves import Curve, parse_curve, read_curve, serialize_curve, write_curve
 from visemefit.flow import write_flow_pair
 from visemefit.fitting import parse_fit_config, serialize_fit_config
+from visemefit import observations
 from visemefit.observations import frame_flow_name, frame_image_name, read_landmarks
 from visemefit.procedural import generate_procedural
 from visemefit.mesh import serialize_obj
@@ -422,6 +423,25 @@ def test_fit_directory_with_a_stray_frame_file_fits_every_clip(
     assert _tree(tmp_path / "out") == _tree(clean_batch[1])
 
 
+def test_fit_directory_subdirectory_without_observations_fails_as_its_clip(
+    scene_dir, clean_batch, tmp_path, capsys
+):
+    """A subdirectory with an align.tsv but no landmarks, frame or flow file
+    is not a clip: it fails with one line naming it, and the real clips are
+    still fitted and written."""
+    clips = _two_clips(scene_dir, tmp_path)
+    notes = clips / "notes"
+    notes.mkdir()
+    shutil.copy(clips / "a" / "align.tsv", notes / "align.tsv")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _fit_clips(scene_dir, clips, out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {notes} holds no observations (no landmarks.csv, frame or flow file)"
+    ]
+    assert _tree(out) == _tree(clean_batch[1])
+
+
 def test_fit_directory_of_non_frame_files_exits_2(scene_dir, tmp_path, capsys):
     """Frame files are digit-named: a directory holding only other .ppm and
     .flo names is neither a clip nor a directory of clips."""
@@ -468,8 +488,9 @@ def test_write_into_a_missing_directory_names_the_file(scene_dir, tmp_path, caps
                                                        command, missing, named):
     """A failed write, of a file or of an output directory, exits 2 with one
     line naming the path asked for, not a temporary sibling, and leaves
-    nothing behind."""
-    s = _probe_scene(scene_dir, tmp_path)
+    nothing behind. Every input is valid, so eval computes its metric and
+    reaches the write."""
+    s = _scene_with_poses(scene_dir, tmp_path)
     argv = _probe_argv(command, s, "30")
     argv[argv.index("--out") + 1] = str(s / missing)
     before = sorted(s.rglob("*"))
@@ -766,9 +787,27 @@ def test_curve_missing_a_rig_label_exits_2_naming_it(scene_dir, tmp_path, capsys
     assert capsys.readouterr().err.splitlines() == [
         f"error: {curve}: curve is missing viseme columns ['MBP']"
     ]
-    # bake and bones bind the curve's columns before they make --out
-    if command in ("bake", "bones"):
-        assert not out.exists()
+    # every command binds the curve's columns before it makes --out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("metric, code", [("tv", 2), ("keypoint", 1)])
+def test_failing_eval_leaves_no_out_directory(scene_dir, tmp_path, capsys, metric, code):
+    """eval computes its metric before it makes --out: the total variation of
+    a 0-frame curve (exit 2) and a keypoint metric without --poses (exit 1)
+    both fail with one line and leave no directory behind."""
+    s = _scene_with_poses(scene_dir, tmp_path)
+    gt = read_curve(s / "gt.csv")
+    curve = tmp_path / "curve.csv"
+    frames = 0 if metric == "tv" else gt.frame_count
+    write_curve(Curve(fps=gt.fps, labels=gt.labels, weights=gt.weights[:frames]), curve)
+    out = tmp_path / "out"
+    extra = ["--rig", s / "rig" / "rig.txt", "--obs", s / "obs"] if metric == "keypoint" else []
+    capsys.readouterr()
+    argv = ["eval", "--metric", metric, "--curve", curve, "--out", out, *extra]
+    assert main([str(a) for a in argv]) == code
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_bake_writes_every_block_and_an_empty_curve(scene_dir, tmp_path, capsys):
@@ -1095,6 +1134,23 @@ def test_fit_frame_of_another_size_exits_2_naming_the_frame(raster_scene, capsys
         f"error: {s / 'obs'}: frame 2: {what} is {w // 2}x{2 * h},"
         f" but the clip's first raster is {w}x{h}"
     ]
+
+
+def test_fit_reads_each_flow_pair_once(raster_scene, capsys, monkeypatch):
+    """Only the forward sweep uses flow: a fit of n frames reads the n - 1
+    pairs once each, not again in the backward sweep."""
+    s, proj = raster_scene
+    read = observations.read_flow_pair
+    calls = []
+
+    def counting(path):
+        calls.append(os.path.basename(path))
+        return read(path)
+
+    monkeypatch.setattr(observations, "read_flow_pair", counting)
+    assert main(_probe_argv("fit", s, "30")) == 0
+    capsys.readouterr()
+    assert calls == [frame_flow_name(j) for j in range(1, len(proj))]
 
 
 def _mutate_frame_file(data: bytes, name: str, proj, rnd: random.Random):

@@ -233,8 +233,11 @@ def test_fit_clip_sweep_order(rng, monkeypatch):
     shift = np.zeros((64, 64, 2), dtype=np.float32)
     shift[..., 0] = 1.0
     with_flow = {0, 2, 4}
-    for j in with_flow:
-        obs[j] = dataclasses.replace(obs[j], flow=(shift, -shift))
+    asked = []
+
+    def flows(j):
+        asked.append(j)
+        return (shift, -shift) if j in with_flow else None
 
     class Recording(fitting.FrameProblem):
         def __init__(self, *args, flow_targets=None, neighbor_weights=None, **kw):
@@ -254,8 +257,10 @@ def test_fit_clip_sweep_order(rng, monkeypatch):
 
     monkeypatch.setattr(fitting, "FrameProblem", Recording)
     monkeypatch.setattr(fitting, "_optimize_frame", recording_optimize)
-    fit_clip(rig, timeline, obs, cfg, vmap)
+    fit_clip(rig, timeline, obs, cfg, vmap, flows=flows)
 
+    # each pair is asked for once, in the forward sweep, never at frame 0
+    assert asked == list(range(1, n))
     order = [frame for frame, _, _ in solves]
     assert order == list(range(n)) + list(range(n - 1, -1, -1))
     for k, (frame, problem, _) in enumerate(solves):

@@ -29,7 +29,7 @@ def test_parse_landmarks_groups_by_frame():
     np.testing.assert_array_equal(obs.landmark_ids, [0, 3])
     np.testing.assert_allclose(obs.landmark_points, [[10.5, 20.25], [11.0, 21.0]])
     np.testing.assert_allclose(obs.landmark_betas, [1.0, 5.0])
-    assert obs.image is None and obs.flow is None
+    assert obs.image is None
 
 
 def test_landmarks_roundtrip_byte_stable():
@@ -98,15 +98,17 @@ def test_observation_dir(tmp_path, rng):
 
     f0 = obs_dir[0]
     np.testing.assert_array_equal(f0.landmark_ids, [0, 3])
-    assert f0.image is None and f0.flow is None
+    assert f0.image is None and obs_dir.flow(0) is None
 
     f1 = obs_dir[1]
     assert f1.landmark_ids.size == 0  # no rows for frame 1
     assert f1.image is not None and f1.image.shape == (4, 4, 3)
 
-    f2 = obs_dir[2]
-    assert f2.flow is not None
-    np.testing.assert_allclose(f2.flow[0], fwd, atol=1e-6)
+    assert obs_dir.flow(1) is None  # no pair file ends at frame 1
+    pair = obs_dir.flow(2)
+    assert pair is not None
+    np.testing.assert_allclose(pair[0], fwd, atol=1e-6)
+    np.testing.assert_allclose(pair[1], -fwd, atol=1e-6)
 
     with pytest.raises(IndexError):
         obs_dir[3]
@@ -127,7 +129,7 @@ def test_observation_dir_flow_ignored_at_frame_zero(tmp_path, rng):
     write_flow_pair(fwd, -fwd, tmp_path / frame_flow_name(0))
     obs_dir = ObservationDir(tmp_path)
     assert len(obs_dir) == 1
-    assert obs_dir[0].flow is None
+    assert obs_dir.flow(0) is None
 
 
 def test_observation_dir_requires_directory(tmp_path):

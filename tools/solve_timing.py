@@ -59,18 +59,19 @@ def frame_problems(scene, paths):
     for that frame as a packed (w, q, t) row, and the fit config."""
     rig = load_rig_manifest(paths["rig"])
     cfg = fitting.read_fit_config(paths["config"])
-    obs = ObservationDir(paths["obs"])[FRAME]
+    obs_dir = ObservationDir(paths["obs"])
+    obs = obs_dir[FRAME]
     weights = scene.gt_curve.weights
     prev_pose = scene.poses[FRAME - 1]
     prev_proj = project(blend_vertices(rig, weights[FRAME - 1]), prev_pose)
-    vidx, disp = screen_flow(*obs.flow, prev_proj, cfg.tau_flow)
+    vidx, disp = screen_flow(*obs_dir.flow(FRAME), prev_proj, cfg.tau_flow)
     sets = guidance_sets(weights, FRAME, cfg.m, cfg.n, cfg.radius, cfg.eps_act)
     args = (rig, cfg.loss_weights, sets, cfg.intrinsics)
     full = FrameProblem(
         *args, obs, flow_targets=(vidx, prev_proj[vidx] + disp), neighbor_weights=weights[FRAME - 1]
     )
     landmark = FrameProblem(
-        *args, dataclasses.replace(obs, image=None, flow=None), neighbor_weights=weights[FRAME - 1]
+        *args, dataclasses.replace(obs, image=None), neighbor_weights=weights[FRAME - 1]
     )
     p0 = np.concatenate([weights[FRAME], prev_pose.rotation, prev_pose.translation])
     return full, landmark, p0, cfg
