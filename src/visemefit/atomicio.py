@@ -1,8 +1,9 @@
 """Atomic file writes: data lands under a temp name, then renames into place.
 
-A failed write never leaves a partial file at the destination, and an
-OSError is reported as one DataError naming the destination; make_dirs
-reports a directory it cannot make the same way.
+Every file is written through atomic_path, by write_text, atomic_text or
+write_bytes. A failed write never leaves a partial file at the destination,
+and an OSError is reported as one DataError naming the destination;
+make_dirs reports a directory it cannot make the same way.
 """
 
 from __future__ import annotations
@@ -57,3 +58,11 @@ def atomic_text(path):
 def write_text(path, text: str) -> None:
     with atomic_text(path) as fh:
         fh.write(text)
+
+
+def write_bytes(path, *chunks) -> None:
+    """Write bytes or C-contiguous arrays (uncopied) in order, as atomic_path does."""
+    with atomic_path(path) as tmp:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)

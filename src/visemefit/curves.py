@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomicio import write_text
 from .errors import DataError, located
 from .frozen import frozen_array
 from .records import read_text, split_records
@@ -121,7 +122,7 @@ def parse_curve(text: str, source: str = "<curve>") -> Curve:
         if len(cols) != len(labels) + 1:
             raise line.error(f"expected {len(labels) + 1} columns, got {len(cols)}")
         if line.integer(cols[0], "frame") != j:
-            raise line.error(f"frame {cols[0]} out of order")
+            raise line.error(f"frame {cols[0]} out of order, expected {j}")
         weights[j] = line.numbers(cols[1:], labels)
     weights.setflags(write=False)
     return Curve(fps=fps, labels=labels, weights=weights, source=source)
@@ -132,8 +133,6 @@ def read_curve(path) -> Curve:
 
 
 def write_curve(curve: Curve, path) -> None:
-    from .atomicio import write_text
-
     write_text(path, serialize_curve(curve))
 
 

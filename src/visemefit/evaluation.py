@@ -100,8 +100,6 @@ def total_variation(curve: Curve) -> dict[str, float]:
     # report the viseme instead of a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         diffs = np.abs(np.diff(curve.weights, axis=0)).sum(axis=0)
-    if curve.frame_count == 1:
-        diffs = np.zeros(len(curve.labels))
     for lab, d in zip(curve.labels, diffs):
         if not math.isfinite(d):
             raise DataError(f"viseme {lab}: total variation overflows (weights out of range)")

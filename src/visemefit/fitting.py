@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .adam import AdamState, adam_step, learning_rate
+from .atomicio import write_text
 from .camera import Pose, check_focal, check_quat_norm, project
 from .curves import Curve
 from .errors import DataError, located
@@ -227,11 +228,8 @@ def fit_clip(
                         last = params[j - 1]
                         with located(f"frame {j - 1}"):
                             prev_proj = project(blend_vertices(rig, last[:nv]), pose(last))
-                        fwd, bwd = pair
                         with located(f"frame {j}"):
-                            vidx, disp = screen_flow(fwd, bwd, prev_proj, cfg.tau_flow)
-                        if vidx.size:
-                            flow_targets = (vidx, prev_proj[vidx] + disp)
+                            flow_targets = screen_flow(*pair, prev_proj, cfg.tau_flow)
                 problem = FrameProblem(
                     rig, cfg.loss_weights, sets[j], cfg.intrinsics, obs,
                     flow_targets=flow_targets,
@@ -289,7 +287,7 @@ def parse_poses(text: str, source: str = "<poses>") -> list[Pose]:
         if len(cols) != 8:
             raise line.error(f"expected 8 columns, got {len(cols)}")
         if line.integer(cols[0], "frame") != len(rows):
-            raise line.error("frames must be consecutive from 0")
+            raise line.error(f"frame {cols[0]} out of order, expected {len(rows)}")
         rows.append(line.numbers(cols[1:], _POSE_COLUMNS))
         check_quat_norm(sum(v * v for v in rows[-1][0:4]), line.error)
     intrinsics = tuple(records.header_number(key) for key in ("focal", "cx", "cy"))
@@ -306,8 +304,6 @@ def parse_poses(text: str, source: str = "<poses>") -> list[Pose]:
 
 
 def write_poses(poses, path) -> None:
-    from .atomicio import write_text
-
     write_text(path, serialize_poses(poses))
 
 

@@ -14,6 +14,7 @@ import struct
 
 import numpy as np
 
+from .atomicio import write_bytes
 from .errors import DataError
 from .images import InBounds, bilinear_sample, map_file
 
@@ -34,14 +35,7 @@ def write_flow_pair(forward: np.ndarray, backward: np.ndarray, path) -> None:
     if fwd.shape != bwd.shape:
         raise DataError(f"forward {fwd.shape} and backward {bwd.shape} grids differ")
     h, w, _ = fwd.shape
-    from .atomicio import atomic_path
-
-    with atomic_path(path) as tmp:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", w, h))
-            fh.write(fwd)
-            fh.write(bwd)
+    write_bytes(path, MAGIC, struct.pack("<II", w, h), fwd, bwd)
 
 
 def read_flow_pair(path) -> tuple[np.ndarray, np.ndarray]:
@@ -75,8 +69,9 @@ def screen_flow(
     projected rig vertices). For each candidate p the forward displacement u is
     sampled at p; the correspondence survives if p + u stays in bounds and
     ``|u + backward(p + u)| < tau``. Returns (indices into prev_points,
-    displacements u) for the survivors. A non-finite value in a cell that is
-    sampled raises DataError; cells that are not sampled are not checked.
+    advected points p + u) for the survivors: the current frame's flow
+    targets. A non-finite value in a cell that is sampled raises DataError;
+    cells that are not sampled are not checked.
     """
     fwd = np.asarray(forward)
     bwd = np.asarray(backward)
@@ -97,9 +92,8 @@ def screen_flow(
     if ends.count == 0:
         return idx, np.zeros((0, 2))
     back = _sample_finite(bwd, ends, "backward")
-    resid = np.linalg.norm(u + back, axis=1)
-    keep = resid < tau
-    return idx[keep], u[keep]
+    keep = np.linalg.norm(u + back, axis=1) < tau
+    return idx[keep], ends.points[keep]
 
 
 def _sample_finite(grid: np.ndarray, points: InBounds, which: str) -> np.ndarray:

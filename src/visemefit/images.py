@@ -16,6 +16,7 @@ import os
 
 import numpy as np
 
+from .atomicio import write_bytes
 from .errors import DataError
 
 
@@ -31,12 +32,7 @@ def write_ppm(image: np.ndarray, path) -> None:
         raise DataError(f"image must be (H, W, 3), got {img.shape}")
     h, w, _ = img.shape
     data = np.ascontiguousarray(img if img.dtype == np.uint8 else quantize(img))
-    from .atomicio import atomic_path
-
-    with atomic_path(path) as tmp:
-        with open(tmp, "wb") as fh:
-            fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(data)
+    write_bytes(path, f"P6\n{w} {h}\n255\n".encode("ascii"), data)
 
 
 def map_file(path, kind: str) -> mmap.mmap:

@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .atomicio import write_text
 from .errors import DataError, located
 from .frozen import frozen_array
 from .records import read_text, split_records
@@ -129,8 +130,5 @@ def serialize_obj(mesh: Mesh) -> str:
 
 
 def write_obj(mesh: Mesh, path) -> None:
-    from .atomicio import atomic_path
-
-    with atomic_path(path) as tmp:
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(serialize_obj(mesh))
+    # the OBJ text is ASCII, so write_text's UTF-8 gives the same bytes
+    write_text(path, serialize_obj(mesh))

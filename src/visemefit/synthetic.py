@@ -16,10 +16,12 @@ ground truth instead of saturating toward the activation bias.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .atomicio import make_dirs, write_text
 from .camera import Pose, project
 from .curves import Curve, write_curve
 from .errors import DataError
@@ -37,6 +39,7 @@ from .observations import (
 from .procedural import generate_procedural
 from .rig import Rig, blend_vertices, default_viseme_labels, write_rig
 from .timeline import PhonemeSegment, PhonemeVisemeMap, Timeline, check_fps, frame_count
+from .timeline import serialize_timeline, serialize_viseme_map
 
 GRID = 8
 IMAGE_SIZE = 1024
@@ -85,6 +88,8 @@ class SynthScene:
     timeline: Timeline
     gt_curve: Curve
     poses: list[Pose]
+    # (frames, vertices, 2): the ground truth projected, for landmarks and rasters
+    projections: np.ndarray
     landmarks: dict[int, RawObservation]
     config: FitConfig
     fps: float
@@ -322,10 +327,11 @@ def build_scene(
 
     landmark_verts = np.arange(len(rig.neutral.vertices), dtype=np.int64)
     betas = np.where(np.isin(landmark_verts, MOUTH_LANDMARK_IDS), 5.0, 1.0)
+    projections = np.empty((n_frames, len(landmark_verts), 2))
     landmarks: dict[int, RawObservation] = {}
     for j in range(n_frames):
-        shaped = blend_vertices(rig, gt.weights[j])
-        pts = project(shaped[landmark_verts], poses[j])
+        projections[j] = project(blend_vertices(rig, gt.weights[j]), poses[j])
+        pts = projections[j, landmark_verts]
         if landmark_noise > 0.0:
             pts = pts + landmark_noise * rng.standard_normal(pts.shape)
         landmarks[j] = RawObservation(
@@ -340,6 +346,7 @@ def build_scene(
         timeline=timeline,
         gt_curve=gt,
         poses=poses,
+        projections=projections,
         landmarks=landmarks,
         config=config,
         fps=fps,
@@ -382,11 +389,6 @@ def _splat(points, values, size, sigma, window, bg_value, bg_weight, encode):
 
 def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
     """Write the scene to disk in the layouts the fitting pipeline reads."""
-    import os
-
-    from .atomicio import make_dirs, write_text
-    from .timeline import serialize_timeline, serialize_viseme_map
-
     out = str(out_dir)
     obs_dir = os.path.join(out, "obs")
     make_dirs(obs_dir)
@@ -408,9 +410,7 @@ def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
     if scene.write_rasters:
         colors = rig.neutral.colors
         prev_proj = None
-        for j in range(scene.frame_count):
-            shaped = blend_vertices(rig, scene.gt_curve.weights[j])
-            proj = project(shaped, scene.poses[j])
+        for j, proj in enumerate(scene.projections):
             img = _splat(proj, colors, IMAGE_SIZE, encode=quantize, **FRAME_SPLAT)
             write_ppm(img, os.path.join(obs_dir, frame_image_name(j)))
             if j > 0:

@@ -16,9 +16,17 @@ from .records import read_text, split_records
 
 @dataclass(frozen=True)
 class PhonemeSegment:
+    """One phoneme's interval in seconds, which starts at 0 or later."""
+
     phoneme: str
     start: float
     end: float
+
+    def __post_init__(self):
+        if not self.end > self.start:
+            raise DataError(f"segment {self.phoneme!r} has end {self.end} <= start {self.start}")
+        if self.start < 0:
+            raise DataError(f"segment {self.phoneme!r} starts before 0")
 
     @property
     def duration(self) -> float:
@@ -35,13 +43,6 @@ class Timeline:
 
     def __post_init__(self):
         segs = tuple(self.segments)
-        for s in segs:
-            if not s.end > s.start:
-                raise DataError(
-                    f"segment {s.phoneme!r} has end {s.end} <= start {s.start}"
-                )
-            if s.start < 0:
-                raise DataError(f"segment {s.phoneme!r} starts before 0")
         for a, b in zip(segs, segs[1:]):
             if b.start < a.end:
                 raise DataError(
@@ -65,9 +66,8 @@ def parse_alignment(text: str, source: str = "<alignment>") -> Timeline:
         if not tok:
             raise line.error("empty phoneme token")
         start, end = line.numbers(parts[1:], ("start", "end"))
-        if end <= start:
-            raise line.error(f"end {end} <= start {start}")
-        segments.append(PhonemeSegment(tok, start, end))
+        with located(line.where):
+            segments.append(PhonemeSegment(tok, start, end))
     segments.sort(key=lambda s: s.start)
     duration = records.header_number("duration")
     if duration is None:

@@ -54,6 +54,6 @@ def random_pose(rng: np.random.Generator, scale: float = 0.05) -> Pose:
 
 
 def flow_targets(rig: Rig, vidx, disp, prev_weights, prev_pose: Pose):
-    """FrameProblem flow targets built as fit_clip builds them: the previous
+    """FrameProblem flow targets built as screen_flow builds them: the previous
     frame's projections of vertices vidx, advected by displacements disp."""
     return vidx, project(blend_vertices(rig, prev_weights), prev_pose)[vidx] + disp

@@ -583,7 +583,7 @@ BAD_INPUTS = [
                  id="alignment-duration-inf"),
     pytest.param("gen-proc", "align.tsv", "m\t0.0\tinf\n", "end", id="alignment-end-inf"),
     pytest.param("gen-proc", "align.tsv", "m\t0.0\n", "fields", id="alignment-short-row"),
-    pytest.param("gen-proc", "align.tsv", "m\t-0.5\t0.5\n", "starts before 0",
+    pytest.param("gen-proc", "align.tsv", "m\t-0.5\t0.5\n", ":1: segment 'm' starts before 0",
                  id="alignment-negative-start"),
     pytest.param("gen-proc", "align.tsv", "# duration=0.1\nm\t0.0\t0.5\n", "duration",
                  id="alignment-duration-too-short"),
@@ -601,6 +601,8 @@ BAD_INPUTS = [
                  id="curve-extra-column"),
     pytest.param("resample", "gt.csv", b"# fps=30\nframe,MBP\n0,\xff\n", "utf-8",
                  id="curve-not-utf8"),
+    pytest.param("bake", "gt.csv", "# fps=30\nframe,MBP\n0,0.5\n2,0.5\n",
+                 ":4: frame 2 out of order, expected 1", id="curve-skipped-frame"),
     pytest.param("bake", "gt.csv", "# fps=30\nframe,MBP,MBP\n0,0.5,0.5\n",
                  ":2: repeated viseme label 'MBP'", id="curve-repeated-label-bake"),
     pytest.param("bones", "gt.csv", "# fps=30\nframe,MBP,MBP\n0,0.5,0.5\n",
@@ -614,6 +616,8 @@ BAD_INPUTS = [
     pytest.param("eval", "poses.csv", POSES_CSV.replace("# cy=512.0\n", ""), "# cy=",
                  id="poses-missing-cy"),
     pytest.param("eval", "poses.csv", POSES_CSV + "1,0,0\n", "columns", id="poses-short-row"),
+    pytest.param("eval", "poses.csv", POSES_CSV + "2,0,0,0,1,0,0,2\n",
+                 ":6: frame 2 out of order, expected 1", id="poses-skipped-frame"),
     pytest.param("eval", "poses.csv", POSES_CSV.replace("# focal=1200.0", "# focal=-1"),
                  ":1: focal length must be positive", id="poses-focal-negative"),
     pytest.param("eval", "poses.csv", POSES_CSV.replace("0,0,0,0,1,", "0,0,0,1e300,1,"),

@@ -3,6 +3,7 @@ import pytest
 
 from visemefit.errors import DataError
 from visemefit.flow import read_flow_pair, screen_flow, write_flow_pair
+from visemefit.images import bilinear_sample, in_bounds
 
 
 def test_flow_file_roundtrip_exact(rng, tmp_path):
@@ -37,13 +38,32 @@ def test_screen_flow_consistency_filter():
     fwd[:, :, 0] = 2.0  # everything moves +2 px in x
     bwd[:, :, 0] = -2.0  # and the backward field agrees
     pts = np.array([[1.0, 1.0], [3.0, 4.0]])
-    idx, disp = screen_flow(fwd, bwd, pts, tau=1.0)
+    idx, targets = screen_flow(fwd, bwd, pts, tau=1.0)
     np.testing.assert_array_equal(idx, [0, 1])
-    np.testing.assert_allclose(disp, [[2.0, 0.0], [2.0, 0.0]])
+    # the targets are the candidates advected by the forward flow
+    np.testing.assert_array_equal(targets, [[3.0, 1.0], [5.0, 4.0]])
 
     bwd[:, :, 0] = -0.5  # now the round trip misses by 1.5 px > tau
-    idx, disp = screen_flow(fwd, bwd, pts, tau=1.0)
-    assert idx.size == 0
+    idx, targets = screen_flow(fwd, bwd, pts, tau=1.0)
+    assert idx.size == 0 and targets.shape == (0, 2)
+
+
+def test_screen_flow_targets_are_advected_survivors(rng):
+    """On a smooth field that drops candidates at all three checks (a start
+    outside the grid, an end outside it, a round trip that misses), the
+    targets are each survivor p advected to p + forward(p), bit for bit."""
+    h, w = 24, 32
+    ys, xs = np.mgrid[0:h, 0:w]
+    fwd = np.stack([2.5 + np.sin(xs / 5.0), 1.5 * np.cos(ys / 4.0)], axis=-1)
+    bwd = -fwd
+    bwd[: h // 3] += 3.0  # a round trip that ends in the top rows misses
+    pts = rng.uniform(-2.0, (w + 1.0, h + 1.0), (300, 2))
+    idx, targets = screen_flow(fwd, bwd, pts, tau=1.0)
+    inside = np.flatnonzero(in_bounds(pts, w, h))
+    landed = inside[in_bounds(pts[inside] + bilinear_sample(fwd, pts[inside]), w, h)]
+    assert 0 < idx.size < landed.size < inside.size < len(pts)
+    assert np.isin(idx, landed).all()
+    np.testing.assert_array_equal(targets, pts[idx] + bilinear_sample(fwd, pts[idx]))
 
 
 def test_screen_flow_drops_out_of_bounds_targets():
@@ -101,8 +121,8 @@ def test_screen_flow_on_float32_views_equals_float64_copies(rng, tmp_path):
     write_flow_pair(fwd, bwd, p)
     f32, b32 = read_flow_pair(p)
     pts = rng.uniform(-2.0, 21.0, (400, 2))
-    idx, disp = screen_flow(f32, b32, pts, tau=0.5)
-    idx64, disp64 = screen_flow(f32.astype(np.float64), b32.astype(np.float64), pts, tau=0.5)
+    idx, targets = screen_flow(f32, b32, pts, tau=0.5)
+    idx64, targets64 = screen_flow(f32.astype(np.float64), b32.astype(np.float64), pts, tau=0.5)
     assert 0 < idx.size < len(pts)
     np.testing.assert_array_equal(idx, idx64)
-    np.testing.assert_array_equal(disp, disp64)
+    np.testing.assert_array_equal(targets, targets64)

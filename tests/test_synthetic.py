@@ -82,6 +82,22 @@ def test_ambiguous_scene_makes_two_visemes_identical():
     assert tokens == {"m"}
 
 
+def test_projections_are_the_projected_ground_truth():
+    scene = build_scene(seed=4, n_frames=5)
+    assert scene.projections.shape == (5, 64, 2)
+    for j in range(scene.frame_count):
+        shaped = blend_vertices(scene.rig, scene.gt_curve.weights[j])
+        np.testing.assert_array_equal(scene.projections[j], project(shaped, scene.poses[j]))
+
+
+def test_zero_frame_scene_builds_and_writes(tmp_path):
+    scene = build_scene(seed=4, n_frames=0)
+    assert scene.projections.shape == (0, 64, 2)
+    paths = write_scene(scene, tmp_path)
+    assert parse_curve((tmp_path / "gt.csv").read_text(encoding="utf-8")).frame_count == 0
+    assert os.listdir(paths["obs"]) == ["landmarks.csv"]
+
+
 def test_build_scene_rejects_negative_frames():
     with pytest.raises(DataError):
         build_scene(seed=1, n_frames=-1)

@@ -53,6 +53,23 @@ def test_parse_alignment_rejects(bad):
         parse_alignment(bad)
 
 
+@pytest.mark.parametrize(
+    "start, end, message",
+    [
+        (0.3, 0.1, "segment 'm' has end 0.1 <= start 0.3"),
+        (0.2, 0.2, "segment 'm' has end 0.2 <= start 0.2"),
+        (-0.5, 0.5, "segment 'm' starts before 0"),
+    ],
+)
+def test_segment_checks_itself_and_the_parse_names_the_line(start, end, message):
+    with pytest.raises(DataError) as exc:
+        PhonemeSegment("m", start, end)
+    assert str(exc.value) == message
+    with pytest.raises(DataError) as exc:
+        parse_alignment(f"a\t0.0\t0.05\nm\t{start}\t{end}\n", source="align.tsv")
+    assert str(exc.value) == f"align.tsv:2: {message}"
+
+
 def test_serialize_roundtrip_exact():
     t = parse_alignment(ALIGN)
     back = parse_alignment(serialize_timeline(t))

@@ -64,12 +64,10 @@ def frame_problems(scene, paths):
     weights = scene.gt_curve.weights
     prev_pose = scene.poses[FRAME - 1]
     prev_proj = project(blend_vertices(rig, weights[FRAME - 1]), prev_pose)
-    vidx, disp = screen_flow(*obs_dir.flow(FRAME), prev_proj, cfg.tau_flow)
+    flow_targets = screen_flow(*obs_dir.flow(FRAME), prev_proj, cfg.tau_flow)
     sets = guidance_sets(weights, FRAME, cfg.m, cfg.n, cfg.radius, cfg.eps_act)
     args = (rig, cfg.loss_weights, sets, cfg.intrinsics)
-    full = FrameProblem(
-        *args, obs, flow_targets=(vidx, prev_proj[vidx] + disp), neighbor_weights=weights[FRAME - 1]
-    )
+    full = FrameProblem(*args, obs, flow_targets=flow_targets, neighbor_weights=weights[FRAME - 1])
     landmark = FrameProblem(
         *args, dataclasses.replace(obs, image=None), neighbor_weights=weights[FRAME - 1]
     )
