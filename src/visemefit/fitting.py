@@ -207,6 +207,7 @@ def fit_clip(
     params[0, nv + 3] = 1.0
     missing_flow: list[int] = []
     missing_rgb = 0
+    unobserved: list[int] = []
 
     def pose(row):
         return Pose(rotation=row[nv : nv + 4], translation=row[nv + 4 :], intrinsics=cfg.intrinsics)
@@ -237,6 +238,8 @@ def fit_clip(
                 )
                 if forward and obs.image is not None and problem.image is None:
                     missing_rgb += 1
+                if forward and not problem.observed:
+                    unobserved.append(j)
                 params[j] = _optimize_frame(problem, params[j], cfg, j)
             prev = j
 
@@ -250,6 +253,12 @@ def fit_clip(
             log.warning(
                 "%s: rig has no vertex colors; photometric term skipped (%d frames have images)",
                 clip, missing_rgb,
+            )
+        if forward and unobserved:
+            log.warning(
+                "%s: no landmark, image or flow data on %d of %d frames, first at frame %d;"
+                " only the guidance and temporal terms fit them",
+                clip, len(unobserved), n_frames, unobserved[0],
             )
 
     weights = np.clip(params[:, :nv], 0.0, 1.0)

@@ -4,19 +4,22 @@ A flow file stores the forward and backward displacement grids for one frame
 pair (previous -> current): the magic ``FLO1``, little-endian uint32 width and
 height, then two H*W*2 little-endian float32 blocks (x and y displacement,
 row-major), forward first. Grid coordinates are image pixel coordinates.
-read_flow_pair returns views over a memory map of the file; screening samples
-them in place, so a grid is never converted whole.
+read_flow_pair checks the header and size and returns the two blocks as
+FileGrids, still in the file: screening samples a pair twice, at a few
+points, so it preads the corner cells of those points and never reads a grid
+whole.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
 from .atomicio import write_bytes
 from .errors import DataError
-from .images import InBounds, bilinear_sample, map_file
+from .images import FileGrid, InBounds, bilinear_sample
 
 MAGIC = b"FLO1"
 
@@ -38,28 +41,33 @@ def write_flow_pair(forward: np.ndarray, backward: np.ndarray, path) -> None:
     write_bytes(path, MAGIC, struct.pack("<II", w, h), fwd, bwd)
 
 
-def read_flow_pair(path) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward grids as read-only (H, W, 2) float32 views of the
-    file (see images.map_file)."""
-    blob = map_file(path, "flow")
-    if blob[:4] != MAGIC:
-        raise DataError(f"{path}: bad flow magic {blob[:4]!r}")
-    if len(blob) < 12:
+def read_flow_pair(path) -> tuple[FileGrid, FileGrid]:
+    """Forward and backward (H, W, 2) float32 grids of a flow file, checked
+    against its header and size but not read."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(12)
+    except OSError as exc:
+        raise DataError(f"cannot read flow {path}: {exc.strerror or exc}")
+    if size == 0:
+        raise DataError(f"{path}: empty flow file")
+    if head[:4] != MAGIC:
+        raise DataError(f"{path}: bad flow magic {head[:4]!r}")
+    if len(head) < 12:
         raise DataError(f"{path}: truncated flow header")
-    w, h = struct.unpack("<II", blob[4:12])
+    w, h = struct.unpack("<II", head[4:12])
     block = h * w * 2 * 4
-    if len(blob) != 12 + 2 * block:
+    if size != 12 + 2 * block:
         raise DataError(
-            f"{path}: expected {12 + 2 * block} bytes for {w}x{h} grids, got {len(blob)}"
+            f"{path}: expected {12 + 2 * block} bytes for {w}x{h} grids, got {size}"
         )
-    fwd = np.frombuffer(blob, dtype="<f4", count=h * w * 2, offset=12).reshape(h, w, 2)
-    bwd = np.frombuffer(blob, dtype="<f4", count=h * w * 2, offset=12 + block).reshape(h, w, 2)
-    return fwd, bwd
+    return FileGrid(path, 12, (h, w, 2)), FileGrid(path, 12 + block, (h, w, 2))
 
 
 def screen_flow(
-    forward: np.ndarray,
-    backward: np.ndarray,
+    forward: np.ndarray | FileGrid,
+    backward: np.ndarray | FileGrid,
     prev_points: np.ndarray,
     tau: float,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -73,30 +81,29 @@ def screen_flow(
     targets. A non-finite value in a cell that is sampled raises DataError;
     cells that are not sampled are not checked.
     """
-    fwd = np.asarray(forward)
-    bwd = np.asarray(backward)
-    if fwd.shape != bwd.shape or fwd.ndim != 3 or fwd.shape[2] != 2:
+    shape = np.shape(forward)
+    if np.shape(backward) != shape or len(shape) != 3 or shape[2] != 2:
         raise DataError("flow grids must share an (H, W, 2) shape")
     if tau <= 0:
         raise DataError(f"flow consistency threshold must be positive, got {tau}")
-    h, w = fwd.shape[:2]
+    h, w = shape[:2]
     # one bounds pass for each point set that is sampled
     starts = InBounds(prev_points, w, h)
     idx = np.arange(starts.count) if starts.index is None else starts.index
     if starts.count == 0:
         return idx, np.zeros((0, 2))
-    u = _sample_finite(fwd, starts, "forward")
+    u = _sample_finite(forward, starts, "forward")
     ends = InBounds(starts.points + u, w, h)
     if ends.index is not None:
         idx, u = idx[ends.index], u[ends.index]
     if ends.count == 0:
         return idx, np.zeros((0, 2))
-    back = _sample_finite(bwd, ends, "backward")
+    back = _sample_finite(backward, ends, "backward")
     keep = np.linalg.norm(u + back, axis=1) < tau
     return idx[keep], ends.points[keep]
 
 
-def _sample_finite(grid: np.ndarray, points: InBounds, which: str) -> np.ndarray:
+def _sample_finite(grid: np.ndarray | FileGrid, points: InBounds, which: str) -> np.ndarray:
     # a nan or inf corner makes every value it touches non-finite (inf - inf
     # is nan), so checking the values checks the cells that were read
     with np.errstate(invalid="ignore"):

@@ -1,9 +1,12 @@
 """Binary PPM (P6) frames and bilinear grid sampling.
 
 read_ppm returns a frame as its (H, W, 3) uint8 bytes, a view over a memory
-map of the file that is never converted whole; bilinear_sample scales the
-cells it reads into float64 in [0, 1]. write_ppm writes uint8 bytes as they
-are and float values in [0, 1] through quantize, the one float-to-byte rule.
+map of the file that is never converted whole: the fit samples a frame on
+every iteration. A FileGrid is a float32 grid left in its file, for a grid
+sampled only a few times; bilinear_sample reads just the cells it needs from
+either, and scales image bytes into float64 in [0, 1]. write_ppm writes uint8
+bytes as they are and float values in [0, 1] through quantize, the one
+float-to-byte rule.
 Sample positions are (x, y) with pixel centers on integer coordinates; the
 valid sampling domain is 0 <= x <= W-1, 0 <= y <= H-1.
 """
@@ -11,6 +14,7 @@ valid sampling domain is 0 <= x <= W-1, 0 <= y <= H-1.
 from __future__ import annotations
 
 import functools
+import math
 import mmap
 import os
 
@@ -49,6 +53,57 @@ def map_file(path, kind: str) -> mmap.mmap:
             return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except OSError as exc:
         raise DataError(f"cannot read {kind} {path}: {exc.strerror or exc}")
+
+
+class FileGrid:
+    """An (H, W, C) grid of little-endian float32 cells stored row-major at a
+    byte offset in a file, read cell by cell.
+
+    Nothing is read when a FileGrid is made. cells(index) preads the cells it
+    is asked for, and np.asarray(grid) reads the whole block; each opens and
+    closes its own descriptor, so a grid holds no open file. A file cut short
+    after the grid was made is a DataError naming it when it is read.
+    """
+
+    __slots__ = ("path", "offset", "shape")
+    ndim = 3
+    dtype = np.dtype("<f4")
+
+    def __init__(self, path, offset: int, shape: tuple[int, int, int]):
+        self.path = str(path)
+        self.offset = offset
+        self.shape = shape
+
+    def _read(self, starts, cell_bytes: int) -> bytes:
+        """cell_bytes bytes at each of the block offsets starts, joined."""
+        try:
+            fd = os.open(self.path, os.O_RDONLY)
+            try:
+                data = b"".join([os.pread(fd, cell_bytes, self.offset + at) for at in starts])
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            raise DataError(f"cannot read {self.path}: {exc.strerror or exc}")
+        if len(data) != len(starts) * cell_bytes:
+            raise DataError(f"{self.path}: file ends inside its grid")
+        return data
+
+    def cells(self, index: np.ndarray) -> np.ndarray:
+        """The cells at flat indices index (into the (H * W, C) grid), as float32
+        of shape index.shape + (C,); each distinct cell is read once."""
+        channels = self.shape[2]
+        cell_bytes = channels * self.dtype.itemsize
+        wanted, where = np.unique(index, return_inverse=True)
+        data = self._read((wanted * cell_bytes).tolist(), cell_bytes)
+        values = np.frombuffer(data, dtype=self.dtype).reshape(-1, channels)
+        return values.take(where.reshape(index.shape), axis=0)
+
+    def __array__(self, dtype=None, copy=None):
+        # (dtype) is numpy 1.x's signature, (dtype, copy) numpy 2's; every call
+        # reads a fresh array, so no copy request needs a second one
+        block = self._read([0], math.prod(self.shape) * self.dtype.itemsize)
+        grid = np.frombuffer(block, dtype=self.dtype).reshape(self.shape)
+        return grid if dtype is None else grid.astype(dtype, copy=False)
 
 
 def read_ppm(path) -> np.ndarray:
@@ -153,10 +208,10 @@ def bilinear_sample(grid: np.ndarray, points, with_grad: bool = False):
     point of which must be in bounds (else DataError), or an InBounds of this
     grid's size, whose points are sampled. Only the four corner cells of each
     point are read and converted to float64, so the grid may be a view over
-    a file; a uint8 grid holds image bytes, and its corners are scaled by
-    1/255 into [0, 1].
+    a file or a FileGrid, whose corners are preaded; a uint8 grid holds image
+    bytes, and its corners are scaled by 1/255 into [0, 1].
     """
-    g = np.asarray(grid)
+    g = grid if isinstance(grid, FileGrid) else np.asarray(grid)
     h, w = g.shape[0], g.shape[1]
     if not isinstance(points, InBounds):
         points = InBounds(points, w, h)
@@ -171,8 +226,12 @@ def bilinear_sample(grid: np.ndarray, points, with_grad: bool = False):
     frac = p - cell
     fx, fy = frac[:, :1], frac[:, 1:]
     # one gather of all four corners from the flattened grid, a view of every
-    # C-contiguous grid
-    corners = g.reshape(h * w, -1).take(cell @ strides + offsets, axis=0)
+    # C-contiguous array
+    index = cell @ strides + offsets
+    if isinstance(g, FileGrid):
+        corners = g.cells(index)
+    else:
+        corners = g.reshape(h * w, -1).take(index, axis=0)
     if corners.dtype == np.uint8:
         corners = corners / 255.0
     else:

@@ -66,6 +66,9 @@ class FrameProblem:
     obs supplies the landmarks and the image; landmark ids the rig does not
     bind are skipped. flow_targets is the screened (vertex indices, target
     pixels) pair, the previous frame's projections advected by the flow.
+    observed says whether any observation enters the objective: a bound
+    landmark, the image or a flow target. Without one, only the guidance,
+    temporal and range terms shape the frame.
     """
 
     def __init__(
@@ -102,6 +105,7 @@ class FrameProblem:
             vidx = np.asarray(flow_targets[0], dtype=np.int64)
             targets = np.asarray(flow_targets[1], dtype=np.float64).reshape(-1, 2)
             parts.append(_pixel_rows(vidx, targets, np.full(vidx.size, w5 / vidx.size)))
+        observed_rows = len(parts) > 1  # landmark or flow rows, after the empty part
         sup, act = (guidance.suppress, guidance.activate) if guidance is not None else ((), ())
         for scale, members in ((w3, sup), (-w4, act)):
             if members:
@@ -119,6 +123,7 @@ class FrameProblem:
         if obs.image is not None and self.colors is not None:
             self.image = np.asarray(obs.image)
             self._image_size = (self.image.shape[1], self.image.shape[0])
+        self.observed = observed_rows or self.image is not None
 
     def evaluate(self, w, q, t):
         """Objective value and its gradient (gw, gq, gt) at (w, q, t).

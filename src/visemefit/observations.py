@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DataError
 from .flow import read_flow_pair
 from .frozen import frozen_array
-from .images import read_ppm
+from .images import FileGrid, read_ppm
 from .records import read_text, split_records
 
 
@@ -143,8 +143,9 @@ class ObservationDir:
         image = self._sized(frame, "image", read_ppm(path)) if os.path.exists(path) else None
         return replace(self._landmarks.get(frame) or RawObservation(), image=image)
 
-    def flow(self, frame: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """The (forward, backward) pair ending at frame, or None (always at 0)."""
+    def flow(self, frame: int) -> tuple[FileGrid, FileGrid] | None:
+        """The (forward, backward) pair ending at frame, left in its file (see
+        read_flow_pair), or None (always at 0)."""
         path = os.path.join(self.path, frame_flow_name(frame))
         if frame == 0 or not os.path.exists(path):
             return None
@@ -152,7 +153,7 @@ class ObservationDir:
         self._sized(frame, "flow", pair[0])
         return pair
 
-    def _sized(self, frame: int, what: str, raster: np.ndarray) -> np.ndarray:
+    def _sized(self, frame: int, what: str, raster: np.ndarray | FileGrid):
         h, w = raster.shape[:2]
         if self._size is None:
             self._size = (h, w)

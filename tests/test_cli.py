@@ -339,6 +339,35 @@ def test_fit_warnings_name_clip_and_frame(scene_dir, tmp_path, caplog):
     ]
 
 
+def test_fit_warns_once_about_frames_with_no_data(scene_dir, clean_batch, tmp_path, caplog):
+    """Clip a loses the landmark rows of frames 10-14 and has no frames or
+    flow, so nothing observes those frames: one warning names the clip, the
+    count and the first of them. Clip b is untouched and fits as before."""
+    clips = _two_clips(scene_dir, tmp_path)
+    lm = clips / "a" / "landmarks.csv"
+    rows = lm.read_text(encoding="utf-8").splitlines(keepends=True)
+    lm.write_text(
+        "".join(r for r in rows if r.split(",")[0] not in {"10", "11", "12", "13", "14"}),
+        encoding="utf-8",
+    )
+    with caplog.at_level(logging.WARNING, logger="visemefit.fitting"):
+        assert _fit_clips(scene_dir, clips, tmp_path / "out") == 0
+    frames = len(read_landmarks(clips / "b" / "landmarks.csv"))
+    pairs = frames - 1
+    assert sorted(r.getMessage() for r in caplog.records) == [
+        f"{clips / 'a'}: flow missing for {pairs} of {pairs} frame pairs, first at frame 1;"
+        " flow term skipped there",
+        f"{clips / 'a'}: no landmark, image or flow data on 5 of {frames} frames,"
+        " first at frame 10; only the guidance and temporal terms fit them",
+        f"{clips / 'b'}: flow missing for {pairs} of {pairs} frame pairs, first at frame 1;"
+        " flow term skipped there",
+    ]
+    for name in ("curve.csv", "poses.csv"):
+        assert (tmp_path / "out" / "b" / name).read_bytes() == (
+            clean_batch[1] / "b" / name
+        ).read_bytes(), name
+
+
 def test_fit_warns_when_the_guide_is_shorter_than_the_clip(scene_dir, caplog):
     """At 1e-300 fps the alignment is one guide frame: fit still fits every
     observed frame, and one warning names the clip, both frame counts and

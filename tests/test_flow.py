@@ -1,3 +1,6 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -106,12 +109,32 @@ def test_flow_file_rejects_bad_sizes(tmp_path, blob):
         read_flow_pair(p)
 
 
-def test_read_flow_pair_returns_float32_views(rng, tmp_path):
+def _counting_preads(monkeypatch):
+    """Replace os.pread, the reader's one read primitive, with a recorder of
+    (offset, bytes returned) per call."""
+    calls = []
+    pread = os.pread
+
+    def counting(fd, n, offset):
+        data = pread(fd, n, offset)
+        calls.append((offset, len(data)))
+        return data
+
+    monkeypatch.setattr(os, "pread", counting)
+    return calls
+
+
+def test_read_flow_pair_returns_float32_views(rng, tmp_path, monkeypatch):
+    fwd, bwd = rng.normal(0, 1, (3, 4, 2)), rng.normal(0, 1, (3, 4, 2))
     p = tmp_path / "f.flo"
-    write_flow_pair(rng.normal(0, 1, (3, 4, 2)), rng.normal(0, 1, (3, 4, 2)), p)
-    for grid in read_flow_pair(p):
-        assert grid.dtype == np.float32 and grid.shape == (3, 4, 2)
-        assert not grid.flags.writeable  # a view of the file, not a copy
+    write_flow_pair(fwd, bwd, p)
+    reads = _counting_preads(monkeypatch)
+    pair = read_flow_pair(p)
+    assert reads == []  # the header is checked, the grids are left in the file
+    for grid, written in zip(pair, (fwd, bwd)):
+        assert grid.dtype == np.float32 and grid.ndim == 3 and grid.shape == (3, 4, 2)
+        np.testing.assert_array_equal(np.asarray(grid), written.astype(np.float32))
+    assert len(reads) == 2
 
 
 def test_screen_flow_on_float32_views_equals_float64_copies(rng, tmp_path):
@@ -122,7 +145,57 @@ def test_screen_flow_on_float32_views_equals_float64_copies(rng, tmp_path):
     f32, b32 = read_flow_pair(p)
     pts = rng.uniform(-2.0, 21.0, (400, 2))
     idx, targets = screen_flow(f32, b32, pts, tau=0.5)
-    idx64, targets64 = screen_flow(f32.astype(np.float64), b32.astype(np.float64), pts, tau=0.5)
+    idx64, targets64 = screen_flow(
+        np.asarray(f32).astype(np.float64), np.asarray(b32).astype(np.float64), pts, tau=0.5
+    )
     assert 0 < idx.size < len(pts)
     np.testing.assert_array_equal(idx, idx64)
     np.testing.assert_array_equal(targets, targets64)
+
+
+def test_screening_a_large_pair_reads_only_the_sampled_corners(rng, tmp_path, monkeypatch):
+    """Each of the two sampling passes reads at most four 8-byte cells per
+    point from the grid blocks, however large the file."""
+    h = w = 1024
+    ys, xs = np.mgrid[0:h, 0:w]
+    fwd = np.stack([1.5 + np.sin(xs / 50.0), np.cos(ys / 40.0)], axis=-1)
+    p = tmp_path / "f.flo"
+    write_flow_pair(fwd, -fwd, p)
+    pts = rng.uniform(0.0, 1000.0, (64, 2))
+    reads = _counting_preads(monkeypatch)
+    idx, targets = screen_flow(*read_flow_pair(p), pts, tau=0.5)
+    assert idx.size == len(pts)  # both passes sample every point
+    grid_bytes = sum(n for offset, n in reads if offset >= 12)
+    assert 0 < grid_bytes <= 2 * 64 * 4 * 8
+    np.testing.assert_array_equal(targets, pts + bilinear_sample(fwd.astype(np.float32), pts))
+
+
+@pytest.mark.parametrize("h, w", [(5, 7), (1, 6), (6, 1), (1, 1)])
+@pytest.mark.parametrize("with_grad", [False, True])
+def test_bilinear_sample_on_a_file_grid_equals_its_float64_copy(rng, tmp_path, h, w, with_grad):
+    """Bit for bit, on every cell including the last one and on grids one
+    cell wide or tall, where corners fall back onto the cell origin."""
+    p = tmp_path / "f.flo"
+    write_flow_pair(rng.normal(0, 2, (h, w, 2)), rng.normal(0, 2, (h, w, 2)), p)
+    ys, xs = np.mgrid[0:h, 0:w]
+    corners = np.column_stack([xs.ravel(), ys.ravel()]).astype(np.float64)
+    pts = np.vstack([corners, rng.uniform(0.0, (w - 1.0, h - 1.0), (50, 2))])
+    for grid in read_flow_pair(p):
+        got = bilinear_sample(grid, pts, with_grad=with_grad)
+        want = bilinear_sample(np.asarray(grid).astype(np.float64), pts, with_grad=with_grad)
+        for a, b in zip(*((got, want) if with_grad else ((got,), (want,)))):
+            assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_flow_file_cut_short_after_it_was_read_fails_when_sampled(rng, tmp_path):
+    p = tmp_path / "f.flo"
+    write_flow_pair(rng.normal(0, 1, (4, 5, 2)), rng.normal(0, 1, (4, 5, 2)), p)
+    fwd, bwd = read_flow_pair(p)
+    with open(p, "r+b") as fh:
+        fh.truncate(12 + 4 * 5 * 2 * 4 + 8)  # the forward block and one backward cell
+    assert np.isfinite(bilinear_sample(fwd, np.array([[4.0, 3.0]]))).all()
+    with pytest.raises(DataError, match=f"{re.escape(str(p))}: file ends inside its grid"):
+        bilinear_sample(bwd, np.array([[4.0, 3.0]]))
+    with pytest.raises(DataError, match=re.escape(str(p))):
+        np.asarray(bwd)
