@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import check_quat_norm
+from .camera import check_quat_norm, quat_normalize
 from .errors import DataError, located
 from .frozen import frozen_array
 from .records import read_text, split_records
@@ -30,14 +30,7 @@ def slerp(q0, q1, t: float) -> np.ndarray:
     The second input is negated when the pair straddles the double cover, and
     angles below 1e-6 rad fall back to normalized lerp.
     """
-    a = np.asarray(q0, dtype=np.float64).reshape(4)
-    b = np.asarray(q1, dtype=np.float64).reshape(4)
-    with np.errstate(over="ignore"):
-        na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    check_quat_norm(na)
-    check_quat_norm(nb)
-    a = a / na
-    b = b / nb
+    a, b = quat_normalize(q0), quat_normalize(q1)
     dot = float(a @ b)
     if dot < 0.0:
         b = -b

@@ -25,9 +25,12 @@ from .timeline import check_fps, checked_frame_count
 FRAME_BLOCK = 64
 
 
-def _repeated_label(labels) -> str | None:
-    """The first label that labels holds twice, or None."""
-    return next((lab for k, lab in enumerate(labels) if lab in labels[:k]), None)
+def check_unique_labels(labels) -> None:
+    """The one rule for a curve's or a rig's viseme labels: none appears twice.
+    Otherwise raises DataError naming the first label repeated."""
+    dup = next((lab for k, lab in enumerate(labels) if lab in labels[:k]), None)
+    if dup is not None:
+        raise DataError(f"repeated viseme label {dup!r}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,7 @@ class Curve:
         if not np.isfinite(w).all():
             raise DataError("curve weights must be finite")
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        if (dup := _repeated_label(self.labels)) is not None:
-            raise DataError(f"curve repeats viseme label {dup!r}")
+        check_unique_labels(self.labels)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "fps", float(self.fps))
 
@@ -112,8 +114,6 @@ def parse_curve(text: str, source: str = "<curve>") -> Curve:
     labels = tuple(cols[1:])
     if not labels:
         raise header.error("header lists no visemes")
-    if (dup := _repeated_label(labels)) is not None:
-        raise header.error(f"repeated viseme label {dup!r}")
     # filled in place, so the parse holds no Python list per row; read-only,
     # so Curve keeps it rather than copying it
     weights = np.empty((len(lines), len(labels)))
@@ -125,7 +125,8 @@ def parse_curve(text: str, source: str = "<curve>") -> Curve:
             raise line.error(f"frame {cols[0]} out of order, expected {j}")
         weights[j] = line.numbers(cols[1:], labels)
     weights.setflags(write=False)
-    return Curve(fps=fps, labels=labels, weights=weights, source=source)
+    with located(header.where):
+        return Curve(fps=fps, labels=labels, weights=weights, source=source)
 
 
 def read_curve(path) -> Curve:

@@ -21,6 +21,12 @@ class UsageError(VisemefitError):
     """Command-line misuse."""
 
 
+def prefixed(where, message) -> str:
+    """``"<where>: <message>"``, the one way an error message names where it
+    happened: located and records.Line.error build theirs with it."""
+    return f"{where}: {message}"
+
+
 @contextmanager
 def located(where):
     """The one rule for naming where an error happened: a DataError or NumericError
@@ -30,4 +36,4 @@ def located(where):
     except (DataError, NumericError) as exc:
         if where is None:
             raise
-        raise type(exc)(f"{where}: {exc}") from None
+        raise type(exc)(prefixed(where, exc)) from None

@@ -207,6 +207,9 @@ def fit_clip(
     params[0, nv + 3] = 1.0
     missing_flow: list[int] = []
     missing_rgb = 0
+    # a clip with no frame image and no flow pair is landmark-only by design,
+    # so its missing flow is not worth a warning
+    has_pixels = False
     unobserved: list[int] = []
 
     def pose(row):
@@ -236,14 +239,16 @@ def fit_clip(
                     flow_targets=flow_targets,
                     neighbor_weights=None if prev is None else params[prev, :nv],
                 )
-                if forward and obs.image is not None and problem.image is None:
-                    missing_rgb += 1
-                if forward and not problem.observed:
-                    unobserved.append(j)
+                if forward:
+                    has_pixels |= obs.image is not None or pair is not None
+                    if obs.image is not None and problem.image is None:
+                        missing_rgb += 1
+                    if not problem.observed:
+                        unobserved.append(j)
                 params[j] = _optimize_frame(problem, params[j], cfg, j)
             prev = j
 
-        if forward and missing_flow:
+        if forward and missing_flow and has_pixels:
             log.warning(
                 "%s: flow missing for %d of %d frame pairs, first at frame %d;"
                 " flow term skipped there",

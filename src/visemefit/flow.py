@@ -78,15 +78,12 @@ def screen_flow(
     sampled at p; the correspondence survives if p + u stays in bounds and
     ``|u + backward(p + u)| < tau``. Returns (indices into prev_points,
     advected points p + u) for the survivors: the current frame's flow
-    targets. A non-finite value in a cell that is sampled raises DataError;
-    cells that are not sampled are not checked.
+    targets. forward and backward share an (H, W, 2) shape, as
+    read_flow_pair returns them, and tau > 0, as FitConfig makes it. A
+    non-finite value in a cell that is sampled raises DataError; cells that
+    are not sampled are not checked.
     """
-    shape = np.shape(forward)
-    if np.shape(backward) != shape or len(shape) != 3 or shape[2] != 2:
-        raise DataError("flow grids must share an (H, W, 2) shape")
-    if tau <= 0:
-        raise DataError(f"flow consistency threshold must be positive, got {tau}")
-    h, w = shape[:2]
+    h, w = np.shape(forward)[:2]
     # one bounds pass for each point set that is sampled
     starts = InBounds(prev_points, w, h)
     idx = np.arange(starts.count) if starts.index is None else starts.index

@@ -45,6 +45,7 @@ def guidance_sets(
     activate: the top-n visemes of this frame at or above eps_act.
     suppress: visemes absent from the top-m of every frame in the
     self-inclusive window [frame - radius, frame + radius], clipped to the clip.
+    n <= m and radius >= 0, as FitConfig makes them.
     """
     a = np.asarray(proc_weights, dtype=np.float64)
     if a.ndim != 2:
@@ -52,10 +53,6 @@ def guidance_sets(
     frames, v = a.shape
     if not 0 <= frame < frames:
         raise DataError(f"frame {frame} outside curve of {frames} frames")
-    if n > m:
-        raise DataError(f"activate size n={n} cannot exceed suppress rank m={m}")
-    if radius < 0:
-        raise DataError(f"radius must be non-negative, got {radius}")
     activate = frozenset(top_k(a[frame], n, eps_act))
     scheduled: set[int] = set()
     lo = max(0, frame - radius)

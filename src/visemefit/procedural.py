@@ -78,7 +78,7 @@ def smoothstep(u):
 
 def envelope(t_rel, seg_duration: float, rule: EnvelopeRule):
     """Envelope value at t_rel, a time or an array of times measured from
-    segment start.
+    segment start; seg_duration is positive, as PhonemeSegment makes it.
 
     Rises from zero at start - onset to the apex by start + min(onset, d/4),
     holds, then falls symmetrically around the segment end, reaching zero at
@@ -86,8 +86,6 @@ def envelope(t_rel, seg_duration: float, rule: EnvelopeRule):
     quarter of the segment so the central half is always a flat apex. Both
     windows are at most MAX_TRANSITION_S, and the envelope is zero beyond.
     """
-    if seg_duration <= 0:
-        raise DataError(f"segment duration must be positive, got {seg_duration}")
     d = seg_duration
     onset = min(max(rule.onset_frac * d, rule.min_onset), MAX_TRANSITION_S)
     offset = min(max(rule.offset_frac * d, rule.min_offset), MAX_TRANSITION_S)

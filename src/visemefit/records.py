@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DataError
+from .errors import DataError, prefixed
 
 
 def read_text(path, what: str, encoding: str = "utf-8") -> str:
@@ -37,7 +37,7 @@ class Line(NamedTuple):
         return f"{self.source}:{self.lineno}"
 
     def error(self, message: str) -> DataError:
-        return DataError(f"{self.where}: {message}")
+        return DataError(prefixed(self.where, message))
 
     def key_value(self) -> tuple[str, str]:
         key, sep, value = self.text.partition("=")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomicio import make_dirs, write_text
+from .curves import check_unique_labels
 from .errors import DataError, located
 from .frozen import frozen_array
 from .mesh import Mesh, read_obj, write_obj
@@ -59,8 +60,7 @@ class Rig:
         n = self.neutral.vertex_count
         if len(self.visemes) != len(self.viseme_labels):
             raise DataError("one label per viseme mesh required")
-        if len(set(self.viseme_labels)) != len(self.viseme_labels):
-            raise DataError("viseme labels must be unique")
+        check_unique_labels(self.viseme_labels)
         if not self.visemes:
             raise DataError("rig needs at least one viseme")
         for label, m in zip(self.viseme_labels, self.visemes):

@@ -325,15 +325,15 @@ def test_fit_failing_clip_does_not_stop_the_others(
 
 
 def test_fit_warnings_name_clip_and_frame(scene_dir, tmp_path, caplog):
+    """Clip a is landmark-only (no frame image, no flow pair), so its missing
+    flow is no warning. Clip b has flow for its first pair, so the rest of its
+    pairs are missing: one warning names the clip and the first frame."""
     clips = _two_clips(scene_dir, tmp_path)
-    # clip b has flow for its first pair, so its first missing pair ends at frame 2
     write_flow_pair(np.zeros((8, 8, 2)), np.zeros((8, 8, 2)), clips / "b" / frame_flow_name(1))
     with caplog.at_level(logging.WARNING, logger="visemefit.fitting"):
         assert _fit_clips(scene_dir, clips, tmp_path / "out") == 0
     pairs = len(read_landmarks(clips / "a" / "landmarks.csv")) - 1
     assert sorted(r.getMessage() for r in caplog.records) == [
-        f"{clips / 'a'}: flow missing for {pairs} of {pairs} frame pairs, first at frame 1;"
-        " flow term skipped there",
         f"{clips / 'b'}: flow missing for {pairs - 1} of {pairs} frame pairs, first at frame 2;"
         " flow term skipped there",
     ]
@@ -342,7 +342,8 @@ def test_fit_warnings_name_clip_and_frame(scene_dir, tmp_path, caplog):
 def test_fit_warns_once_about_frames_with_no_data(scene_dir, clean_batch, tmp_path, caplog):
     """Clip a loses the landmark rows of frames 10-14 and has no frames or
     flow, so nothing observes those frames: one warning names the clip, the
-    count and the first of them. Clip b is untouched and fits as before."""
+    count and the first of them. Both clips are landmark-only, so neither
+    warns about missing flow. Clip b is untouched and fits as before."""
     clips = _two_clips(scene_dir, tmp_path)
     lm = clips / "a" / "landmarks.csv"
     rows = lm.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -353,14 +354,9 @@ def test_fit_warns_once_about_frames_with_no_data(scene_dir, clean_batch, tmp_pa
     with caplog.at_level(logging.WARNING, logger="visemefit.fitting"):
         assert _fit_clips(scene_dir, clips, tmp_path / "out") == 0
     frames = len(read_landmarks(clips / "b" / "landmarks.csv"))
-    pairs = frames - 1
-    assert sorted(r.getMessage() for r in caplog.records) == [
-        f"{clips / 'a'}: flow missing for {pairs} of {pairs} frame pairs, first at frame 1;"
-        " flow term skipped there",
+    assert [r.getMessage() for r in caplog.records] == [
         f"{clips / 'a'}: no landmark, image or flow data on 5 of {frames} frames,"
         " first at frame 10; only the guidance and temporal terms fit them",
-        f"{clips / 'b'}: flow missing for {pairs} of {pairs} frame pairs, first at frame 1;"
-        " flow term skipped there",
     ]
     for name in ("curve.csv", "poses.csv"):
         assert (tmp_path / "out" / "b" / name).read_bytes() == (
@@ -568,6 +564,10 @@ BAD_INPUTS = [
     pytest.param("fit", "config.txt", "focal=-1\n", "focal", id="config-focal-negative"),
     pytest.param("fit", "config.txt", "iters=250\niters=80\n", ":2: duplicate config key 'iters'",
                  id="config-duplicate-key"),
+    pytest.param("fit", "config.txt", "m=2\nn=3\n", "n=3 cannot exceed suppress rank m=2",
+                 id="config-n-over-m"),
+    pytest.param("fit", "config.txt", "radius=-1\n", "radius", id="config-radius-negative"),
+    pytest.param("fit", "config.txt", "tau_flow=0\n", "tau_flow", id="config-tau-flow-zero"),
     pytest.param("gen-proc", "rules.txt", "min_onset_ms=inf\n", "min_onset_ms",
                  id="rules-min-onset-inf"),
     pytest.param("gen-proc", "rules.txt", "onset_frac\n", "key=value", id="rules-no-equals"),

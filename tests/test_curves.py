@@ -20,7 +20,7 @@ def test_validation():
         Curve(fps=30.0, labels=LABELS, weights=np.zeros((2, 2)))
     with pytest.raises(DataError):
         Curve(fps=30.0, labels=LABELS, weights=np.full((2, 3), np.nan))
-    with pytest.raises(DataError, match="repeats viseme label 'MBP'"):
+    with pytest.raises(DataError, match="^repeated viseme label 'MBP'$"):
         Curve(fps=30.0, labels=("MBP", "SSS", "MBP"), weights=np.zeros((2, 3)))
 
 

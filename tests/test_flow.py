@@ -86,13 +86,6 @@ def test_screen_flow_drops_candidates_outside_grid():
     np.testing.assert_array_equal(idx, [1])
 
 
-def test_screen_flow_validates_inputs():
-    with pytest.raises(DataError):
-        screen_flow(np.zeros((4, 4, 2)), np.zeros((5, 4, 2)), np.zeros((1, 2)), tau=1.0)
-    with pytest.raises(DataError):
-        screen_flow(np.zeros((4, 4, 2)), np.zeros((4, 4, 2)), np.zeros((1, 2)), tau=0.0)
-
-
 @pytest.mark.parametrize(
     "blob",
     [

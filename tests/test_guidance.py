@@ -82,8 +82,4 @@ def test_guidance_validation():
     with pytest.raises(DataError):
         guidance_sets(w, 3, m=3, n=2, radius=1, eps_act=0.01)
     with pytest.raises(DataError):
-        guidance_sets(w, 0, m=1, n=2, radius=1, eps_act=0.01)
-    with pytest.raises(DataError):
-        guidance_sets(w, 0, m=3, n=2, radius=-1, eps_act=0.01)
-    with pytest.raises(DataError):
         guidance_sets(np.zeros(4), 0, m=3, n=2, radius=0, eps_act=0.01)

@@ -49,11 +49,6 @@ def test_envelope_monotone_rise(rng):
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def test_envelope_rejects_bad_duration():
-    with pytest.raises(DataError):
-        envelope(0.0, 0.0, RULE)
-
-
 def test_envelope_on_arrays_equals_per_frame_scalars(rng):
     """Seeded timelines whose first segment starts at 0 and whose last ends
     at the clip's end, so both ends clip a support. envelope on a segment's

@@ -112,6 +112,13 @@ def test_rig_validation(rng):
             Rig(neutral=neutral, visemes=visemes[:1], viseme_labels=("A",), lip_pairs=bad)
 
 
+def test_rig_names_its_repeated_label(rng):
+    """The label rule curves apply: the error names the first label repeated."""
+    rig = make_rig(rng)
+    with pytest.raises(DataError, match="^repeated viseme label 'MBP'$"):
+        Rig(neutral=rig.neutral, visemes=rig.visemes, viseme_labels=("SSS", "MBP", "MBP"))
+
+
 def test_bake_mesh_sequence(tiny_rig, rng):
     curve = Curve(
         fps=30.0,
