@@ -42,7 +42,6 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, lr: float)
 
 
 def learning_rate(iteration: int, lr0: float, decay_every: int, decay_factor: float) -> float:
-    """lr for a 0-based iteration index: lr0 * decay_factor ** (i // decay_every)."""
-    if decay_every <= 0:
-        return lr0
+    """lr for a 0-based iteration index: lr0 * decay_factor ** (i // decay_every),
+    with decay_every at least 1, as FitConfig makes it."""
     return lr0 * decay_factor ** (iteration // decay_every)

@@ -2,16 +2,17 @@
 
 Every file is written through atomic_path, by write_text, atomic_text or
 write_bytes. A failed write never leaves a partial file at the destination,
-and an OSError is reported as one DataError naming the destination;
-make_dirs reports a directory it cannot make the same way.
+and an OSError is reported through errors.file_access as one DataError
+naming the destination; make_dirs reports a directory it cannot make the
+same way.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
-from .errors import DataError
+from .errors import file_access
 
 
 @contextmanager
@@ -20,30 +21,20 @@ def atomic_path(path):
     path = str(path)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException as exc:
-        try:
+        with file_access("write", path):
+            yield tmp
+            os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
-        if isinstance(exc, OSError):
-            raise _cannot_write(path, exc) from None
         raise
 
 
 def make_dirs(path) -> None:
     """os.makedirs(path, exist_ok=True); an OSError is the DataError that a
     failed file write gives, naming path."""
-    try:
+    with file_access("write", path):
         os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise _cannot_write(path, exc) from None
-
-
-def _cannot_write(path, exc: OSError) -> DataError:
-    # an OSError's own text repeats the path; its strerror does not
-    return DataError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 @contextmanager

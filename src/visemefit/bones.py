@@ -157,10 +157,9 @@ def parse_bone_assets(text: str, source: str = "<bones>") -> BonePoseAssets:
     rows: dict[str, dict[str, tuple]] = {}
     bones: list[str] = []
     labels: list[str] = []
-    for line in split_records(text, source).rows("bone"):
-        cols = line.text.split(",")
-        if len(cols) != 12:
-            raise line.error(f"expected 12 columns, got {len(cols)}")
+    records = split_records(text, source)
+    for line in records.rows("bone"):
+        cols = line.cells(12)
         bone, label = cols[0].strip(), cols[1].strip()
         nums = tuple(line.numbers(cols[2:], _POSE_FIELDS))
         check_quat_norm(sum(v * v for v in nums[0:4]), line.error)
@@ -173,11 +172,11 @@ def parse_bone_assets(text: str, source: str = "<bones>") -> BonePoseAssets:
         if label != "rest" and label not in labels:
             labels.append(label)
     if not bones:
-        raise DataError(f"{source}: no bone poses")
+        raise records.error("no bone poses")
     for bone in bones:
         missing = [lab for lab in ["rest"] + labels if lab not in rows[bone]]
         if missing:
-            raise DataError(f"{source}: bone {bone!r} is missing poses {missing}")
+            raise records.error(f"bone {bone!r} is missing poses {missing}")
 
     def build(label: str) -> BonePose:
         data = np.array([rows[b][label] for b in bones])

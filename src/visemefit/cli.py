@@ -19,7 +19,7 @@ import time
 from .atomicio import atomic_text, make_dirs, write_text
 from .bones import read_bone_assets, serialize_blended_poses
 from .curves import read_curve, resample_curve, write_curve
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, UsageError, file_access
 from .evaluation import (
     keypoint_error,
     lip_distance_curves,
@@ -74,11 +74,9 @@ def _cmd_fit(args) -> int:
         jobs = [(args.align, args.obs, args.out)]
     else:
         # directory of clips: each subdirectory holds observations plus align.tsv
-        clips = sorted(
-            name
-            for name in os.listdir(args.obs)
-            if os.path.isdir(os.path.join(args.obs, name))
-        )
+        with file_access("read observation directory", args.obs):
+            names = os.listdir(args.obs)
+        clips = sorted(name for name in names if os.path.isdir(os.path.join(args.obs, name)))
         if not clips:
             raise DataError(f"{args.obs} holds neither observations nor clip directories")
         jobs = [
@@ -96,7 +94,7 @@ def _cmd_fit(args) -> int:
     for align, clip_dir, out_dir in jobs:
         try:
             total += _fit_one(rig, align, clip_dir, cfg, vmap, rules, args.fps, out_dir)
-        except (DataError, NumericError, OSError) as exc:
+        except (DataError, NumericError) as exc:
             if first_failure is None:
                 first_failure = exc
             else:
@@ -135,8 +133,12 @@ def _cmd_resample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    # every output is computed before --out is made, so a failing eval
-    # leaves no directory behind
+    # the flags are checked before any file is read, and every output is
+    # computed before --out is made, so a failing eval leaves no directory behind
+    if args.metric != "tv" and not args.rig:
+        raise UsageError(f"eval --metric {args.metric} needs --rig")
+    if args.metric == "keypoint" and not (args.obs and args.poses):
+        raise UsageError("eval --metric keypoint needs --obs and --poses")
     curve = read_curve(args.curve)
     frames = curve.frame_count
     if args.metric == "tv":
@@ -147,8 +149,6 @@ def _cmd_eval(args) -> int:
                    "lip_vertical.csv": serialize_metric(vert)}
     else:  # keypoint metric
         rig = load_rig_manifest(args.rig)
-        if not (args.obs and args.poses):
-            raise UsageError("eval --metric keypoint needs --obs and --poses")
         observations = read_landmarks(landmarks_path(args.obs))
         poses = read_poses(args.poses)
         subset = rig.mouth_landmark_ids if args.mouth_only else None
@@ -260,7 +260,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -102,11 +102,11 @@ def parse_curve(text: str, source: str = "<curve>") -> Curve:
     records = split_records(text, source)
     fps = records.header_number("fps")
     if fps is None:
-        raise DataError(f"{source}: missing '# fps=' comment")
+        raise records.error("missing '# fps=' comment")
     with located(records.header["fps"].where):
         check_fps(fps)
     if not records.body:
-        raise DataError(f"{source}: missing header row")
+        raise records.error("missing header row")
     header, *lines = records.body
     cols = header.text.split(",")
     if cols[0] != "frame":
@@ -118,9 +118,7 @@ def parse_curve(text: str, source: str = "<curve>") -> Curve:
     # so Curve keeps it rather than copying it
     weights = np.empty((len(lines), len(labels)))
     for j, line in enumerate(lines):
-        cols = line.text.split(",")
-        if len(cols) != len(labels) + 1:
-            raise line.error(f"expected {len(labels) + 1} columns, got {len(cols)}")
+        cols = line.cells(len(labels) + 1)
         if line.integer(cols[0], "frame") != j:
             raise line.error(f"frame {cols[0]} out of order, expected {j}")
         weights[j] = line.numbers(cols[1:], labels)

@@ -23,7 +23,7 @@ class UsageError(VisemefitError):
 
 def prefixed(where, message) -> str:
     """``"<where>: <message>"``, the one way an error message names where it
-    happened: located and records.Line.error build theirs with it."""
+    happened: located, file_access and the records errors build theirs with it."""
     return f"{where}: {message}"
 
 
@@ -37,3 +37,16 @@ def located(where):
         if where is None:
             raise
         raise type(exc)(prefixed(where, exc)) from None
+
+
+@contextmanager
+def file_access(action: str, path):
+    """The one rule for a failed OS call on a file: an OSError, or a
+    UnicodeDecodeError from a text file, raised inside comes out as
+    ``DataError("cannot <action> <path>: <reason>")``."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        # an OSError's own text repeats the path; its strerror does not
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataError(prefixed(f"cannot {action} {path}", reason)) from None

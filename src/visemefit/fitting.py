@@ -297,9 +297,7 @@ def parse_poses(text: str, source: str = "<poses>") -> list[Pose]:
     records = split_records(text, source)
     rows: list[list[float]] = []
     for line in records.rows("frame"):
-        cols = line.text.split(",")
-        if len(cols) != 8:
-            raise line.error(f"expected 8 columns, got {len(cols)}")
+        cols = line.cells(8)
         if line.integer(cols[0], "frame") != len(rows):
             raise line.error(f"frame {cols[0]} out of order, expected {len(rows)}")
         rows.append(line.numbers(cols[1:], _POSE_COLUMNS))
@@ -308,7 +306,7 @@ def parse_poses(text: str, source: str = "<poses>") -> list[Pose]:
     if not rows:
         return []
     if None in intrinsics:
-        raise DataError(f"{source}: needs '# focal=', '# cx=' and '# cy=' comments")
+        raise records.error("needs '# focal=', '# cx=' and '# cy=' comments")
     # every value is finite, so only the header's focal can be out of range
     with located(records.header["focal"].where):
         return [

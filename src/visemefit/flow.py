@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from .atomicio import write_bytes
-from .errors import DataError
+from .errors import DataError, file_access, located
 from .images import FileGrid, InBounds, bilinear_sample
 
 MAGIC = b"FLO1"
@@ -44,24 +44,20 @@ def write_flow_pair(forward: np.ndarray, backward: np.ndarray, path) -> None:
 def read_flow_pair(path) -> tuple[FileGrid, FileGrid]:
     """Forward and backward (H, W, 2) float32 grids of a flow file, checked
     against its header and size but not read."""
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            head = fh.read(12)
-    except OSError as exc:
-        raise DataError(f"cannot read flow {path}: {exc.strerror or exc}")
-    if size == 0:
-        raise DataError(f"{path}: empty flow file")
-    if head[:4] != MAGIC:
-        raise DataError(f"{path}: bad flow magic {head[:4]!r}")
-    if len(head) < 12:
-        raise DataError(f"{path}: truncated flow header")
-    w, h = struct.unpack("<II", head[4:12])
-    block = h * w * 2 * 4
-    if size != 12 + 2 * block:
-        raise DataError(
-            f"{path}: expected {12 + 2 * block} bytes for {w}x{h} grids, got {size}"
-        )
+    with file_access("read flow", path), open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+    with located(path):
+        if size == 0:
+            raise DataError("empty flow file")
+        if head[:4] != MAGIC:
+            raise DataError(f"bad flow magic {head[:4]!r}")
+        if len(head) < 12:
+            raise DataError("truncated flow header")
+        w, h = struct.unpack("<II", head[4:12])
+        block = h * w * 2 * 4
+        if size != 12 + 2 * block:
+            raise DataError(f"expected {12 + 2 * block} bytes for {w}x{h} grids, got {size}")
     return FileGrid(path, 12, (h, w, 2)), FileGrid(path, 12 + block, (h, w, 2))
 
 

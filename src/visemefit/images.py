@@ -21,7 +21,7 @@ import os
 import numpy as np
 
 from .atomicio import write_bytes
-from .errors import DataError
+from .errors import DataError, file_access, located, prefixed
 
 
 def quantize(values) -> np.ndarray:
@@ -46,13 +46,10 @@ def map_file(path, kind: str) -> mmap.mmap:
     are touched, and it keeps the map open for as long as it lives. Empty
     and unreadable files raise DataError (mmap cannot map an empty file).
     """
-    try:
-        with open(path, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size == 0:
-                raise DataError(f"{path}: empty {kind} file")
-            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    except OSError as exc:
-        raise DataError(f"cannot read {kind} {path}: {exc.strerror or exc}")
+    with file_access(f"read {kind}", path), open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:
+            raise DataError(prefixed(path, f"empty {kind} file"))
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
 
 class FileGrid:
@@ -61,8 +58,9 @@ class FileGrid:
 
     Nothing is read when a FileGrid is made. cells(index) preads the cells it
     is asked for, and np.asarray(grid) reads the whole block; each opens and
-    closes its own descriptor, so a grid holds no open file. A file cut short
-    after the grid was made is a DataError naming it when it is read.
+    closes its own descriptor, so a grid holds no open file. A file that is
+    gone or cut short after the grid was made is a DataError naming it when
+    it is read.
     """
 
     __slots__ = ("path", "offset", "shape")
@@ -76,16 +74,14 @@ class FileGrid:
 
     def _read(self, starts, cell_bytes: int) -> bytes:
         """cell_bytes bytes at each of the block offsets starts, joined."""
-        try:
+        with file_access("read grid", self.path):
             fd = os.open(self.path, os.O_RDONLY)
             try:
                 data = b"".join([os.pread(fd, cell_bytes, self.offset + at) for at in starts])
             finally:
                 os.close(fd)
-        except OSError as exc:
-            raise DataError(f"cannot read {self.path}: {exc.strerror or exc}")
         if len(data) != len(starts) * cell_bytes:
-            raise DataError(f"{self.path}: file ends inside its grid")
+            raise DataError(prefixed(self.path, "file ends inside its grid"))
         return data
 
     def cells(self, index: np.ndarray) -> np.ndarray:
@@ -109,39 +105,40 @@ class FileGrid:
 def read_ppm(path) -> np.ndarray:
     """Pixels of a binary PPM as a read-only (H, W, 3) uint8 view of the file."""
     blob = map_file(path, "image")
-    # header: magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments allowed between them
-    pos = 0
-    tokens = []
-    while len(tokens) < 4:
-        while pos < len(blob) and blob[pos] in b" \t\r\n":
-            pos += 1
-        if pos >= len(blob):
-            raise DataError(f"{path}: truncated PPM header")
-        if blob[pos : pos + 1] == b"#":
-            while pos < len(blob) and blob[pos] not in b"\r\n":
+    with located(path):
+        # header: magic, width, height, maxval as whitespace-separated tokens,
+        # with '#' comments allowed between them
+        pos = 0
+        tokens = []
+        while len(tokens) < 4:
+            while pos < len(blob) and blob[pos] in b" \t\r\n":
                 pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and blob[pos] not in b" \t\r\n":
-            pos += 1
-        tokens.append(blob[start:pos])
-    if tokens[0] != b"P6":
-        raise DataError(f"{path}: not a binary PPM (magic {tokens[0]!r})")
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise DataError(f"{path}: bad PPM dimensions")
-    if w < 1 or h < 1:
-        raise DataError(f"{path}: bad PPM dimensions {w}x{h}")
-    if maxval != 255:
-        raise DataError(f"{path}: only maxval 255 is supported, got {maxval}")
-    pos += 1  # single whitespace byte after maxval
-    need = w * h * 3
-    got = max(0, len(blob) - pos)
-    if got != need:
-        raise DataError(f"{path}: expected {need} pixel bytes, got {got}")
-    return np.frombuffer(blob, dtype=np.uint8, count=need, offset=pos).reshape(h, w, 3)
+            if pos >= len(blob):
+                raise DataError("truncated PPM header")
+            if blob[pos : pos + 1] == b"#":
+                while pos < len(blob) and blob[pos] not in b"\r\n":
+                    pos += 1
+                continue
+            start = pos
+            while pos < len(blob) and blob[pos] not in b" \t\r\n":
+                pos += 1
+            tokens.append(blob[start:pos])
+        if tokens[0] != b"P6":
+            raise DataError(f"not a binary PPM (magic {tokens[0]!r})")
+        try:
+            w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        except ValueError:
+            raise DataError("bad PPM dimensions")
+        if w < 1 or h < 1:
+            raise DataError(f"bad PPM dimensions {w}x{h}")
+        if maxval != 255:
+            raise DataError(f"only maxval 255 is supported, got {maxval}")
+        pos += 1  # single whitespace byte after maxval
+        need = w * h * 3
+        got = max(0, len(blob) - pos)
+        if got != need:
+            raise DataError(f"expected {need} pixel bytes, got {got}")
+        return np.frombuffer(blob, dtype=np.uint8, count=need, offset=pos).reshape(h, w, 3)
 
 
 @functools.lru_cache(maxsize=16)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, file_access, located
 from .flow import read_flow_pair
 from .frozen import frozen_array
 from .images import FileGrid, read_ppm
@@ -51,9 +51,7 @@ def parse_landmarks(text: str, source: str = "<landmarks>") -> dict[int, RawObse
     """Landmark CSV to {frame: RawObservation} (images left unset)."""
     per_frame: dict[int, dict[int, tuple[float, float, float]]] = {}
     for line in split_records(text, source).rows("frame"):
-        cols = line.text.split(",")
-        if len(cols) != 5:
-            raise line.error(f"expected 5 columns, got {len(cols)}")
+        cols = line.cells(5)
         frame = line.integer(cols[0], "frame")
         lid = line.integer(cols[1], "landmark_id")
         x, y, beta = line.numbers(cols[2:], ("x", "y", "beta"))
@@ -106,7 +104,9 @@ def _frame_numbers(obs_dir) -> list[int]:
     frame_image_name and frame_flow_name give, which are the ones loaded."""
     if not os.path.isdir(obs_dir):
         raise DataError(f"observation directory {obs_dir} does not exist")
-    return [int(stem) for name in os.listdir(obs_dir)
+    with file_access("read observation directory", obs_dir):
+        names = os.listdir(obs_dir)
+    return [int(stem) for name in names
             if (stem := os.path.splitext(name)[0]).isascii() and stem.isdigit()
             and name in (frame_image_name(int(stem)), frame_flow_name(int(stem)))]
 
@@ -158,8 +158,7 @@ class ObservationDir:
         if self._size is None:
             self._size = (h, w)
         elif self._size != (h, w):
-            raise DataError(
-                f"{self.path}: frame {frame}: {what} is {w}x{h}, but the clip's"
-                f" first raster is {self._size[1]}x{self._size[0]}"
-            )
+            with located(self.path), located(f"frame {frame}"):
+                raise DataError(f"{what} is {w}x{h}, but the clip's first raster"
+                                f" is {self._size[1]}x{self._size[0]}")
         return raster

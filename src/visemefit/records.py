@@ -11,18 +11,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DataError, prefixed
+from .errors import DataError, file_access, prefixed
 
 
 def read_text(path, what: str, encoding: str = "utf-8") -> str:
     """The text of ``path``; an unreadable or undecodable file is a one-line DataError."""
-    try:
-        with open(path, "r", encoding=encoding) as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        # an OSError's own text repeats the path; its strerror does not
-        reason = getattr(exc, "strerror", None) or exc
-        raise DataError(f"cannot read {what} {path}: {reason}") from None
+    with file_access(f"read {what}", path), open(path, "r", encoding=encoding) as fh:
+        return fh.read()
 
 
 class Line(NamedTuple):
@@ -38,6 +33,13 @@ class Line(NamedTuple):
 
     def error(self, message: str) -> DataError:
         return DataError(prefixed(self.where, message))
+
+    def cells(self, count: int) -> list[str]:
+        """The comma-separated cells of a row that must hold count of them."""
+        cols = self.text.split(",")
+        if len(cols) != count:
+            raise self.error(f"expected {count} columns, got {len(cols)}")
+        return cols
 
     def key_value(self) -> tuple[str, str]:
         key, sep, value = self.text.partition("=")
@@ -69,8 +71,13 @@ class Line(NamedTuple):
 class Records(NamedTuple):
     """A text file split into header values and numbered body lines."""
 
+    source: str
     header: dict[str, Line]
     body: list[Line]
+
+    def error(self, message: str) -> DataError:
+        """A whole-file error, named by its source as Line.error names a line."""
+        return DataError(prefixed(self.source, message))
 
     def header_number(self, key: str) -> float | None:
         """The finite float in ``# key=value``, or None when there is none."""
@@ -114,4 +121,4 @@ def split_records(text: str, source: str) -> Records:
                 header[key.strip()] = Line(source, lineno, value.strip())
             continue
         body.append(Line(source, lineno, line))
-    return Records(header, body)
+    return Records(source, header, body)

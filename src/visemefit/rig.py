@@ -193,11 +193,11 @@ def load_rig_manifest(path) -> Rig:
         else:
             raise line.error(f"unknown manifest key {key!r}")
     if neutral_path is None:
-        raise DataError(f"{path}: manifest has no neutral entry")
+        raise records.error("manifest has no neutral entry")
     if not viseme_paths:
-        raise DataError(f"{path}: manifest lists no visemes")
+        raise records.error("manifest lists no visemes")
     if (lip_h is None) != (lip_v is None):
-        raise DataError(f"{path}: lip_horizontal and lip_vertical must both be given")
+        raise records.error("lip_horizontal and lip_vertical must both be given")
     # read outside located(path): a mesh error names the mesh's own file
     neutral, *visemes = [read_obj(p) for p in [neutral_path, *viseme_paths]]
     with located(path):

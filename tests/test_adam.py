@@ -28,7 +28,6 @@ def test_learning_rate_schedule_table():
     assert learning_rate(9, 0.1, 10, 0.9) == 0.1
     assert learning_rate(10, 0.1, 10, 0.9) == pytest.approx(0.09)
     assert learning_rate(25, 0.1, 10, 0.9) == pytest.approx(0.1 * 0.9**2)
-    assert learning_rate(100, 0.1, 0, 0.9) == 0.1  # decay disabled
 
 
 def test_rejects_non_finite_gradient():

@@ -88,6 +88,22 @@ def test_usage_errors_exit_1(scene_dir, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # eval's lip and keypoint metrics need --rig, and keypoint also --obs and
+    # --poses: each is checked before any file is read, so the missing curve
+    # is never opened
+    curve = str(scene_dir / "absent.csv")
+    for metric, extra, message in (
+        ("lip", [], "eval --metric lip needs --rig"),
+        ("keypoint", ["--obs", str(scene / "obs"), "--poses", curve],
+         "eval --metric keypoint needs --rig"),
+        ("keypoint", ["--rig", str(scene / "rig" / "rig.txt")],
+         "eval --metric keypoint needs --obs and --poses"),
+    ):
+        code = main(["eval", "--metric", metric, "--curve", curve, *extra,
+                     "--out", str(scene_dir / "nope")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (scene_dir / "nope").exists()
 
 
 def test_help_exits_0():
@@ -524,6 +540,64 @@ def test_write_into_a_missing_directory_names_the_file(scene_dir, tmp_path, caps
     reason = "No such file or directory" if missing.startswith("missing") else "Not a directory"
     assert capsys.readouterr().err.splitlines() == [f"error: cannot write {s / named}: {reason}"]
     assert sorted(s.rglob("*")) == before
+
+
+# (command, input flag, what its reader calls the file): one input of every
+# command, given as a path that is missing and as a directory
+READ_FAILURES = [
+    pytest.param(command, flag, what, kind, id=f"{kind}-{command}")
+    for command, flag, what in (
+        ("gen-proc", "--align", "alignment"), ("fit", "--config", "config"),
+        ("bake", "--rig", "rig manifest"), ("bones", "--bones", "bone assets"),
+        ("resample", "--curve", "curve"), ("eval", "--poses", "poses"),
+        ("eval-lip", "--curve", "curve"),
+    )
+    for kind in ("missing", "dir")
+]
+
+
+@pytest.mark.parametrize("command, flag, what, kind", READ_FAILURES)
+def test_read_of_a_missing_or_directory_input_names_the_file(scene_dir, tmp_path, capsys,
+                                                             command, flag, what, kind):
+    """A failed read exits 2 with one line that names what was read, the
+    path asked for and the reason, and writes nothing. synth reads no input."""
+    s = _scene_with_poses(scene_dir, tmp_path)
+    path = s / "input"
+    if kind == "dir":
+        path.mkdir()
+    argv = _probe_argv(command, s, "30")
+    argv[argv.index(flag) + 1] = str(path)
+    before = sorted(s.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    reason = "No such file or directory" if kind == "missing" else "Is a directory"
+    assert capsys.readouterr().err.splitlines() == [f"error: cannot read {what} {path}: {reason}"]
+    assert sorted(s.rglob("*")) == before
+
+
+def test_fit_clip_that_cannot_be_listed_fails_as_its_clip(
+    scene_dir, clean_batch, tmp_path, capsys, monkeypatch
+):
+    """A clip directory whose listing fails (made to fail here, since a
+    superuser may list any directory) fails with the one-line read form; the
+    other clip is still fitted and written."""
+    clips = _two_clips(scene_dir, tmp_path)
+    listdir = os.listdir
+
+    def denied(path):
+        if os.fspath(path) == str(clips / "a"):
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return listdir(path)
+
+    monkeypatch.setattr(os, "listdir", denied)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _fit_clips(scene_dir, clips, out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot read observation directory {clips / 'a'}: Permission denied"
+    ]
+    assert _tree(out) == {name: data for name, data in _tree(clean_batch[1]).items()
+                          if name.startswith("b/")}
 
 
 def _probe_argv(command, s, fps):
@@ -1166,6 +1240,25 @@ def test_fit_frame_of_another_size_exits_2_naming_the_frame(raster_scene, capsys
     assert capsys.readouterr().err.splitlines() == [
         f"error: {s / 'obs'}: frame 2: {what} is {w // 2}x{2 * h},"
         f" but the clip's first raster is {w}x{h}"
+    ]
+
+
+@pytest.mark.parametrize("name, what", [(frame_image_name(2), "image"),
+                                        (frame_flow_name(2), "flow")])
+def test_fit_frame_file_that_is_a_directory_exits_2_naming_it(raster_scene, capsys, name, what):
+    s, _ = raster_scene
+    path = s / "obs" / name
+    original = path.read_bytes()
+    path.unlink()
+    path.mkdir()
+    try:
+        capsys.readouterr()
+        assert main(_probe_argv("fit", s, "30")) == 2
+    finally:
+        path.rmdir()
+        path.write_bytes(original)
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot read {what} {path}: Is a directory"
     ]
 
 

@@ -192,3 +192,13 @@ def test_flow_file_cut_short_after_it_was_read_fails_when_sampled(rng, tmp_path)
         bilinear_sample(bwd, np.array([[4.0, 3.0]]))
     with pytest.raises(DataError, match=re.escape(str(p))):
         np.asarray(bwd)
+
+
+def test_flow_file_removed_after_it_was_read_fails_when_sampled(rng, tmp_path):
+    p = tmp_path / "f.flo"
+    write_flow_pair(rng.normal(0, 1, (4, 5, 2)), rng.normal(0, 1, (4, 5, 2)), p)
+    fwd, _ = read_flow_pair(p)
+    p.unlink()
+    with pytest.raises(DataError) as info:
+        bilinear_sample(fwd, np.array([[1.0, 2.0]]))
+    assert str(info.value) == f"cannot read grid {p}: No such file or directory"
