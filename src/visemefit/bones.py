@@ -203,7 +203,7 @@ def serialize_blended_poses(assets: BonePoseAssets, curve, out) -> None:
     fmt = ",".join(["%.6f"] * len(_POSE_FIELDS))
     out.write("frame,bone," + ",".join(_POSE_FIELDS) + "\n")
     for start, block in blocks:
-        rot, t, s = _blend(assets, block.weights, first_frame=start)
+        rot, t, s = _blend(assets, block, first_frame=start)
         # the normalization BonePose applies to what blend_bone_pose returns
         rot = _unit_rows(rot)
         rows = np.concatenate([rot, t, s], axis=2).tolist()

@@ -64,28 +64,20 @@ class Curve:
     def frame_count(self) -> int:
         return self.weights.shape[0]
 
-    def _columns(self, labels) -> list[int]:
+    def blocks(self, labels):
+        """How every consumer binds the curve's columns to its visemes: the
+        columns named by labels, in that order, as (first frame, weights)
+        pairs, where weights holds the (k, len(labels)) rows of FRAME_BLOCK
+        frames (the last block may be shorter). Columns not named are
+        ignored; a missing one raises DataError here, before the first block
+        is made."""
         missing = [lab for lab in labels if lab not in self.labels]
         if missing:
             with located(self.source):
                 raise DataError(f"curve is missing viseme columns {missing}")
-        return [self.labels.index(lab) for lab in labels]
-
-    def weights_for(self, labels) -> np.ndarray:
-        """The columns named by labels, in that order, as a new (frames,
-        len(labels)) float64 array: how every consumer binds columns to its
-        visemes. Columns not named are ignored; a missing one is a DataError."""
-        return self.weights[:, self._columns(labels)]
-
-    def blocks(self, labels):
-        """The curve as (first frame, Curve) pairs of FRAME_BLOCK frames each
-        (the last may be shorter), each holding the columns named by labels in
-        that order, bound as weights_for binds them. A missing column raises
-        here, before the first block is made."""
-        columns = self._columns(labels)
+        columns = [self.labels.index(lab) for lab in labels]
         return (
-            (start, Curve(self.fps, labels, self.weights[start : start + FRAME_BLOCK, columns],
-                          self.source))
+            (start, self.weights[start : start + FRAME_BLOCK, columns])
             for start in range(0, self.frame_count, FRAME_BLOCK)
         )
 

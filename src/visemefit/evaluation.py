@@ -3,7 +3,8 @@
 keypoint_error reports per-frame mean pixel distance between projected bound
 vertices and observed landmarks. lip_distance_curves tracks the horizontal
 and vertical lip openings on the baked mesh in model units. Both bind the
-curve's columns to the rig's visemes by label. total_variation sums absolute
+curve's columns to the rig's visemes by label through Curve.blocks and walk
+the bound rows one frame at a time. total_variation sums absolute
 frame-to-frame weight changes per viseme.
 """
 
@@ -51,16 +52,16 @@ def keypoint_error(rig: Rig, curve: Curve, poses, observations, subset=None,
         with located(curve.source), located(poses_source):
             raise DataError(f"curve has {n} frames but only {len(poses)} poses")
     wanted = None if subset is None else frozenset(int(i) for i in subset)
-    weights = curve.weights_for(rig.viseme_labels)
+    bound = (w for _, block in curve.blocks(rig.viseme_labels) for w in block)
     values = np.zeros(n)
-    for j in range(n):
+    for j, w in enumerate(bound):
         with located(f"frame {j}"):
             obs = observations.get(j)
             rows, verts = rig.landmark_rows(() if obs is None else obs.landmark_ids, wanted)
             if not rows.size:
                 raise DataError("no observed landmarks for any bound id")
             pose: Pose = poses[j]
-            shaped = blend_vertices(rig, weights[j])
+            shaped = blend_vertices(rig, w)
             proj = project(shaped[verts], pose)
             # a finite but huge landmark or projection overflows to inf;
             # report the frame instead of a numpy warning
@@ -78,12 +79,12 @@ def lip_distance_curves(rig: Rig, curve: Curve) -> tuple[MetricSeries, MetricSer
         with located(rig.source):
             raise DataError("rig manifest declares no lip pairs")
     (ha, hb), (va, vb) = rig.lip_pairs
-    weights = curve.weights_for(rig.viseme_labels)
+    bound = (w for _, block in curve.blocks(rig.viseme_labels) for w in block)
     n = curve.frame_count
     horiz = np.zeros(n)
     vert = np.zeros(n)
-    for j in range(n):
-        shaped = blend_vertices(rig, weights[j])
+    for j, w in enumerate(bound):
+        shaped = blend_vertices(rig, w)
         horiz[j] = abs(shaped[ha, 0] - shaped[hb, 0])
         vert[j] = abs(shaped[va, 1] - shaped[vb, 1])
     return (

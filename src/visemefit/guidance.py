@@ -24,17 +24,11 @@ class GuidanceSets:
 def top_k(values, k: int, eps: float) -> list[int]:
     """Indices of the k largest entries not below eps, ties to the lower index."""
     v = np.asarray(values, dtype=np.float64)
-    if k <= 0:
-        return []
-    # lexsort's last key dominates: sort by value descending, index ascending
+    # lexsort's last key dominates: sort by value descending, index ascending,
+    # so the entries not below eps are a prefix of the order
     order = np.lexsort((np.arange(len(v)), -v))
-    out = []
-    for i in order:
-        if v[i] >= eps:
-            out.append(int(i))
-            if len(out) == k:
-                break
-    return out
+    count = int(np.count_nonzero(v >= eps))
+    return order[:max(0, min(k, count))].tolist()
 
 
 def guidance_sets(

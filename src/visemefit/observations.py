@@ -18,6 +18,7 @@ from .flow import read_flow_pair
 from .frozen import frozen_array
 from .images import FileGrid, read_ppm
 from .records import read_text, split_records
+from .timeline import MAX_FRAMES
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +58,8 @@ def parse_landmarks(text: str, source: str = "<landmarks>") -> dict[int, RawObse
         x, y, beta = line.numbers(cols[2:], ("x", "y", "beta"))
         if frame < 0:
             raise line.error("negative frame index")
+        if frame >= MAX_FRAMES:
+            raise line.error(f"frame index {frame} is over the limit of {MAX_FRAMES} frames")
         if beta <= 0:
             raise line.error("beta must be positive")
         rows = per_frame.setdefault(frame, {})

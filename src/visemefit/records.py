@@ -62,10 +62,15 @@ class Line(NamedTuple):
         return [self.number(c, name) for c, name in zip(cells, names, strict=True)]
 
     def integer(self, cell: str, name: str) -> int:
+        """``cell`` as an integer that fits int64, the type every parsed
+        index and id is stored in; errors name the key or column."""
         try:
-            return int(cell)
+            value = int(cell)
         except ValueError:
             raise self.error(f"{name} is not an integer: {cell.strip()!r}") from None
+        if not -(2**63) <= value < 2**63:
+            raise self.error(f"{name} is out of range: {cell.strip()!r}")
+        return value
 
 
 class Records(NamedTuple):

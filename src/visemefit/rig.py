@@ -1,8 +1,8 @@
 """Blendshape rigs: a neutral mesh plus one target mesh per viseme.
 
 Blending is linear in the per-viseme vertex deltas. Weight vectors are plain
-float arrays of length V ordered like ``viseme_labels``; a curve's columns
-are bound to that order by label (``Curve.weights_for``).
+float arrays of length V ordered like ``viseme_labels``; ``Curve.blocks``,
+the one binder, binds a curve's columns to that order by label.
 """
 
 from __future__ import annotations
@@ -115,18 +115,11 @@ class Rig:
             raise DataError(f"rig has no viseme labeled {label!r}")
 
 
-def check_weights(rig: Rig, weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if w.shape[0] != rig.viseme_count:
-        raise DataError(f"weight vector has {w.shape[0]} entries, rig has {rig.viseme_count} visemes")
-    return w
-
-
 def blend_vertices(rig: Rig, weights) -> np.ndarray:
-    """Neutral vertices plus the weighted sum of viseme deltas, shape (N, 3)."""
-    w = check_weights(rig, weights)
+    """Neutral vertices plus the weighted sum of viseme deltas, shape (N, 3);
+    weights is one float64 row ordered like the rig's visemes."""
     flat = rig.deltas.reshape(rig.viseme_count, -1)
-    return rig.neutral.vertices + (w @ flat).reshape(-1, 3)
+    return rig.neutral.vertices + (weights @ flat).reshape(-1, 3)
 
 
 def blend_mesh(rig: Rig, weights) -> Mesh:
@@ -138,10 +131,10 @@ def blend_mesh(rig: Rig, weights) -> Mesh:
     )
 
 
-def bake_mesh_sequence(rig: Rig, curve) -> list[Mesh]:
-    """One blended mesh per curve frame, the curve's columns bound to the
-    rig's visemes by label."""
-    return [blend_mesh(rig, w) for w in curve.weights_for(rig.viseme_labels)]
+def bake_mesh_sequence(rig: Rig, weights) -> list[Mesh]:
+    """One blended mesh per row of weights (frames, V), as Curve.blocks binds
+    a curve to the rig's visemes."""
+    return [blend_mesh(rig, w) for w in weights]
 
 
 def _parse_pair(line, key: str, value: str) -> tuple[int, int]:

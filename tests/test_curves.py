@@ -24,25 +24,29 @@ def test_validation():
         Curve(fps=30.0, labels=("MBP", "SSS", "MBP"), weights=np.zeros((2, 3)))
 
 
-def test_weights_for_binds_columns_by_label(rng):
+def _bound(curve, labels):
+    """Every row Curve.blocks binds, joined into one (frames, len(labels)) array."""
+    return np.concatenate([w for _, w in curve.blocks(labels)])
+
+
+def test_blocks_bind_columns_by_label(rng):
     c = make_curve(rng, n=4)
-    np.testing.assert_array_equal(c.weights_for(LABELS), c.weights)
+    np.testing.assert_array_equal(_bound(c, LABELS), c.weights)
     # any order, any subset; unnamed columns are ignored
-    np.testing.assert_array_equal(c.weights_for(("WWW", "MBP")), c.weights[:, [2, 0]])
-    w = c.weights_for(("SSS",))
+    np.testing.assert_array_equal(_bound(c, ("WWW", "MBP")), c.weights[:, [2, 0]])
+    w = _bound(c, ("SSS",))
     assert w.shape == (4, 1) and w.dtype == np.float64
     with pytest.raises(DataError, match=r"curve is missing viseme columns \['V04'\]"):
-        c.weights_for(("MBP", "V04"))
+        c.blocks(("MBP", "V04"))
 
 
-def test_blocks_bind_like_weights_for(rng):
+def test_blocks_split_the_bound_rows_into_frame_blocks(rng):
     c = make_curve(rng, n=130)
     labels = ("WWW", "MBP")
     blocks = list(c.blocks(labels))
     assert [start for start, _ in blocks] == [0, 64, 128]
-    assert all(b.labels == labels and b.fps == c.fps for _, b in blocks)
-    np.testing.assert_array_equal(np.concatenate([b.weights for _, b in blocks]),
-                                  c.weights_for(labels))
+    assert [w.shape for _, w in blocks] == [(64, 2), (64, 2), (2, 2)]
+    np.testing.assert_array_equal(_bound(c, labels), c.weights[:, [2, 0]])
     assert list(make_curve(rng, n=0).blocks(labels)) == []
     # a missing column raises when the blocks are asked for, not when the
     # first one is made

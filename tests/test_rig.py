@@ -9,7 +9,6 @@ from visemefit.rig import (
     bake_mesh_sequence,
     blend_mesh,
     blend_vertices,
-    check_weights,
     default_viseme_labels,
     load_rig_manifest,
     write_rig,
@@ -55,11 +54,6 @@ def test_blend_mesh_keeps_topology_and_colors(tiny_rig):
     # shared, not copied: every baked mesh of a clip carries the same arrays
     assert m.triangles is tiny_rig.neutral.triangles
     assert m.colors is tiny_rig.neutral.colors
-
-
-def test_check_weights_rejects_wrong_length(tiny_rig):
-    with pytest.raises(DataError):
-        check_weights(tiny_rig, np.zeros(tiny_rig.viseme_count + 1))
 
 
 def test_deltas_match_mesh_differences_and_are_readonly(tiny_rig):
@@ -125,14 +119,16 @@ def test_bake_mesh_sequence(tiny_rig, rng):
         labels=tiny_rig.viseme_labels,
         weights=rng.uniform(0, 1, (4, tiny_rig.viseme_count)),
     )
-    seq = bake_mesh_sequence(tiny_rig, curve)
-    assert len(seq) == 4
+    [(start, weights)] = curve.blocks(tiny_rig.viseme_labels)
+    seq = bake_mesh_sequence(tiny_rig, weights)
+    assert start == 0 and len(seq) == 4
     np.testing.assert_allclose(
         seq[2].vertices, blend_vertices(tiny_rig, curve.weights[2]), atol=1e-12
     )
+    # a curve without the rig's columns fails when bound, before any bake
     bad = Curve(fps=30.0, labels=("A", "B"), weights=np.zeros((2, 2)))
     with pytest.raises(DataError):
-        bake_mesh_sequence(tiny_rig, bad)
+        bad.blocks(tiny_rig.viseme_labels)
 
 
 def _write_rig_files(rig, dirpath):

@@ -10,7 +10,9 @@ the workload classes of ``perfbench/run.py``, so they are the benchmark's own:
 
 - ``synth`` seeds 7 and 11 at 12 frames (``clip_full``'s set-up), and
   ``synth --seed 7 --ambiguous``;
-- ``clip_full``'s ``fit`` of both 12-frame scenes;
+- ``clip_full``'s ``fit`` of both 12-frame scenes, and ``eval --metric
+  keypoint`` of each fit against its scene, with and without
+  ``--mouth-only``;
 - ``clips_batch`` at seed 7 and 12 frames: its inputs fitted in directory
   mode with ``--workers 2``;
 - the stderr of each of those fits, with the scratch directory replaced by
@@ -89,6 +91,12 @@ def digests(work: str):
         yield f"synth --seed {seed} --frames 12", tree_digest(scene)
         yield f"fit seed {seed}", tree_digest(out)
         yield f"fit seed {seed} stderr", hashlib.sha256(err.encode()).hexdigest()
+        for flags in ([], ["--mouth-only"]):
+            metrics = os.path.join(work, f"keypoint{seed}{len(flags)}")
+            run("cli", ["eval", "--metric", "keypoint", "--curve", f"{out}/curve.csv",
+                        "--rig", f"{scene}/rig/rig.txt", "--obs", f"{scene}/obs",
+                        "--poses", f"{out}/poses.csv", *flags, "--out", metrics], work)
+            yield " ".join(["eval --metric keypoint", *flags, f"seed {seed}"]), tree_digest(metrics)
         shutil.rmtree(scene)
 
     scene = os.path.join(work, "ambiguous")
