@@ -46,7 +46,8 @@ IMAGE_SIZE = 1024
 FOCAL = 1200.0
 DEPTH = 2.5
 BACKGROUND = np.array([0.2, 0.25, 0.3])
-# Gaussian splats of the color frames and of the flow grids (see _splat)
+# Gaussian splats of the color frames and of the flow grids: _splat computes
+# the covered pixels, and write_scene paints them onto three reused _Canvas grids
 FRAME_SPLAT = {"sigma": 2.5, "window": 10, "bg_value": BACKGROUND, "bg_weight": 3e-4}
 FLOW_SPLAT = {"sigma": 3.0, "window": 12, "bg_value": (0.0, 0.0), "bg_weight": 1e-6}
 
@@ -354,13 +355,15 @@ def build_scene(
     )
 
 
-def _splat(points, values, size, sigma, window, bg_value, bg_weight, encode):
-    """Normalized Gaussian splat of per-point values onto a square grid, as a
-    (size, size, C) array of encode(float64 values).
+def _splat(points, values, size, sigma, window, bg_value, bg_weight):
+    """Normalized Gaussian splat of per-point values onto a square grid, on the
+    covered pixels only: the ascending flat indices of the pixels inside some
+    point's window, and their (pixels, C) float64 values.
 
-    Only pixels inside some point's window are computed, in float64 and point
-    order as a dense accumulation would; the rest copy the encoded bytes of
-    (bg_value * bg_weight) / bg_weight."""
+    Each value is summed in float64 and in a dense accumulation's order: the
+    pixel's background term (bg_value * bg_weight, weight bg_weight) first,
+    then its windows in point order. A _Canvas paints them over the
+    background."""
     p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     # first covered pixel and pixel count of each window along x and y
     lo = np.maximum(0.0, np.ceil(p - window))
@@ -372,19 +375,47 @@ def _splat(points, values, size, sigma, window, bg_value, bg_weight, encode):
     d2 = (cells - p[:, None, :]) ** 2
     w = np.exp(-(d2[:, None, :, 0] + d2[:, :, None, 1]) * (1.0 / (2.0 * sigma * sigma)))
     mask = (steps < count[:, 1:])[:, :, None] & (steps < count[:, :1])[:, None, :]  # point, y, x
-    flat = cells[:, :, None, 1] * size + cells[:, None, :, 0]
-    pixels, slot = np.unique(flat[mask], return_inverse=True)
+    flat = (cells[:, :, None, 1] * size + cells[:, None, :, 0])[mask]
+    # np.unique(flat, return_inverse=True), cheaper: a stable sort merges the windows' ascending rows
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    new = np.diff(flat, prepend=-1) > 0  # a pixel's first cell; pixel indices are never negative
+    pixels = flat[new]
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(new) - 1
+    w = w[mask]
     vals = np.asarray(values, dtype=np.float64)[inside]
-    terms = [w[mask], *(w[..., None] * vals[:, None, None, :])[mask].T]
-    bg = np.asarray(bg_value, dtype=np.float64) * bg_weight
-    # bincount adds in input order: each pixel's background term, then its windows in point order
-    slot = np.concatenate([np.arange(len(pixels)), slot])
-    starts = [np.full(len(pixels), b) for b in (bg_weight, *bg)]
-    sums = np.stack([np.bincount(slot, np.concatenate(pair)) for pair in zip(starts, terms)], axis=1)
-    fill = encode((bg / bg_weight)[None])
-    grid = np.frombuffer(bytearray(fill.tobytes()) * size**2, dtype=fill.dtype).reshape(size**2, -1)
-    grid[pixels] = encode(sums[:, 1:] / sums[:, :1])
-    return grid.reshape(size, size, -1)
+    terms = np.repeat(vals.T, mask.sum(axis=(1, 2)), axis=1) * w  # (channel, covered cell)
+    # each pixel's background term first, then its windows in point order, as the dense sum adds them;
+    # np.add.at adds unbuffered, in index order
+    sums = np.empty((1 + len(terms), len(pixels)))
+    sums[:] = np.r_[bg_weight, np.asarray(bg_value, dtype=np.float64) * bg_weight][:, None]
+    for row, term in zip(sums, [w, *terms]):
+        np.add.at(row, slot, term)
+    return pixels, (sums[1:] / sums[0]).T
+
+
+class _Canvas:
+    """A square (size, size, C) grid of encode(values) cells, allocated once as
+    the encoded background and painted with one splat at a time."""
+
+    def __init__(self, size, bg_value, encode):
+        self.encode = encode
+        fill = encode(np.asarray(bg_value, dtype=np.float64)[None])
+        self.grid = np.frombuffer(bytearray(fill.tobytes()) * size**2, dtype=fill.dtype).reshape(size, size, -1)
+        # one void item per cell, so a row of C channels moves as one value
+        cell = np.dtype((np.void, fill.nbytes))
+        self.cells = self.grid.reshape(-1).view(cell)
+        self.background = fill.view(cell)[0, 0]
+        self.painted = np.zeros(0, dtype=np.int64)
+
+    def paint(self, pixels, values) -> np.ndarray:
+        """The grid with the background back on the last splat's pixels and
+        these pixels' values encoded; the next paint reuses it."""
+        self.cells[self.painted] = self.background
+        self.cells[pixels] = np.ascontiguousarray(self.encode(values)).view(self.cells.dtype).reshape(-1)
+        self.painted = pixels
+        return self.grid
 
 
 def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
@@ -409,15 +440,19 @@ def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
 
     if scene.write_rasters:
         colors = rig.neutral.colors
+        frame = _Canvas(IMAGE_SIZE, FRAME_SPLAT["bg_value"], quantize)
+        fwd, bwd = (_Canvas(IMAGE_SIZE, FLOW_SPLAT["bg_value"], flow_cells) for _ in range(2))
         prev_proj = None
         for j, proj in enumerate(scene.projections):
-            img = _splat(proj, colors, IMAGE_SIZE, encode=quantize, **FRAME_SPLAT)
+            img = frame.paint(*_splat(proj, colors, IMAGE_SIZE, **FRAME_SPLAT))
             write_ppm(img, os.path.join(obs_dir, frame_image_name(j)))
             if j > 0:
                 disp = proj - prev_proj
-                fwd = _splat(prev_proj, disp, IMAGE_SIZE, encode=flow_cells, **FLOW_SPLAT)
-                bwd = _splat(proj, -disp, IMAGE_SIZE, encode=flow_cells, **FLOW_SPLAT)
-                write_flow_pair(fwd, bwd, os.path.join(obs_dir, frame_flow_name(j)))
+                write_flow_pair(
+                    fwd.paint(*_splat(prev_proj, disp, IMAGE_SIZE, **FLOW_SPLAT)),
+                    bwd.paint(*_splat(proj, -disp, IMAGE_SIZE, **FLOW_SPLAT)),
+                    os.path.join(obs_dir, frame_flow_name(j)),
+                )
             prev_proj = proj
 
     return {

@@ -1,9 +1,12 @@
-"""The asset commands' memory does not grow with the take.
+"""The asset commands' memory does not grow with the take, and synth's is
+its three canvases.
 
 bake and bones work in blocks of frames, so under tracemalloc each command's
 Python-heap peak may exceed read_curve's own peak on the same curve by no
 more than a block's worth plus the rig or bone assets, whatever the curve's
 length. read_curve fills one array in place, without a list per row.
+write_scene paints every frame and flow grid onto three canvases allocated
+once per scene, so its peak is those plus one splat's temporaries.
 """
 
 import gc
@@ -15,12 +18,15 @@ import numpy as np
 from visemefit.cli import main
 from visemefit.curves import read_curve, resample_curve, write_curve
 from visemefit.rig import write_rig
-from visemefit.synthetic import build_scene
+from visemefit.synthetic import IMAGE_SIZE, build_scene, write_scene
 
 # a 3,600-frame take: the scene's 15 s ground-truth curve at 240 fps
 SECONDS, FPS_OUT = 15, 240.0
 EXCESS_KB = 512
 READ_CURVE_KB = 3500
+# write_scene's canvases: a frame of 3 bytes a pixel and two flow grids of 8
+CANVASES_MB = IMAGE_SIZE**2 * (3 + 8 + 8) / 1e6
+WRITE_SCENE_EXCESS_MB = 8
 
 
 def _peak_kb(fn) -> float:
@@ -70,3 +76,11 @@ def test_bake_and_bones_peak_memory_does_not_grow_with_the_take(tmp_path):
     assert read_kb < READ_CURVE_KB, f"read_curve peaked at {read_kb:.0f} KB"
     assert bake_kb - read_kb < EXCESS_KB, f"bake {bake_kb:.0f} KB, read_curve {read_kb:.0f} KB"
     assert bones_kb - read_kb < EXCESS_KB, f"bones {bones_kb:.0f} KB, read_curve {read_kb:.0f} KB"
+
+
+def test_write_scene_peak_memory_is_its_three_canvases(tmp_path):
+    scene = build_scene(seed=7, n_frames=3)
+    peak_mb = _peak_kb(lambda: write_scene(scene, tmp_path)) * 1024 / 1e6
+    assert peak_mb <= CANVASES_MB + WRITE_SCENE_EXCESS_MB, (
+        f"write_scene peaked at {peak_mb:.1f} MB, canvases {CANVASES_MB:.1f} MB"
+    )

@@ -16,6 +16,7 @@ from visemefit.synthetic import (
     IMAGE_SIZE,
     MOUTH_LANDMARK_IDS,
     SILENCE_TOKENS,
+    _Canvas,
     _splat,
     build_scene,
     write_scene,
@@ -175,6 +176,11 @@ def _point_sets():
 POINT_SETS = _point_sets()
 
 
+def _painted(points, values, encode, params):
+    """A fresh SIZE x SIZE canvas painted with one splat."""
+    return _Canvas(SIZE, params["bg_value"], encode).paint(*_splat(points, values, SIZE, **params))
+
+
 @pytest.mark.parametrize("name", list(POINT_SETS))
 def test_splat_writes_the_dense_oracles_bytes(name, tmp_path):
     """Frames and flow splatted on the covered pixels only are byte-identical
@@ -184,21 +190,39 @@ def test_splat_writes_the_dense_oracles_bytes(name, tmp_path):
     colors = rng.uniform(-0.1, 1.1, (len(points), 3))  # includes values the bytes clip
     disp = rng.normal(0.0, 3.0, (len(points), 2))
     new, old = tmp_path / "new", tmp_path / "old"
-    write_ppm(_splat(points, colors, SIZE, encode=quantize, **FRAME_SPLAT), new)
+    write_ppm(_painted(points, colors, quantize, FRAME_SPLAT), new)
     write_ppm(dense_splat(points, colors, SIZE, **FRAME_SPLAT), old)
     assert new.read_bytes() == old.read_bytes()
     pairs = ((points, disp), (points + disp, -disp))
-    write_flow_pair(*(_splat(at, d, SIZE, encode=flow_cells, **FLOW_SPLAT) for at, d in pairs), new)
+    write_flow_pair(*(_painted(at, d, flow_cells, FLOW_SPLAT) for at, d in pairs), new)
     write_flow_pair(*(dense_splat(at, d, SIZE, **FLOW_SPLAT) for at, d in pairs), old)
     assert new.read_bytes() == old.read_bytes()
     # the float64 values before encoding agree bit for bit too
     for params, vals in ((FRAME_SPLAT, colors), (FLOW_SPLAT, disp)):
         dense = dense_splat(points, vals, SIZE, **params)
-        np.testing.assert_array_equal(_splat(points, vals, SIZE, encode=np.asarray, **params), dense)
+        np.testing.assert_array_equal(_painted(points, vals, np.asarray, params), dense)
     if name in ("only-outside", "empty"):  # every pixel is background
-        frame = _splat(points, colors, SIZE, encode=quantize, **FRAME_SPLAT)
+        frame = _painted(points, colors, quantize, FRAME_SPLAT)
         assert (frame == quantize(FRAME_SPLAT["bg_value"])).all()
-        assert (_splat(points, disp, SIZE, encode=flow_cells, **FLOW_SPLAT) == 0.0).all()
+        assert (_painted(points, disp, flow_cells, FLOW_SPLAT) == 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "params, encode", [(FRAME_SPLAT, quantize), (FLOW_SPLAT, flow_cells)], ids=["frame", "flow"]
+)
+def test_a_canvas_repainted_matches_a_fresh_one(params, encode):
+    """Each paint puts the background back on the cells the last one covered,
+    so a reused canvas holds exactly what a fresh one painted once holds."""
+    canvas = _Canvas(SIZE, params["bg_value"], encode)
+    background = _Canvas(SIZE, params["bg_value"], encode).grid
+    for name in [*POINT_SETS, "overlapping"]:
+        points = POINT_SETS[name]
+        values = np.random.default_rng(len(points)).uniform(-0.1, 1.1, (len(points), background.shape[2]))
+        splat = _splat(points, values, SIZE, **params)
+        grid = canvas.paint(*splat)
+        assert grid.tobytes() == _Canvas(SIZE, params["bg_value"], encode).paint(*splat).tobytes(), name
+        if name in ("only-outside", "empty"):
+            assert grid.tobytes() == background.tobytes(), name
 
 
 def test_write_scene_rasters_match_the_dense_oracle(tmp_path):
