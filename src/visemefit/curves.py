@@ -14,7 +14,7 @@ from .atomicio import write_text
 from .errors import DataError, located
 from .frozen import frozen_array
 from .records import read_text, split_records
-from .timeline import check_fps, checked_frame_count
+from .timeline import check_fps, frame_count, frame_times
 
 
 # Frames that bake and bones handle at once: enough to amortize the numpy
@@ -128,10 +128,9 @@ def write_curve(curve: Curve, path) -> None:
 
 
 def resample_curve(curve: Curve, fps_out: float) -> Curve:
-    """Linear resample onto frame instants j / fps_out, endpoints clamped.
-
-    Output length preserves the clip span: ceil(n * fps_out / fps_in), with a
-    tiny slack so integer rate ratios stay exact.
+    """Linear resample from frame centre to frame centre (timeline.frame_times),
+    holding the end values past the first and last centres. The output spans
+    the input's n / fps_in seconds: timeline.frame_count of them at fps_out.
     """
     check_fps(fps_out)
     n = curve.frame_count
@@ -139,15 +138,9 @@ def resample_curve(curve: Curve, fps_out: float) -> Curve:
         return Curve(fps=fps_out, labels=curve.labels, weights=np.zeros((0, len(curve.labels))))
     if fps_out == curve.fps:
         return Curve(fps=fps_out, labels=curve.labels, weights=curve.weights)
-    n_out = max(
-        1,
-        checked_frame_count(
-            n * fps_out / curve.fps - 1e-9, f"{n} frames at {curve.fps} fps resampled to {fps_out} fps"
-        ),
-    )
-    t_in = np.arange(n) / curve.fps
-    t_out = np.arange(n_out) / fps_out
-    out = np.empty((n_out, len(curve.labels)))
+    t_in = frame_times(n, curve.fps)
+    t_out = frame_times(frame_count(n / curve.fps, fps_out), fps_out)
+    out = np.empty((len(t_out), len(curve.labels)))
     for c in range(len(curve.labels)):
         out[:, c] = np.interp(t_out, t_in, curve.weights[:, c])
     return Curve(fps=fps_out, labels=curve.labels, weights=out)

@@ -22,7 +22,7 @@ from .camera import Pose, check_focal, check_quat_norm, project
 from .curves import Curve
 from .errors import DataError, located
 from .flow import screen_flow
-from .guidance import GuidanceSets, guidance_sets
+from .guidance import guidance_sets
 from .losses import FrameProblem
 from .observations import RawObservation
 from .procedural import EnvelopeRules, generate_procedural
@@ -195,11 +195,6 @@ def fit_clip(
         log.warning("%s: guide curve has %d frames at %g fps, clip has %d; the rest get a zero guide",
                     clip, upto, fps, n_frames)
 
-    sets: list[GuidanceSets] = [
-        guidance_sets(guide, j, cfg.m, cfg.n, cfg.radius, cfg.eps_act)
-        for j in range(n_frames)
-    ]
-
     # one row per frame: weights, quaternion (x, y, z, w), translation;
     # weights start from the guide, frame 0's pose from the identity
     params = np.zeros((n_frames, nv + 7))
@@ -234,8 +229,9 @@ def fit_clip(
                             prev_proj = project(blend_vertices(rig, last[:nv]), pose(last))
                         with located(f"frame {j}"):
                             flow_targets = screen_flow(*pair, prev_proj, cfg.tau_flow)
+                sets = guidance_sets(guide, j, cfg.m, cfg.n, cfg.radius, cfg.eps_act)
                 problem = FrameProblem(
-                    rig, cfg.loss_weights, sets[j], cfg.intrinsics, obs,
+                    rig, cfg.loss_weights, sets, cfg.intrinsics, obs,
                     flow_targets=flow_targets,
                     neighbor_weights=None if prev is None else params[prev, :nv],
                 )

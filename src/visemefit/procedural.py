@@ -14,13 +14,20 @@ import numpy as np
 from .curves import Curve
 from .errors import DataError, located
 from .records import read_text, split_records
-from .timeline import PhonemeVisemeMap, Timeline, frame_count, viseme_of
+from .timeline import PhonemeVisemeMap, Timeline, frame_count, frame_times, viseme_of
 
 # Onset/offset windows never grow past this, whatever the segment length.
 MAX_TRANSITION_S = 0.12
 
 # Only the bilabial-closure shape gets a full-amplitude default apex.
 DEFAULT_CLOSURE_LABELS = frozenset({"MBP"})
+
+
+def check_apex(name: str, apex: float) -> None:
+    """The one rule for a plateau height, the base rule's or a viseme's
+    override: DataError naming it unless apex is in (0, 1]."""
+    if not 0 < apex <= 1.0:
+        raise DataError(f"{name} must be in (0, 1], got {apex}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +48,7 @@ class EnvelopeRule:
     def __post_init__(self):
         if not 0 < self.onset_frac <= 0.5 or not 0 < self.offset_frac <= 0.5:
             raise DataError("onset_frac and offset_frac must be in (0, 0.5]")
-        if not 0 < self.apex_amplitude <= 1.0:
-            raise DataError(f"apex_amplitude must be in (0, 1], got {self.apex_amplitude}")
+        check_apex("apex_amplitude", self.apex_amplitude)
         if self.min_onset < 0 or self.min_offset < 0:
             raise DataError("minimum transition times cannot be negative")
 
@@ -60,6 +66,8 @@ class EnvelopeRules:
 
     def __post_init__(self):
         object.__setattr__(self, "apex_overrides", dict(self.apex_overrides))
+        for label, apex in self.apex_overrides.items():
+            check_apex(f"apex.{label}", apex)
 
     def for_viseme(self, label: str) -> EnvelopeRule:
         if label in self.apex_overrides:
@@ -106,18 +114,16 @@ def generate_procedural(
 ) -> Curve:
     """Procedural curve sampled at frame centers, co-articulated by max."""
     rules = rules or EnvelopeRules()
-    n = frame_count(timeline.duration, fps)
-    weights = np.zeros((n, len(vmap.labels)))
+    times = frame_times(frame_count(timeline.duration, fps), fps)
+    weights = np.zeros((len(times), len(vmap.labels)))
     for seg in timeline.segments:
         with located(timeline.source):
             vi = viseme_of(seg.phoneme, vmap)
         if vi is None:
             continue
-        # every frame whose center can fall inside the envelope's support
-        j0 = max(0, int(np.floor((seg.start - MAX_TRANSITION_S) * fps - 0.5)))
-        j1 = min(n, int(np.ceil((seg.end + MAX_TRANSITION_S) * fps - 0.5)) + 2)
-        t = (np.arange(j0, j1) + 0.5) / fps - seg.start
-        val = envelope(t, seg.duration, rules.for_viseme(vmap.labels[vi]))
+        # every frame whose center falls inside the envelope's support
+        j0, j1 = np.searchsorted(times, (seg.start - MAX_TRANSITION_S, seg.end + MAX_TRANSITION_S))
+        val = envelope(times[j0:j1] - seg.start, seg.duration, rules.for_viseme(vmap.labels[vi]))
         weights[j0:j1, vi] = np.maximum(weights[j0:j1, vi], val)
     return Curve(fps=fps, labels=vmap.labels, weights=weights)
 
@@ -139,8 +145,8 @@ def parse_rules(text: str, source: str = "<rules>") -> EnvelopeRules:
             label = key[len("apex."):]
             if not label:
                 raise line.error("empty apex label")
-            if not 0 < num <= 1.0:
-                raise line.error("apex must be in (0, 1]")
+            with located(line.where):
+                check_apex(key, num)
             overrides[label] = num
         else:
             raise line.error(f"unknown rules key {key!r}")

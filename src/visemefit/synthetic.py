@@ -38,7 +38,7 @@ from .observations import (
 )
 from .procedural import generate_procedural
 from .rig import Rig, blend_vertices, default_viseme_labels, write_rig
-from .timeline import PhonemeSegment, PhonemeVisemeMap, Timeline, check_fps, frame_count
+from .timeline import PhonemeSegment, PhonemeVisemeMap, Timeline, check_fps, frame_count, frame_times
 from .timeline import serialize_timeline, serialize_viseme_map
 
 GRID = 8
@@ -219,8 +219,6 @@ def _build_rig(rng: np.random.Generator, ambiguous: bool) -> Rig:
 
 def _random_timeline(rng: np.random.Generator, n_frames: int, fps: float) -> Timeline:
     duration = n_frames / fps
-    while frame_count(duration, fps) > n_frames:  # float overshoot guard
-        duration = math.nextafter(duration, 0.0)
     phones = [tok for tok, _ in PHONE_TABLE]
     segs: list[PhonemeSegment] = []
     t = 0.0
@@ -308,7 +306,7 @@ def build_scene(
         )
 
     # ground truth = procedural support with slow per-viseme amplitude drift
-    t_centers = (np.arange(n_frames) + 0.5) / fps
+    t_centers = frame_times(n_frames, fps)
     mod = np.empty((n_frames, 16))
     for v in range(16):
         f1 = rng.uniform(0.6, 1.4)

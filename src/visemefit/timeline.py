@@ -8,7 +8,10 @@ timeline past the last segment (trailing silence).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DataError, located
 from .records import read_text, split_records
@@ -166,15 +169,10 @@ def viseme_of(phoneme: str, vmap: PhonemeVisemeMap) -> int | None:
 # 30 fps).
 MAX_FRAMES = 1_000_000
 
-
-def checked_frame_count(frames: float, what: str) -> int:
-    """ceil(frames) as a frame count, at least 0. DataError names ``what``
-    when frames is not finite or exceeds MAX_FRAMES."""
-    if not math.isfinite(frames):
-        raise DataError(f"{what} is not a finite frame count")
-    if frames > MAX_FRAMES:
-        raise DataError(f"{what} is {frames:.6g} frames, over the limit of {MAX_FRAMES}")
-    return max(0, math.ceil(frames))
+# How far a span's float frame count may sit above a whole number and still
+# count as that number: duration = n / fps and duration * fps each round by
+# half an ulp at most, so four epsilons, relative to the count, cover both.
+FRAME_ROUNDING = 4 * sys.float_info.epsilon
 
 
 def check_fps(fps: float) -> None:
@@ -185,5 +183,25 @@ def check_fps(fps: float) -> None:
 
 
 def frame_count(duration: float, fps: float) -> int:
+    """The one frame-count rule: ``duration`` seconds at fps hold
+    ceil(duration * fps) frames, where a span that is a whole number of
+    frames up to float rounding holds exactly that number. Any positive span
+    holds at least one frame, even when duration * fps underflows to 0, and a
+    span of 0 or less holds none. DataError names the span when the count is
+    not finite or exceeds MAX_FRAMES."""
     check_fps(fps)
-    return checked_frame_count(duration * fps, f"{duration} s at {fps} fps")
+    frames, what = duration * fps, f"{duration} s at {fps} fps"
+    if not math.isfinite(frames):
+        raise DataError(f"{what} is not a finite frame count")
+    if frames > MAX_FRAMES:
+        raise DataError(f"{what} is {frames:.6g} frames, over the limit of {MAX_FRAMES}")
+    if not duration > 0:
+        return 0
+    return max(1, math.ceil(frames * (1.0 - FRAME_ROUNDING)))
+
+
+def frame_times(count: int, fps: float) -> np.ndarray:
+    """The one frame clock: frame j covers [j / fps, (j + 1) / fps) and is
+    sampled at its centre, so the times of frames 0..count-1 are
+    (j + 0.5) / fps."""
+    return (np.arange(count) + 0.5) / fps

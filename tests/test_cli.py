@@ -849,6 +849,19 @@ def test_reversed_curve_columns_bake_and_eval_like_rig_order(scene_dir, tmp_path
     assert _tree_bytes(tmp_path / "reversed") == baked
 
 
+def test_gen_proc_whole_frame_duration_writes_that_many_frames(scene_dir, tmp_path, capsys):
+    # 31 / 30 s: duration * fps is 31.000000000000004, which once gained an
+    # empty 32nd frame starting exactly at the end of the alignment
+    align = tmp_path / "align.tsv"
+    align.write_text("# duration=1.0333333333333334\nm\t0.2\t0.45\n", encoding="utf-8")
+    out = tmp_path / "proc.csv"
+    capsys.readouterr()
+    assert main(["gen-proc", "--align", str(align), "--map", str(scene_dir / "scene" / "map.txt"),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("OK gen-proc frames=31 ")
+    assert read_curve(out).frame_count == 31
+
+
 def test_gen_proc_without_rig_from_reversed_map_bakes_like_rig_order(scene_dir, tmp_path):
     """gen-proc without --rig orders columns as the map first names them; bake
     binds them by label, so a reversed map bakes what gen-proc --rig does."""

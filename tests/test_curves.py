@@ -98,18 +98,21 @@ def test_resample_identity_and_integer_ratio(rng):
     np.testing.assert_array_equal(same.weights, c.weights)
     up = resample_curve(c, 60.0)
     assert up.frame_count == 20
-    # common instants coincide: output frame 2k samples t = k/30
-    np.testing.assert_allclose(up.weights[::2], c.weights, atol=1e-12)
-    # odd frames are midpoints of their neighbors (linear interpolation)
-    mids = 0.5 * (c.weights[:-1] + c.weights[1:])
-    np.testing.assert_allclose(up.weights[1:-1:2], mids, atol=1e-12)
+    # frame centres: output 2k + 1 sits a quarter of the way from input k to
+    # k + 1, output 2k + 2 three quarters (linear interpolation)
+    w = c.weights
+    np.testing.assert_allclose(up.weights[1:-1:2], 0.75 * w[:-1] + 0.25 * w[1:], atol=1e-12)
+    np.testing.assert_allclose(up.weights[2:-1:2], 0.25 * w[:-1] + 0.75 * w[1:], atol=1e-12)
+    # the first and last output centres lie outside the input's: held ends
+    np.testing.assert_array_equal(up.weights[[0, -1]], w[[0, -1]])
 
 
 def test_resample_downsample_length():
     c = Curve(fps=60.0, labels=("A",), weights=np.linspace(0, 1, 12).reshape(-1, 1))
     down = resample_curve(c, 30.0)
     assert down.frame_count == 6
-    np.testing.assert_allclose(down.weights[:, 0], c.weights[::2, 0], atol=1e-12)
+    # each output centre is midway between a pair of input centres
+    np.testing.assert_allclose(down.weights[:, 0], 0.5 * (c.weights[::2, 0] + c.weights[1::2, 0]), atol=1e-12)
 
 
 def test_resample_clamps_past_the_end():
@@ -117,6 +120,12 @@ def test_resample_clamps_past_the_end():
     up = resample_curve(c, 45.0)
     assert up.frame_count == 9
     assert up.weights[-1, 0] == 1.0  # held at the last key, not extrapolated
+
+
+def test_resample_of_a_nonempty_curve_keeps_a_frame():
+    # 2 frames at 1e300 fps last 2e-300 s, under one frame at 1e-300 fps
+    c = Curve(fps=1e300, labels=("A",), weights=np.array([[0.5], [1.0]]))
+    assert resample_curve(c, 1e-300).weights.tolist() == [[1.0]]
 
 
 def test_resample_rejects_bad_fps(rng):

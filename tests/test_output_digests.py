@@ -1,5 +1,5 @@
-"""tools/output_digests.py, the byte-identity check: the workloads it runs and
-its tree digest."""
+"""tools/output_digests.py, the byte-identity check: the workloads it runs, its
+tree digest and its one digest per assets output."""
 
 import hashlib
 import importlib.util
@@ -28,3 +28,14 @@ def test_tree_digest_hashes_sorted_file_lines(tmp_path):
         f"{hashlib.sha256(files[rel]).hexdigest()}  {rel}\n" for rel in sorted(files)
     )
     assert _tool().tree_digest(str(tmp_path)) == hashlib.sha256(lines.encode()).hexdigest()
+
+
+def test_assets_chain_gets_one_digest_per_output(tmp_path):
+    tool = _tool()
+    _, out, _ = tool.run_workload(tool.load_workloads()["assets"](1), 7, str(tmp_path), "assets")
+    digests = dict(tool.output_digests(out))
+    assert list(digests) == ["bone_track.csv", "meshes/", "metrics/", "proc.csv", "proc60.csv"]
+    for name in ("meshes", "metrics"):
+        assert digests[f"{name}/"] == tool.tree_digest(f"{out}/{name}")
+    for name in ("bone_track.csv", "proc.csv", "proc60.csv"):
+        assert digests[name] == hashlib.sha256(Path(out, name).read_bytes()).hexdigest()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from visemefit.curves import resample_curve
 from visemefit.errors import DataError
 from visemefit.procedural import (
     EnvelopeRule,
@@ -10,6 +11,7 @@ from visemefit.procedural import (
     parse_rules,
     smoothstep,
 )
+from visemefit.synthetic import build_scene
 from visemefit.timeline import (
     PhonemeSegment,
     Timeline,
@@ -164,6 +166,27 @@ def test_parse_rules_overrides():
     assert rules.base.min_onset == pytest.approx(0.05)
     assert rules.for_viseme("SSS").apex_amplitude == 0.6
     assert rules.for_viseme("MBP").apex_amplitude == 1.0  # closure default
+
+
+def test_apex_override_checks_like_the_base_apex():
+    # one rule and one message, from the API and from a rules file, where the
+    # parse error keeps its file and line
+    with pytest.raises(DataError, match=r"^apex\.MBP must be in \(0, 1\], got 2\.0$"):
+        EnvelopeRules(apex_overrides={"MBP": 2.0})
+    with pytest.raises(DataError, match=r"^rules\.txt:2: apex\.MBP must be in \(0, 1\], got 2\.0$"):
+        parse_rules("onset_frac=0.3\napex.MBP=2.0\n", source="rules.txt")
+    with pytest.raises(DataError, match=r"^apex_amplitude must be in \(0, 1\], got 0\.0$"):
+        EnvelopeRule(apex_amplitude=0.0)
+
+
+def test_resampled_curve_matches_the_curve_generated_at_the_target_rate():
+    # resample and generate_procedural share timeline.frame_times, so a 30 fps
+    # curve resampled to 60 fps is not shifted against the 60 fps curve
+    scene = build_scene(7, n_frames=300, fps=30.0)
+    up = resample_curve(generate_procedural(scene.timeline, 30.0, scene.vmap), 60.0)
+    direct = generate_procedural(scene.timeline, 60.0, scene.vmap)
+    assert up.frame_count == direct.frame_count == 600
+    assert np.abs(up.weights - direct.weights).mean() < 0.002
 
 
 def test_parse_rules_rejects_garbage():

@@ -9,6 +9,7 @@ from visemefit.timeline import (
     PhonemeVisemeMap,
     Timeline,
     frame_count,
+    frame_times,
     parse_alignment,
     parse_viseme_map,
     read_alignment,
@@ -96,9 +97,29 @@ def test_frame_count_ceil_semantics():
     assert frame_count(0.999, 30.0) == 30  # ceil(29.97)
     assert frame_count(1.001, 30.0) == 31
     assert frame_count(0.0333, 30.0) == 1
-    # the count is literal ceil(duration*fps), including float artifacts
-    d = 1.1
-    assert frame_count(d, 30.0) == math.ceil(d * 30.0)
+    # a whole number of frames up to float rounding is that number:
+    # (31 / 30) * 30 is 31.000000000000004, whose ceil is 32
+    assert math.ceil((31 / 30) * 30.0) == 32
+    assert frame_count(31 / 30, 30.0) == 31
+
+
+@pytest.mark.parametrize("fps", [24.0, 25.0, 29.97, 30.0, 59.94, 60.0])
+def test_frame_count_of_whole_frame_spans_is_exact(fps):
+    n = np.arange(50_001)
+    counts = [frame_count(d, fps) for d in (n / fps).tolist()]
+    assert counts == n.tolist()
+
+
+def test_frame_count_gives_any_positive_span_a_frame():
+    assert frame_count(0.6, 1e-300) == 1
+    assert frame_count(5e-324, 1.0) == 1
+    assert frame_count(1e-200, 1e-200) == 1  # duration * fps underflows to 0
+    assert frame_count(0.0, 30.0) == 0
+
+
+def test_frame_times_are_frame_centres():
+    np.testing.assert_array_equal(frame_times(4, 2.0), [0.25, 0.75, 1.25, 1.75])
+    assert frame_times(0, 30.0).shape == (0,)
 
 
 def test_frame_count_clamps_and_validates():

@@ -18,11 +18,15 @@ the workload classes of ``perfbench/run.py``, so they are the benchmark's own:
 - the stderr of each of those fits, with the scratch directory replaced by
   ``<work>``;
 - ``assets`` at seed 7 and 15 s: ``gen-proc``, ``resample``, ``bake``,
-  ``bones``, ``eval --metric lip`` and ``eval --metric tv``.
+  ``bones``, ``eval --metric lip`` and ``eval --metric tv``, one line per
+  output of the chain (``proc.csv``, ``proc60.csv``, ``meshes/``,
+  ``bone_track.csv``, ``metrics/``), so a change to one step shows which
+  outputs it moved.
 
 A tree's digest is the SHA-256 of its ``<file sha256>  <relative path>``
 lines sorted by path, each ending in a newline, so the synth digests
-compare with ``BENCH_synth.json``. Only the standard library is imported
+compare with ``BENCH_synth.json``; a single output file's digest is the
+SHA-256 of its bytes. Only the standard library is imported
 here; the CLI runs in child processes through ``perfbench/child.py``.
 Scratch trees go to a temporary directory removed at exit. The two 12-frame
 scenes take about 240 MB while they exist; each is removed once it has been
@@ -60,6 +64,19 @@ def tree_digest(path: str) -> str:
                 files[os.path.relpath(full, path)] = hashlib.sha256(fh.read()).hexdigest()
     lines = "".join(f"{files[rel]}  {rel}\n" for rel in sorted(files))
     return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def output_digests(out: str):
+    """Yield (name, sha256) for each entry of directory out, sorted by name:
+    a file's digest is the SHA-256 of its bytes, and a directory, whose name
+    gets a trailing ``/``, has its tree_digest."""
+    for name in sorted(os.listdir(out)):
+        path = os.path.join(out, name)
+        if os.path.isdir(path):
+            yield f"{name}/", tree_digest(path)
+        else:
+            with open(path, "rb") as fh:
+                yield name, hashlib.sha256(fh.read()).hexdigest()
 
 
 def run(kind: str, args: list, work: str) -> str:
@@ -108,7 +125,8 @@ def digests(work: str):
     yield "fit clips_batch stderr", hashlib.sha256(err.encode()).hexdigest()
 
     _, out, _ = run_workload(workloads["assets"](15), 7, work, "assets")
-    yield "assets chain", tree_digest(out)
+    for name, digest in output_digests(out):
+        yield f"assets {name}", digest
 
 
 def main() -> int:
