@@ -124,10 +124,9 @@ def pinhole(points, intrinsics) -> tuple[np.ndarray, np.ndarray]:
 
 
 def project(points, pose: Pose) -> np.ndarray:
-    """Pinhole projection of one point (3,) or many (N, 3) to pixels.
+    """Pinhole projection of points (N, 3) to pixels (N, 2).
 
     Raises NumericError if any transformed point has non-positive depth.
     """
-    p = np.asarray(points, dtype=np.float64)
-    pixels, _ = pinhole(transform_points(p.reshape(-1, 3), pose), pose.intrinsics)
-    return pixels[0] if p.ndim == 1 else pixels
+    pixels, _ = pinhole(transform_points(points, pose), pose.intrinsics)
+    return pixels

@@ -140,7 +140,6 @@ def _cmd_eval(args) -> int:
     if args.metric == "keypoint" and not (args.obs and args.poses):
         raise UsageError("eval --metric keypoint needs --obs and --poses")
     curve = read_curve(args.curve)
-    frames = curve.frame_count
     if args.metric == "tv":
         outputs = {"total_variation.csv": serialize_total_variation(total_variation(curve))}
     elif args.metric == "lip":
@@ -155,11 +154,10 @@ def _cmd_eval(args) -> int:
         series = keypoint_error(rig, curve, poses, observations, subset=subset,
                                 poses_source=args.poses)
         outputs = {"keypoint_error.csv": serialize_metric(series)}
-        frames = len(series.values)
     make_dirs(args.out)
     for name, text in outputs.items():
         write_text(os.path.join(args.out, name), text)
-    return frames
+    return curve.frame_count
 
 
 def _cmd_synth(args) -> int:
@@ -257,15 +255,9 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         frames = args.func(args)
-    except UsageError as exc:
+    except (UsageError, DataError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return {UsageError: 1, DataError: 2, NumericError: 3}[type(exc)]
     ms = int(round((time.perf_counter() - start) * 1000.0))
     print(f"OK {args.command} frames={frames} ms={ms}")
     return 0

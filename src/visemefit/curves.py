@@ -136,8 +136,6 @@ def resample_curve(curve: Curve, fps_out: float) -> Curve:
     n = curve.frame_count
     if n == 0:
         return Curve(fps=fps_out, labels=curve.labels, weights=np.zeros((0, len(curve.labels))))
-    if fps_out == curve.fps:
-        return Curve(fps=fps_out, labels=curve.labels, weights=curve.weights)
     t_in = frame_times(n, curve.fps)
     t_out = frame_times(frame_count(n / curve.fps, fps_out), fps_out)
     out = np.empty((len(t_out), len(curve.labels)))

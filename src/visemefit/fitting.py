@@ -181,11 +181,6 @@ def fit_clip(
     labels = vmap.labels
     if tuple(labels) != tuple(rig.viseme_labels):
         raise DataError("viseme map labels do not match the rig's labels")
-    if n_frames == 0:
-        return FitResult(
-            curve=Curve(fps=fps, labels=labels, weights=np.zeros((0, len(labels)))),
-            poses=[],
-        )
     proc = generate_procedural(timeline, fps, vmap, rules)
     nv = rig.viseme_count
     guide = np.zeros((n_frames, nv))
@@ -196,10 +191,11 @@ def fit_clip(
                     clip, upto, fps, n_frames)
 
     # one row per frame: weights, quaternion (x, y, z, w), translation;
-    # weights start from the guide, frame 0's pose from the identity
+    # weights start from the guide, every pose from the identity (frames after
+    # 0 copy the previous frame's pose before their forward solve)
     params = np.zeros((n_frames, nv + 7))
     params[:, :nv] = guide
-    params[0, nv + 3] = 1.0
+    params[:, nv + 3] = 1.0
     missing_flow: list[int] = []
     missing_rgb = 0
     # a clip with no frame image and no flow pair is landmark-only by design,

@@ -83,14 +83,10 @@ def screen_flow(
     # one bounds pass for each point set that is sampled
     starts = InBounds(prev_points, w, h)
     idx = np.arange(starts.count) if starts.index is None else starts.index
-    if starts.count == 0:
-        return idx, np.zeros((0, 2))
     u = _sample_finite(forward, starts, "forward")
     ends = InBounds(starts.points + u, w, h)
     if ends.index is not None:
         idx, u = idx[ends.index], u[ends.index]
-    if ends.count == 0:
-        return idx, np.zeros((0, 2))
     back = _sample_finite(backward, ends, "backward")
     keep = np.linalg.norm(u + back, axis=1) < tau
     return idx[keep], ends.points[keep]

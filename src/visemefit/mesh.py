@@ -71,11 +71,11 @@ def parse_obj(text: str, source: str = "<obj>") -> Mesh:
             if len(tok) not in (4, 7):
                 raise line.error(f"vertex needs 3 or 6 numbers, got {len(tok) - 1}")
             nums = line.numbers(tok[1:], _VERTEX_FIELDS[: len(tok) - 1])
+            if vertices and (len(nums) == 6) != bool(colors):
+                raise line.error("every vertex or none must have colors; the first vertex decides")
             vertices.append(nums[:3])
             if len(nums) == 6:
                 colors.append(nums[3:])
-            elif colors:
-                raise line.error("some vertices have colors, this one does not")
         elif tok[0] == "f":
             if len(tok) != 4:
                 raise line.error("faces must be triangles")
@@ -86,8 +86,6 @@ def parse_obj(text: str, source: str = "<obj>") -> Mesh:
         else:
             raise line.error(f"unsupported directive {tok[0]!r}")
     with located(source):
-        if colors and len(colors) != len(vertices):
-            raise DataError(f"{len(colors)} colored of {len(vertices)} vertices")
         if not vertices:
             raise DataError("no vertices")
         return Mesh(

@@ -104,13 +104,15 @@ def landmarks_path(obs_dir) -> str:
 
 def _frame_numbers(obs_dir) -> list[int]:
     """Frame numbers of the frame and flow files in obs_dir: the names
-    frame_image_name and frame_flow_name give, which are the ones loaded."""
+    frame_image_name and frame_flow_name give, which are the ones loaded, for
+    numbers under MAX_FRAMES (six digits), so a stray 1000000.ppm is not a frame."""
     if not os.path.isdir(obs_dir):
         raise DataError(f"observation directory {obs_dir} does not exist")
     with file_access("read observation directory", obs_dir):
         names = os.listdir(obs_dir)
     return [int(stem) for name in names
             if (stem := os.path.splitext(name)[0]).isascii() and stem.isdigit()
+            and int(stem) < MAX_FRAMES
             and name in (frame_image_name(int(stem)), frame_flow_name(int(stem)))]
 
 

@@ -300,10 +300,6 @@ def build_scene(
     )
 
     proc = generate_procedural(timeline, fps, vmap)
-    if proc.frame_count != n_frames:
-        raise DataError(
-            f"internal frame mismatch: procedural {proc.frame_count} vs requested {n_frames}"
-        )
 
     # ground truth = procedural support with slow per-viseme amplitude drift
     t_centers = frame_times(n_frames, fps)

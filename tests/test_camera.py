@@ -25,8 +25,8 @@ IDENTITY = Pose(rotation=[0.0, 0.0, 0.0, 1.0], translation=np.zeros(3), intrinsi
 def test_project_hand_values():
     # x' = f*X/Z + cx: 100*0.5/2 + 10 = 35, y' = 100*(-0.25)/2 + 20 = 7.5
     p = IDENTITY
-    px = project(np.array([0.5, -0.25, 2.0]), p)
-    np.testing.assert_allclose(px, [35.0, 7.5])
+    px = project(np.array([[0.5, -0.25, 2.0]]), p)
+    np.testing.assert_allclose(px, [[35.0, 7.5]])
 
 
 def test_project_batch_shape():

@@ -435,6 +435,57 @@ def test_fit_empty_clip_directory_exits_2(scene_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_empty_clip_builds_its_guide_curve(scene_dir, tmp_path, capsys):
+    """A clip with no frames takes the path every clip takes: its guide curve
+    is built, so a phoneme the map does not hold exits 2 for it too."""
+    scene = scene_dir / "scene"
+    clip = tmp_path / "clip"
+    clip.mkdir()
+    (clip / "landmarks.csv").write_text(LANDMARKS_HEADER, encoding="utf-8")
+    align = tmp_path / "align.tsv"
+    align.write_text("# duration=0.6\nq\t0.2\t0.45\n", encoding="utf-8")
+    code = main(
+        [
+            "fit",
+            "--rig", str(scene / "rig" / "rig.txt"),
+            "--align", str(align),
+            "--map", str(scene / "map.txt"),
+            "--obs", str(clip),
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {align}: phoneme 'q' is not in the viseme map"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stray", ["1000000.ppm", "99999999999.ppm"])
+def test_fit_ignores_a_stray_frame_file_numbered_past_six_digits(scene_dir, tmp_path, capsys, stray):
+    """Frame numbers stay under the frame ceiling: a stray file numbered a
+    million or more beside the landmarks adds no frame (it used to add a
+    million, or fail to allocate them)."""
+    scene = scene_dir / "scene"
+    clip = tmp_path / "clip"
+    shutil.copytree(scene / "obs", clip)
+    (clip / stray).write_bytes(b"")
+    code = main(
+        [
+            "fit",
+            "--rig", str(scene / "rig" / "rig.txt"),
+            "--align", str(scene / "align.tsv"),
+            "--map", str(scene / "map.txt"),
+            "--obs", str(clip),
+            "--config", str(scene_dir / "fast.cfg"),
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert out.out.startswith("OK fit frames=18 ms=")
+
+
 @pytest.mark.parametrize("align", [False, True], ids=["no-align", "align"])
 def test_fit_directory_with_a_stray_frame_file_fits_every_clip(
     scene_dir, clean_batch, tmp_path, align

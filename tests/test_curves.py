@@ -107,6 +107,17 @@ def test_resample_identity_and_integer_ratio(rng):
     np.testing.assert_array_equal(up.weights[[0, -1]], w[[0, -1]])
 
 
+@pytest.mark.parametrize("fps", [24.0, 29.97, 30.0, 60.0])
+def test_resample_at_the_same_rate_keeps_every_byte(rng, fps):
+    # the samples are interpolated at their own times, so each comes back as
+    # it was, -0.0 included, which assert_array_equal does not tell from 0.0
+    w = rng.uniform(0, 1, (301, len(LABELS)))
+    w[::7, 1] = -0.0
+    c = Curve(fps=fps, labels=LABELS, weights=w)
+    assert serialize_curve(resample_curve(c, fps)) == serialize_curve(c)
+    assert "-0.0" in serialize_curve(c)
+
+
 def test_resample_downsample_length():
     c = Curve(fps=60.0, labels=("A",), weights=np.linspace(0, 1, 12).reshape(-1, 1))
     down = resample_curve(c, 30.0)

@@ -86,6 +86,26 @@ def test_screen_flow_drops_candidates_outside_grid():
     np.testing.assert_array_equal(idx, [1])
 
 
+@pytest.mark.parametrize("source", ["array", "file"])
+@pytest.mark.parametrize(
+    "points",
+    [[[-1.0, 2.0], [7.0, 2.0]], [[3.0, 2.0], [2.5, 4.0]]],
+    ids=["every-start-outside", "every-end-outside"],
+)
+def test_screen_flow_with_no_survivor_returns_empty_arrays(tmp_path, source, points):
+    """No start inside the grid, or no advected end inside it: the zero
+    points left are sampled like any others, on arrays and on a file's grids,
+    and come out as int64 indices (0,) and float64 targets (0, 2)."""
+    fwd = np.full((6, 6, 2), 4.0)
+    pair = (fwd, -fwd)
+    if source == "file":
+        write_flow_pair(*pair, tmp_path / "f.flo")
+        pair = read_flow_pair(tmp_path / "f.flo")
+    idx, targets = screen_flow(*pair, np.array(points), tau=1.0)
+    assert idx.dtype == np.int64 and idx.shape == (0,)
+    assert targets.dtype == np.float64 and targets.shape == (0, 2)
+
+
 @pytest.mark.parametrize(
     "blob",
     [

@@ -27,6 +27,22 @@ def test_parse_vertex_colors():
     np.testing.assert_allclose(m.colors[0], [0.2, 0.4, 0.6])
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("v 0 0 1 0.2 0.4 0.6\nv 1 0 1\nv 0 1 1 0.9 0.8 0.7\nf 1 2 3\n", 2),
+        ("v 0 0 1\nv 1 0 1\nv 0 1 1 0.9 0.8 0.7\nf 1 2 3\n", 3),
+    ],
+    ids=["uncolored-after-colored", "colored-after-uncolored"],
+)
+def test_parse_rejects_mixed_vertex_colors_at_their_line(text, lineno):
+    with pytest.raises(DataError) as err:
+        parse_obj(text, source="m.obj")
+    assert str(err.value) == (
+        f"m.obj:{lineno}: every vertex or none must have colors; the first vertex decides"
+    )
+
+
 def test_parse_rejects_slash_faces():
     # only the plain-integer face form is part of the accepted subset
     text = "v 0 0 1\nv 1 0 1\nv 0 1 1\nf 1/1 2/2 3/3\n"

@@ -11,6 +11,7 @@ from visemefit.observations import (
     RawObservation,
     frame_flow_name,
     frame_image_name,
+    is_observation_dir,
     parse_landmarks,
     serialize_landmarks,
 )
@@ -116,10 +117,13 @@ def test_observation_dir(tmp_path, rng):
 
 def test_observation_dir_counts_only_the_names_it_loads(tmp_path):
     # 7.ppm and 0000009.flo are not the six-digit names frames are read from,
-    # so they add no frames that would never be loaded
-    (tmp_path / "landmarks.csv").write_text(CSV, encoding="utf-8")
-    for name in ("7.ppm", "0000009.flo", "preview.ppm"):
+    # so they add no frames that would never be loaded; 1000000.ppm names
+    # itself ({:06d} sets only a minimum width), but its number is over the
+    # frame ceiling
+    for name in ("7.ppm", "0000009.flo", "preview.ppm", "1000000.ppm", "99999999999.flo"):
         (tmp_path / name).write_bytes(b"")
+    assert not is_observation_dir(tmp_path)
+    (tmp_path / "landmarks.csv").write_text(CSV, encoding="utf-8")
     assert len(ObservationDir(tmp_path)) == 3
 
 

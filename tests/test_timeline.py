@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -103,7 +104,11 @@ def test_frame_count_ceil_semantics():
     assert frame_count(31 / 30, 30.0) == 31
 
 
-@pytest.mark.parametrize("fps", [24.0, 25.0, 29.97, 30.0, 59.94, 60.0])
+@pytest.mark.parametrize(
+    "fps",
+    # near the largest float, n / fps is subnormal for the first frames
+    [24.0, 25.0, 29.97, 30.0, 59.94, 60.0, sys.float_info.max, sys.float_info.max / 3, 1e308],
+)
 def test_frame_count_of_whole_frame_spans_is_exact(fps):
     n = np.arange(50_001)
     counts = [frame_count(d, fps) for d in (n / fps).tolist()]
