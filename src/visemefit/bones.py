@@ -101,18 +101,18 @@ class BonePoseAssets:
 def _blend(assets: BonePoseAssets, w: np.ndarray, first_frame: int | None = None):
     """Blend the viseme poses for every row of w (frames, visemes).
 
-    Returns rotations (frames, B, 4), normalized once, and translations and
-    scales (frames, B, 3). Each row goes through the same element operations
-    in the same order, so a row blends alone exactly as it does in a batch.
-    A row with a non-finite result raises DataError, named as frame
-    first_frame + row when first_frame is given.
+    Returns rotations (frames, B, 4), the sign-aligned sums for _unit_rows to
+    normalize (the rest rotation where a sum's norm is below 1e-8), and
+    translations and scales (frames, B, 3). Each row goes through the same
+    element operations in the same order, so a row blends alone exactly as
+    it does in a batch. A row with a non-finite result raises DataError,
+    named as frame first_frame + row when first_frame is given.
     """
     rest = assets.rest
     frames = len(w)
-    # silenced: a zero rotation sum divides by zero before np.where picks
-    # the rest rotation, and rows after a bad one must print nothing; the
-    # check below reports the first bad row
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    # silenced: huge weights or poses overflow, and rows after a bad one must
+    # print nothing; the check below reports the first bad row
+    with np.errstate(over="ignore", invalid="ignore"):
         t = np.repeat(rest.translations[None], frames, axis=0)
         s = np.repeat(rest.scales[None], frames, axis=0)
         w_rest = np.maximum(0.0, 1.0 - w.sum(axis=1))
@@ -125,7 +125,7 @@ def _blend(assets: BonePoseAssets, w: np.ndarray, first_frame: int | None = None
             sign = np.where((q * rest.rotations).sum(axis=1) < 0.0, -1.0, 1.0)
             acc += wk * sign[:, None] * q
         norms = np.linalg.norm(acc, axis=2)[..., None]
-        rot = np.where(norms < 1e-8, rest.rotations, acc / norms)
+        rot = np.where(norms < 1e-8, rest.rotations, acc)
     rot_ok = np.isfinite(norms).all(axis=(1, 2))
     bad = np.flatnonzero(~(rot_ok & np.isfinite(t).all(axis=(1, 2)) & np.isfinite(s).all(axis=(1, 2))))
     if bad.size:
@@ -204,7 +204,7 @@ def serialize_blended_poses(assets: BonePoseAssets, curve, out) -> None:
     out.write("frame,bone," + ",".join(_POSE_FIELDS) + "\n")
     for start, block in blocks:
         rot, t, s = _blend(assets, block, first_frame=start)
-        # the normalization BonePose applies to what blend_bone_pose returns
+        # normalized once, as BonePose normalizes blend_bone_pose's rotations
         rot = _unit_rows(rot)
         rows = np.concatenate([rot, t, s], axis=2).tolist()
         out.write("".join(

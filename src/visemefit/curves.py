@@ -100,19 +100,20 @@ def parse_curve(text: str, source: str = "<curve>") -> Curve:
     if not records.body:
         raise records.error("missing header row")
     header, *lines = records.body
-    cols = header.text.split(",")
+    cols = [c.strip() for c in header.text.split(",")]
     if cols[0] != "frame":
         raise header.error("header must start with 'frame'")
     labels = tuple(cols[1:])
     if not labels:
         raise header.error("header lists no visemes")
+    if "" in labels:
+        raise header.error("empty viseme label")
     # filled in place, so the parse holds no Python list per row; read-only,
     # so Curve keeps it rather than copying it
     weights = np.empty((len(lines), len(labels)))
     for j, line in enumerate(lines):
         cols = line.cells(len(labels) + 1)
-        if line.integer(cols[0], "frame") != j:
-            raise line.error(f"frame {cols[0]} out of order, expected {j}")
+        line.frame(cols[0], j)
         weights[j] = line.numbers(cols[1:], labels)
     weights.setflags(write=False)
     with located(header.where):

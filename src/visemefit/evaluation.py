@@ -51,13 +51,12 @@ def keypoint_error(rig: Rig, curve: Curve, poses, observations, subset=None,
     if len(poses) < n:
         with located(curve.source), located(poses_source):
             raise DataError(f"curve has {n} frames but only {len(poses)} poses")
-    wanted = None if subset is None else frozenset(int(i) for i in subset)
     bound = (w for _, block in curve.blocks(rig.viseme_labels) for w in block)
     values = np.zeros(n)
     for j, w in enumerate(bound):
         with located(f"frame {j}"):
             obs = observations.get(j)
-            rows, verts = rig.landmark_rows(() if obs is None else obs.landmark_ids, wanted)
+            rows, verts = rig.landmark_rows(() if obs is None else obs.landmark_ids, subset)
             if not rows.size:
                 raise DataError("no observed landmarks for any bound id")
             pose: Pose = poses[j]

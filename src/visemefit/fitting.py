@@ -290,8 +290,7 @@ def parse_poses(text: str, source: str = "<poses>") -> list[Pose]:
     rows: list[list[float]] = []
     for line in records.rows("frame"):
         cols = line.cells(8)
-        if line.integer(cols[0], "frame") != len(rows):
-            raise line.error(f"frame {cols[0]} out of order, expected {len(rows)}")
+        line.frame(cols[0], len(rows))
         rows.append(line.numbers(cols[1:], _POSE_COLUMNS))
         check_quat_norm(sum(v * v for v in rows[-1][0:4]), line.error)
     intrinsics = tuple(records.header_number(key) for key in ("focal", "cx", "cy"))

@@ -175,20 +175,19 @@ class InBounds:
     """The candidate (x, y) points inside the sampling domain of a W x H grid,
     found by one bounds pass (the rule of in_bounds).
 
-    bilinear_sample takes an InBounds of its grid's size without checking the
-    points again, so a caller that must drop the points outside pays for one
-    bounds pass, not two. index holds the rows of the candidates that are
-    inside, and points those rows. When every candidate is inside, the usual
-    case, index is None and points is the candidates themselves, unselected:
-    they must not change before they are sampled.
+    bilinear_sample takes an InBounds made for its grid's size as given, so a
+    caller that must drop the points outside pays for one bounds pass, not
+    two. index holds the rows of the candidates that are inside, and points
+    those rows. When every candidate is inside, the usual case, index is None
+    and points is the candidates themselves, unselected: they must not change
+    before they are sampled.
     """
 
-    __slots__ = ("size", "index", "points", "count")
+    __slots__ = ("index", "points", "count")
 
     def __init__(self, candidates, width: int, height: int):
         p = np.asarray(candidates, dtype=np.float64).reshape(-1, 2)
         ok = _coordinates_in_bounds(p, width, height)
-        self.size = (width, height)
         if np.count_nonzero(ok) == ok.size:
             self.index, self.points, self.count = None, p, len(p)
         else:
@@ -202,11 +201,11 @@ def bilinear_sample(grid: np.ndarray, points, with_grad: bool = False):
 
     Returns float64 values (M, C); with with_grad also the exact in-cell
     derivatives d/dx and d/dy, each (M, C). points is an (M, 2) array, every
-    point of which must be in bounds (else DataError), or an InBounds of this
-    grid's size, whose points are sampled. Only the four corner cells of each
-    point are read and converted to float64, so the grid may be a view over
-    a file or a FileGrid, whose corners are preaded; a uint8 grid holds image
-    bytes, and its corners are scaled by 1/255 into [0, 1].
+    point of which must be in bounds (else DataError), or an InBounds made for
+    this grid's size, taken as given. Only the four corner cells of each point
+    are read and converted to float64, so the grid may be a view over a file
+    or a FileGrid, whose corners are preaded; a uint8 grid holds image bytes,
+    and its corners are scaled by 1/255 into [0, 1].
     """
     g = grid if isinstance(grid, FileGrid) else np.asarray(grid)
     h, w = g.shape[0], g.shape[1]
@@ -214,8 +213,6 @@ def bilinear_sample(grid: np.ndarray, points, with_grad: bool = False):
         points = InBounds(points, w, h)
         if points.index is not None:
             raise DataError("bilinear sample point outside the grid")
-    elif points.size != (w, h):
-        raise DataError(f"points bounded for a {points.size} grid, sampled on {(w, h)}")
     p = points.points
     last_cell, strides, offsets = _layout(w, h)
     # the points are non-negative here, so truncation is floor

@@ -42,7 +42,7 @@ from .camera import check_quat_norm, pinhole, quat_rotation_jacobians, quat_to_m
 from .errors import NumericError
 from .guidance import GuidanceSets
 from .observations import RawObservation
-from .rig import Rig
+from .rig import Rig, blend_vertices
 
 # row 4 * i + j holds the coefficient of q[j] in d(rotation)/dq[i], over the
 # nine matrix entries
@@ -64,11 +64,12 @@ class FrameProblem:
     hot path.
 
     obs supplies the landmarks and the image; landmark ids the rig does not
-    bind are skipped. flow_targets is the screened (vertex indices, target
-    pixels) pair, the previous frame's projections advected by the flow.
-    observed says whether any observation enters the objective: a bound
-    landmark, the image or a flow target. Without one, only the guidance,
-    temporal and range terms shape the frame.
+    bind are skipped. flow_targets is screen_flow's (int64 vertex indices,
+    float64 (k, 2) target pixels) pair, and neighbor_weights the neighbor
+    frame's float64 (V,) weights; both are taken as given. observed says
+    whether any observation enters the objective: a bound landmark, the image
+    or a flow target. Without one, only the guidance, temporal and range terms
+    shape the frame.
     """
 
     def __init__(
@@ -84,7 +85,7 @@ class FrameProblem:
     ):
         # an array, so pinhole adds the principal point without converting it
         self.intrinsics = np.array([float(intrinsics[0]), float(intrinsics[1]), float(intrinsics[2])])
-        self.b0 = rig.neutral.vertices
+        self.rig = rig
         self.d2 = rig.deltas.reshape(rig.viseme_count, -1)
         self.colors = rig.neutral.colors
         w1, self.w2, w3, w4, w5, w6, self.w7 = (float(x) for x in loss_weights)
@@ -102,8 +103,7 @@ class FrameProblem:
                 coef = w1 / rows.size * obs.landmark_betas[rows]
             parts.append(_pixel_rows(vidx, obs.landmark_points[rows], coef))
         if flow_targets is not None and len(flow_targets[0]):
-            vidx = np.asarray(flow_targets[0], dtype=np.int64)
-            targets = np.asarray(flow_targets[1], dtype=np.float64).reshape(-1, 2)
+            vidx, targets = flow_targets
             parts.append(_pixel_rows(vidx, targets, np.full(vidx.size, w5 / vidx.size)))
         observed_rows = len(parts) > 1  # landmark or flow rows, after the empty part
         sup, act = (guidance.suppress, guidance.activate) if guidance is not None else ((), ())
@@ -113,20 +113,19 @@ class FrameProblem:
                 idx = self.n_pixels + np.array(sorted(members))
                 parts.append((idx, np.zeros(k), np.full(k, scale / k)))
         if neighbor_weights is not None:
-            targets = np.asarray(neighbor_weights, dtype=np.float64).reshape(nv)
-            parts.append((self.n_pixels + np.arange(nv), targets, np.full(nv, w6 / nv)))
+            parts.append((self.n_pixels + np.arange(nv), neighbor_weights, np.full(nv, w6 / nv)))
         self.rows = tuple(np.concatenate(a) for a in zip(*parts))
 
         # kept as given (a uint8 frame stays uint8): bilinear_sample converts
         # only the cells it reads
         self.image = None
         if obs.image is not None and self.colors is not None:
-            self.image = np.asarray(obs.image)
+            self.image = obs.image
             self._image_size = (self.image.shape[1], self.image.shape[0])
         self.observed = observed_rows or self.image is not None
 
     def evaluate(self, w, q, t):
-        """Objective value and its gradient (gw, gq, gt) at (w, q, t).
+        """Objective value and its gradient (gw, gq, gt) at float64 (w, q, t).
 
         q need not be unit; it is normalized on entry and the reported
         gradient is the exact derivative through that normalization.
@@ -136,14 +135,12 @@ class FrameProblem:
         they are chained to (w, q, t). Terms add in a fixed order: residual
         rows, photometric, then range.
         """
-        w = np.asarray(w, dtype=np.float64)
-        q = np.asarray(q, dtype=np.float64)
         q_norm = math.sqrt(q @ q)
         check_quat_norm(q_norm)
         qn = q / q_norm
         rot = quat_to_matrix(qn.tolist())
-        s = self.b0 + (w @ self.d2).reshape(self.b0.shape)
-        x = s @ rot.T + np.asarray(t, dtype=np.float64)
+        s = blend_vertices(self.rig, w)
+        x = s @ rot.T + t
         p, inv_z = pinhole(x, self.intrinsics)
 
         u = np.concatenate((p.ravel(), w))

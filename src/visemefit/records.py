@@ -72,6 +72,11 @@ class Line(NamedTuple):
             raise self.error(f"{name} is out of range: {cell.strip()!r}")
         return value
 
+    def frame(self, cell: str, expected: int) -> None:
+        """Check a per-frame row's frame cell: rows count from 0, in order."""
+        if self.integer(cell, "frame") != expected:
+            raise self.error(f"frame {cell} out of order, expected {expected}")
+
 
 class Records(NamedTuple):
     """A text file split into header values and numbered body lines."""
@@ -92,7 +97,7 @@ class Records(NamedTuple):
     def rows(self, first_cell: str) -> list[Line]:
         """The body lines of a CSV, less its optional column header: the first
         body line, when its first cell is first_cell. A later line never is."""
-        if self.body and self.body[0].text.split(",")[0] == first_cell:
+        if self.body and self.body[0].text.split(",")[0].strip() == first_cell:
             return self.body[1:]
         return self.body
 

@@ -745,6 +745,8 @@ BAD_INPUTS = [
                  id="curve-not-utf8"),
     pytest.param("bake", "gt.csv", "# fps=30\nframe,MBP\n0,0.5\n2,0.5\n",
                  ":4: frame 2 out of order, expected 1", id="curve-skipped-frame"),
+    pytest.param("bake", "gt.csv", "# fps=30\nframe,MBP,,SSS\n0,0.5,0.5,0.5\n",
+                 ":2: empty viseme label", id="curve-empty-label"),
     pytest.param("bake", "gt.csv", "# fps=30\nframe,MBP,MBP\n0,0.5,0.5\n",
                  ":2: repeated viseme label 'MBP'", id="curve-repeated-label-bake"),
     pytest.param("bones", "gt.csv", "# fps=30\nframe,MBP,MBP\n0,0.5,0.5\n",
@@ -898,6 +900,29 @@ def test_reversed_curve_columns_bake_and_eval_like_rig_order(scene_dir, tmp_path
     baked = _tree_bytes(tmp_path / "gt")
     assert len(baked) == gt.frame_count + 3
     assert _tree_bytes(tmp_path / "reversed") == baked
+
+
+def test_spaced_curve_header_writes_what_the_plain_header_does(scene_dir, tmp_path):
+    """Curve header cells are stripped: a header with a space after each
+    comma binds the same columns, so bake, bones and eval --metric lip write
+    the same bytes as from the plain header."""
+    s = _scene_with_poses(scene_dir, tmp_path)
+    plain = (s / "gt.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert plain[1].startswith("frame,MBP,")
+    (s / "spaced.csv").write_text("".join([plain[0], plain[1].replace(",", ", ")] + plain[2:]),
+                                  encoding="utf-8")
+    rig = s / "rig" / "rig.txt"
+    for name in ("gt", "spaced"):
+        curve, out = s / f"{name}.csv", tmp_path / name
+        for argv in (
+            ["bake", "--rig", rig, "--curve", curve, "--out", out / "baked"],
+            ["bones", "--bones", s / "bones.csv", "--curve", curve, "--out", out / "blended.csv"],
+            ["eval", "--metric", "lip", "--rig", rig, "--curve", curve, "--out", out / "metrics"],
+        ):
+            assert main([str(a) for a in argv]) == 0, argv
+    plain_out = _tree_bytes(tmp_path / "gt")
+    assert len(plain_out) == read_curve(s / "gt.csv").frame_count + 3
+    assert _tree_bytes(tmp_path / "spaced") == plain_out
 
 
 def test_gen_proc_whole_frame_duration_writes_that_many_frames(scene_dir, tmp_path, capsys):

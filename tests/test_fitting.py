@@ -140,6 +140,15 @@ def test_poses_parse_errors():
         parse_poses("# focal=1\n# cx=0\n# cy=0\n" + header + header + "0,0,0,0,1,0,0,0\n")
 
 
+def test_poses_header_first_cell_is_stripped(rng):
+    # the header's first cell is stripped as every other text cell is, so a
+    # spaced header is still the optional column header, not a bad row
+    text = serialize_poses(_some_poses(rng, 2))
+    spaced = text.replace("frame,qx", "frame ,qx")
+    assert spaced != text
+    assert serialize_poses(parse_poses(spaced)) == text
+
+
 def _clip_inputs(rng):
     rig = make_rig(rng, n_verts=8, n_visemes=3)
     vmap = parse_viseme_map("m=MBP\ns=SSS\nw=WWW\nsilence=sil\n", labels=rig.viseme_labels)
