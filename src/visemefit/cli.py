@@ -32,7 +32,7 @@ from .mesh import write_obj
 from .observations import ObservationDir, is_observation_dir, landmarks_path, read_landmarks
 from .procedural import generate_procedural, read_rules
 from .rig import bake_mesh_sequence, load_rig_manifest
-from .timeline import read_alignment, read_viseme_map
+from .timeline import frame_count, read_alignment, read_viseme_map
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +53,7 @@ def _fit_one(rig, align_path, obs_path, cfg, vmap, rules, fps, out_dir):
     if not is_observation_dir(obs_path):
         raise DataError(f"{obs_path} holds no observations (no landmarks.csv, frame or flow file)")
     timeline = read_alignment(align_path)
-    observations = ObservationDir(obs_path)
+    observations = ObservationDir(obs_path, frame_count(timeline.duration, fps))
     result = fit_clip(rig, timeline, observations, cfg, vmap, rules=rules, fps=fps, clip=obs_path,
                       flows=observations.flow)
     make_dirs(out_dir)

@@ -170,25 +170,18 @@ def fit_clip(
 ) -> FitResult:
     """Fit viseme weights and rigid pose to every frame of a clip.
 
-    observations is indexable per frame (a list of RawObservation or an
-    ObservationDir); its length fixes the frame count. flows (ObservationDir.flow
-    or None, when every pair is missing) gives the forward sweep the flow pair
-    ending at each frame j > 0. The guide curve is zero-padded to that length.
-    clip names the clip (its observation directory) in warnings and in the
-    errors its frames raise.
+    The guide curve, the timeline's procedural curve at fps, fixes the frame
+    count. observations (a list of RawObservation or an ObservationDir) must
+    be indexable at every guide frame. flows (ObservationDir.flow or None,
+    when every pair is missing) gives the forward sweep the flow pair ending
+    at each frame j > 0. clip names the clip (its observation directory) in
+    warnings and in the errors its frames raise.
     """
-    n_frames = len(observations)
     labels = vmap.labels
     if tuple(labels) != tuple(rig.viseme_labels):
         raise DataError("viseme map labels do not match the rig's labels")
-    proc = generate_procedural(timeline, fps, vmap, rules)
-    nv = rig.viseme_count
-    guide = np.zeros((n_frames, nv))
-    upto = min(n_frames, proc.frame_count)
-    guide[:upto] = proc.weights[:upto]
-    if upto < n_frames:
-        log.warning("%s: guide curve has %d frames at %g fps, clip has %d; the rest get a zero guide",
-                    clip, upto, fps, n_frames)
+    guide = generate_procedural(timeline, fps, vmap, rules).weights
+    n_frames, nv = guide.shape
 
     # one row per frame: weights, quaternion (x, y, z, w), translation;
     # weights start from the guide, every pose from the identity (frames after

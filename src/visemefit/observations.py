@@ -48,8 +48,16 @@ class RawObservation:
         object.__setattr__(self, "landmark_betas", betas)
 
 
-def parse_landmarks(text: str, source: str = "<landmarks>") -> dict[int, RawObservation]:
-    """Landmark CSV to {frame: RawObservation} (images left unset)."""
+def check_frame_index(frame: int, frames: int, error=DataError) -> None:
+    """The one frame-index bound: error(...) unless frame is under frames, a clip's count."""
+    if frame >= frames:
+        raise error(f"frame index {frame} is over the limit of {frames} frames")
+
+
+def parse_landmarks(
+    text: str, source: str = "<landmarks>", frames: int = MAX_FRAMES
+) -> dict[int, RawObservation]:
+    """Landmark CSV to {frame: RawObservation} (images left unset) for frames 0..frames-1."""
     per_frame: dict[int, dict[int, tuple[float, float, float]]] = {}
     for line in split_records(text, source).rows("frame"):
         cols = line.cells(5)
@@ -58,8 +66,7 @@ def parse_landmarks(text: str, source: str = "<landmarks>") -> dict[int, RawObse
         x, y, beta = line.numbers(cols[2:], ("x", "y", "beta"))
         if frame < 0:
             raise line.error("negative frame index")
-        if frame >= MAX_FRAMES:
-            raise line.error(f"frame index {frame} is over the limit of {MAX_FRAMES} frames")
+        check_frame_index(frame, frames, line.error)
         if beta <= 0:
             raise line.error("beta must be positive")
         rows = per_frame.setdefault(frame, {})
@@ -76,8 +83,8 @@ def parse_landmarks(text: str, source: str = "<landmarks>") -> dict[int, RawObse
     return out
 
 
-def read_landmarks(path) -> dict[int, RawObservation]:
-    return parse_landmarks(read_text(path, "landmarks"), source=str(path))
+def read_landmarks(path, frames: int = MAX_FRAMES) -> dict[int, RawObservation]:
+    return parse_landmarks(read_text(path, "landmarks"), str(path), frames)
 
 
 def serialize_landmarks(frames: dict[int, RawObservation]) -> str:
@@ -102,18 +109,16 @@ def landmarks_path(obs_dir) -> str:
     return os.path.join(str(obs_dir), "landmarks.csv")
 
 
-def _frame_numbers(obs_dir) -> list[int]:
-    """Frame numbers of the frame and flow files in obs_dir: the names
-    frame_image_name and frame_flow_name give, which are the ones loaded, for
+def _frame_numbers(obs_dir) -> dict[str, int]:
+    """{name: frame number} of the frame and flow files in obs_dir, by name: the
+    names frame_image_name and frame_flow_name give, which are the ones loaded, for
     numbers under MAX_FRAMES (six digits), so a stray 1000000.ppm is not a frame."""
-    if not os.path.isdir(obs_dir):
-        raise DataError(f"observation directory {obs_dir} does not exist")
     with file_access("read observation directory", obs_dir):
-        names = os.listdir(obs_dir)
-    return [int(stem) for name in names
+        names = sorted(os.listdir(obs_dir))
+    return {name: int(stem) for name in names
             if (stem := os.path.splitext(name)[0]).isascii() and stem.isdigit()
             and int(stem) < MAX_FRAMES
-            and name in (frame_image_name(int(stem)), frame_flow_name(int(stem)))]
+            and name in (frame_image_name(int(stem)), frame_flow_name(int(stem)))}
 
 
 def is_observation_dir(path) -> bool:
@@ -123,27 +128,27 @@ def is_observation_dir(path) -> bool:
 
 
 class ObservationDir:
-    """Lazy per-frame loader over an observation directory.
+    """Lazy per-frame loader over a clip's observation directory.
 
-    Landmark rows are read once; images (by index) and flow pairs (by flow)
-    are loaded on access, so long clips need not sit in memory. Each image and
-    flow grid must have the size of the first raster loaded, as _sized checks:
-    a mismatch is a DataError naming the directory, the frame and both sizes.
+    frames is the clip's frame count, which its alignment gives: a landmark
+    row, frame file or flow file at that frame or later is a DataError naming
+    its line or file. Landmark rows are read once; images (by index) and flow
+    pairs (by flow) are loaded on access, so long clips need not sit in memory.
+    Each image and flow grid must have the size of the first raster loaded, as
+    _sized checks: a mismatch is a DataError naming the directory, the frame
+    and both sizes.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, frames: int):
         self.path = str(path)
+        for name, frame in _frame_numbers(self.path).items():
+            with located(os.path.join(self.path, name)):
+                check_frame_index(frame, frames)
         lm_path = landmarks_path(self.path)
-        self._landmarks = read_landmarks(lm_path) if os.path.exists(lm_path) else {}
-        self._n = max((*self._landmarks, *_frame_numbers(self.path)), default=-1) + 1
+        self._landmarks = read_landmarks(lm_path, frames) if os.path.exists(lm_path) else {}
         self._size: tuple[int, int] | None = None  # (H, W) of the first raster loaded
 
-    def __len__(self) -> int:
-        return self._n
-
     def __getitem__(self, frame: int) -> RawObservation:
-        if not 0 <= frame < self._n:
-            raise IndexError(frame)
         path = os.path.join(self.path, frame_image_name(frame))
         image = self._sized(frame, "image", read_ppm(path)) if os.path.exists(path) else None
         return replace(self._landmarks.get(frame) or RawObservation(), image=image)

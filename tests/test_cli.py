@@ -19,8 +19,8 @@ from visemefit.camera import project
 from visemefit.cli import main
 from visemefit.curves import Curve, parse_curve, read_curve, serialize_curve, write_curve
 from visemefit.flow import write_flow_pair
-from visemefit.fitting import parse_fit_config, serialize_fit_config
-from visemefit import observations
+from visemefit.fitting import parse_fit_config, read_poses, serialize_fit_config
+from visemefit import fitting, observations
 from visemefit.observations import frame_flow_name, frame_image_name, read_landmarks
 from visemefit.procedural import generate_procedural
 from visemefit.mesh import serialize_obj
@@ -366,18 +366,58 @@ def test_fit_warns_once_about_frames_with_no_data(scene_dir, clean_batch, tmp_pa
         ).read_bytes(), name
 
 
-def test_fit_warns_when_the_guide_is_shorter_than_the_clip(scene_dir, caplog):
-    """At 1e-300 fps the alignment is one guide frame: fit still fits every
-    observed frame, and one warning names the clip, both frame counts and
-    the rate."""
-    obs = scene_dir / "scene" / "obs"
-    frames = len(read_landmarks(obs / "landmarks.csv"))
+def test_fit_rejects_landmark_rows_past_the_alignment(scene_dir, capsys):
+    """At 1e-300 fps the alignment is one frame, so the clip has one: the
+    first landmark row of frame 1 is past it, and fit exits 2 naming that
+    line, with nothing written."""
+    lm = scene_dir / "scene" / "obs" / "landmarks.csv"
+    rows = lm.read_text(encoding="utf-8").splitlines()
+    line = next(k for k, row in enumerate(rows, 1) if row.startswith("1,"))
+    capsys.readouterr()
+    assert _fit(scene_dir, "fit_tiny_fps", ["--fps", "1e-300"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {lm}:{line}: frame index 1 is over the limit of 1 frames"
+    ]
+    assert not (scene_dir / "fit_tiny_fps").exists()
+
+
+def test_fit_at_twice_the_rate_fits_every_frame_of_the_alignment(tmp_path, caplog):
+    """A 12-frame clip at 30 fps fitted at 60 fps: the alignment makes 24
+    frames, all of them fitted and written, and the 12 with no landmark rows
+    are named in the no-data warning."""
+    scene = dataclasses.replace(build_scene(seed=3, n_frames=12), write_rasters=False)
+    paths = write_scene(scene, tmp_path / "scene")
+    cfg = dataclasses.replace(scene.config, iters=2)
+    (tmp_path / "fast.cfg").write_text(serialize_fit_config(cfg), encoding="utf-8")
     with caplog.at_level(logging.WARNING, logger="visemefit.fitting"):
-        assert _fit(scene_dir, "fit_tiny_fps", ["--fps", "1e-300"]) == 0
-    guide = [r.getMessage() for r in caplog.records if "guide" in r.getMessage()]
-    assert guide == [f"{obs}: guide curve has 1 frames at 1e-300 fps, clip has {frames};"
-                     " the rest get a zero guide"]
-    assert read_curve(scene_dir / "fit_tiny_fps" / "curve.csv").frame_count == frames
+        assert main(["fit", "--rig", paths["rig"], "--align", paths["align"],
+                     "--map", paths["map"], "--obs", paths["obs"],
+                     "--config", str(tmp_path / "fast.cfg"), "--fps", "60",
+                     "--out", str(tmp_path / "fit")]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{paths['obs']}: no landmark, image or flow data on 12 of 24 frames,"
+        " first at frame 12; only the guidance and temporal terms fit them",
+    ]
+    assert read_curve(tmp_path / "fit" / "curve.csv").frame_count == 24
+    assert len(read_poses(tmp_path / "fit" / "poses.csv")) == 24
+
+
+def test_fit_stray_frame_file_fails_before_any_frame_is_solved(scene_dir, tmp_path, capsys,
+                                                               monkeypatch):
+    """A stray 999999.ppm beside an 18-frame clip is past the alignment's
+    frames: fit exits 2 naming it, and solves no frame first."""
+    obs = tmp_path / "obs"
+    shutil.copytree(scene_dir / "scene" / "obs", obs)
+    (obs / "999999.ppm").write_bytes(b"")
+    solved = []
+    monkeypatch.setattr(fitting, "_optimize_frame", lambda *args: solved.append(args[-1]))
+    capsys.readouterr()
+    assert _fit(scene_dir, "fit_stray", ["--obs", str(obs)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {obs / '999999.ppm'}: frame index 999999 is over the limit of 18 frames"
+    ]
+    assert solved == []
+    assert not (scene_dir / "fit_stray").exists()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -580,7 +620,8 @@ def test_write_into_a_missing_directory_names_the_file(scene_dir, tmp_path, caps
 
 
 # (command, input flag, what its reader calls the file): one input of every
-# command, given as a path that is missing and as a directory
+# command, given as a path that is missing and as a directory; fit's --obs,
+# which must be a directory, as a missing path and as a regular file
 READ_FAILURES = [
     pytest.param(command, flag, what, kind, id=f"{kind}-{command}")
     for command, flag, what in (
@@ -590,6 +631,9 @@ READ_FAILURES = [
         ("eval-lip", "--curve", "curve"),
     )
     for kind in ("missing", "dir")
+] + [
+    pytest.param("fit", "--obs", "observation directory", kind, id=f"{kind}-fit-obs")
+    for kind in ("missing", "file")
 ]
 
 
@@ -602,12 +646,15 @@ def test_read_of_a_missing_or_directory_input_names_the_file(scene_dir, tmp_path
     path = s / "input"
     if kind == "dir":
         path.mkdir()
+    elif kind == "file":
+        path.write_text("", encoding="utf-8")
     argv = _probe_argv(command, s, "30")
     argv[argv.index(flag) + 1] = str(path)
     before = sorted(s.rglob("*"))
     capsys.readouterr()
     assert main(argv) == 2
-    reason = "No such file or directory" if kind == "missing" else "Is a directory"
+    reason = {"missing": "No such file or directory", "dir": "Is a directory",
+              "file": "Not a directory"}[kind]
     assert capsys.readouterr().err.splitlines() == [f"error: cannot read {what} {path}: {reason}"]
     assert sorted(s.rglob("*")) == before
 
@@ -781,9 +828,23 @@ BAD_INPUTS = [
                  ":3: duplicate row for frame 0, landmark_id 3", id="landmarks-duplicate-row"),
     pytest.param("fit", "obs/landmarks.csv", LANDMARKS_HEADER + "0,99999999999999999999,66.0,958.0,1.0\n",
                  ":2: landmark_id is out of range: '99999999999999999999'", id="landmarks-id-huge"),
+    # fit bounds a landmark row's frame by the clip's 18 frames, eval by the
+    # frame ceiling
     pytest.param("fit", "obs/landmarks.csv", LANDMARKS_HEADER + "999999999,0,66.0,958.0,1.0\n",
-                 ":2: frame index 999999999 is over the limit of 1000000 frames",
+                 ":2: frame index 999999999 is over the limit of 18 frames",
                  id="landmarks-frame-huge"),
+    pytest.param("eval", "obs/landmarks.csv", LANDMARKS_HEADER + "999999999,0,66.0,958.0,1.0\n",
+                 ":2: frame index 999999999 is over the limit of 1000000 frames",
+                 id="landmarks-frame-huge-eval"),
+    pytest.param("fit", "obs/landmarks.csv",
+                 LANDMARKS_HEADER + "0,0,66.0,958.0,1.0\n18,0,66.0,958.0,1.0\n",
+                 ":3: frame index 18 is over the limit of 18 frames",
+                 id="landmarks-frame-past-clip"),
+    # a frame or flow file past the clip's frames is named before it is read
+    pytest.param("fit", "obs/999999.ppm", "", "frame index 999999 is over the limit of 18 frames",
+                 id="frame-file-past-clip"),
+    pytest.param("fit", "obs/000018.flo", "", "frame index 18 is over the limit of 18 frames",
+                 id="flow-file-past-clip"),
     pytest.param("bones", "bones.csv", BONES_CSV.replace("0,-0.2,0,1,1,1", "0,-0.2,0,1,1,inf"),
                  "sz", id="bones-scale-inf"),
     pytest.param("bones", "bones.csv", BONES_CSV + "jaw,SSS,0,0\n", "columns",
@@ -1222,12 +1283,11 @@ def test_synth_tiny_fps_exits_2_in_a_bounded_child(tmp_path):
 EDGE_VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300")
 
 # (command, flag): the exit code for each of EDGE_VALUES, in order. 1 is
-# argparse rejecting a non-integer; fit --fps 1e-300 fits with a zero guide
-# past the guide curve's one frame, and warns of that and of the missing flow
-# (the scene has no flow files).
+# argparse rejecting a non-integer; at fit --fps 1e-300 the alignment is one
+# frame, and the scene's landmark rows of frame 1 are past it.
 FLAG_OUTCOMES = {
     ("gen-proc", "--fps"): "222202",
-    ("fit", "--fps"): "222202",
+    ("fit", "--fps"): "222222",
     ("resample", "--fps"): "222202",
     ("synth", "--fps"): "222202",
     ("synth", "--seed"): "021111",

@@ -199,8 +199,9 @@ def test_fit_clip_is_deterministic(rng):
 
 
 def test_fit_clip_empty_observations(rng):
-    rig, timeline, _, cfg, vmap = _clip_inputs(rng)
-    result = fit_clip(rig, timeline, [], cfg, vmap)
+    # an empty alignment is a clip of no frames
+    rig, _, _, cfg, vmap = _clip_inputs(rng)
+    result = fit_clip(rig, parse_alignment(""), [], cfg, vmap)
     assert result.curve.frame_count == 0
     assert result.poses == []
 
@@ -227,10 +228,15 @@ def test_fit_clip_warnings_name_the_clip(rng, caplog):
 def test_fit_clip_tolerates_missing_observations(rng, caplog):
     rig, timeline, obs, cfg, vmap = _clip_inputs(rng)
     # frames with no landmarks at all still get fitted (guidance + range only)
-    sparse = [obs[0], RawObservation(), obs[2]]
-    result = fit_clip(rig, timeline, sparse, cfg, vmap)
-    assert result.curve.frame_count == 3
+    sparse = [obs[0], RawObservation(), obs[2], RawObservation(), RawObservation(), obs[5]]
+    with caplog.at_level("WARNING", logger="visemefit.fitting"):
+        result = fit_clip(rig, timeline, sparse, cfg, vmap)
+    assert result.curve.frame_count == 6
     assert np.isfinite(result.curve.weights).all()
+    assert [r.getMessage() for r in caplog.records] == [
+        "<clip>: no landmark, image or flow data on 3 of 6 frames, first at frame 1;"
+        " only the guidance and temporal terms fit them",
+    ]
 
 
 def test_fit_clip_sweep_order(rng, monkeypatch):

@@ -93,9 +93,8 @@ def test_observation_dir(tmp_path, rng):
     fwd = rng.normal(0, 1, (4, 4, 2))
     write_flow_pair(fwd, -fwd, tmp_path / frame_flow_name(2))
 
-    obs_dir = ObservationDir(tmp_path)
-    # landmark rows reach frame 2; files do not extend past that
-    assert len(obs_dir) == 3
+    # landmark rows and files reach frame 2, the last of the clip's 3
+    obs_dir = ObservationDir(tmp_path, 3)
 
     f0 = obs_dir[0]
     np.testing.assert_array_equal(f0.landmark_ids, [0, 3])
@@ -111,31 +110,27 @@ def test_observation_dir(tmp_path, rng):
     np.testing.assert_allclose(pair[0], fwd, atol=1e-6)
     np.testing.assert_allclose(pair[1], -fwd, atol=1e-6)
 
-    with pytest.raises(IndexError):
-        obs_dir[3]
-
 
 def test_observation_dir_counts_only_the_names_it_loads(tmp_path):
     # 7.ppm and 0000009.flo are not the six-digit names frames are read from,
-    # so they add no frames that would never be loaded; 1000000.ppm names
-    # itself ({:06d} sets only a minimum width), but its number is over the
-    # frame ceiling
+    # so they are not past the clip's frames; 1000000.ppm names itself
+    # ({:06d} sets only a minimum width), but its number is over the frame
+    # ceiling
     for name in ("7.ppm", "0000009.flo", "preview.ppm", "1000000.ppm", "99999999999.flo"):
         (tmp_path / name).write_bytes(b"")
     assert not is_observation_dir(tmp_path)
     (tmp_path / "landmarks.csv").write_text(CSV, encoding="utf-8")
-    assert len(ObservationDir(tmp_path)) == 3
+    ObservationDir(tmp_path, 3)
 
 
 def test_observation_dir_flow_ignored_at_frame_zero(tmp_path, rng):
     # a pair file named 000000.flo has no predecessor frame; it is skipped
     fwd = rng.normal(0, 1, (4, 4, 2))
     write_flow_pair(fwd, -fwd, tmp_path / frame_flow_name(0))
-    obs_dir = ObservationDir(tmp_path)
-    assert len(obs_dir) == 1
+    obs_dir = ObservationDir(tmp_path, 1)
     assert obs_dir.flow(0) is None
 
 
 def test_observation_dir_requires_directory(tmp_path):
     with pytest.raises(DataError):
-        ObservationDir(tmp_path / "missing")
+        ObservationDir(tmp_path / "missing", 1)

@@ -59,7 +59,7 @@ def frame_problems(scene, paths):
     for that frame as a packed (w, q, t) row, and the fit config."""
     rig = load_rig_manifest(paths["rig"])
     cfg = fitting.read_fit_config(paths["config"])
-    obs_dir = ObservationDir(paths["obs"])
+    obs_dir = ObservationDir(paths["obs"], scene.frame_count)
     obs = obs_dir[FRAME]
     weights = scene.gt_curve.weights
     prev_pose = scene.poses[FRAME - 1]
